@@ -135,6 +135,16 @@ def _load_config(path) -> dict:
     return data
 
 
+def _config_section(config, name, cls) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"config {name!r} must be an object")
+    bad = set(section) - set(cls.__dataclass_fields__)
+    if bad:
+        raise UsageError(f"unknown keys in config {name!r}: {sorted(bad)}")
+    return section
+
+
 def _resolve_params(profile_flag, config) -> PhyMacParams:
     name = profile_flag or config.get("profile") or "dot11g-54"
     if name in PROFILES:
@@ -143,38 +153,16 @@ def _resolve_params(profile_flag, config) -> PhyMacParams:
         base = load_params(name)
     else:
         raise UsageError(f"unknown profile or missing file: {name!r}")
-    overrides = config.get("params", {})
-    if overrides:
-        if not isinstance(overrides, dict):
-            raise UsageError("config 'params' must be an object")
-        known = set(PhyMacParams.__dataclass_fields__)
-        bad = set(overrides) - known
-        if bad:
-            raise UsageError(f"unknown parameter overrides: {sorted(bad)}")
-        base = dataclasses.replace(base, **overrides)
-    return base
+    return dataclasses.replace(base,
+                               **_config_section(config, "params", PhyMacParams))
 
 
 def _resolve_solver(config) -> SolverConfig:
-    section = config.get("solver", {})
-    if not isinstance(section, dict):
-        raise UsageError("config 'solver' must be an object")
-    known = set(SolverConfig.__dataclass_fields__)
-    bad = set(section) - known
-    if bad:
-        raise UsageError(f"unknown solver settings: {sorted(bad)}")
-    return SolverConfig(**section)
+    return SolverConfig(**_config_section(config, "solver", SolverConfig))
 
 
 def _resolve_sim(args, config) -> SimSettings:
-    section = config.get("sim", {})
-    if not isinstance(section, dict):
-        raise UsageError("config 'sim' must be an object")
-    known = set(SimSettings.__dataclass_fields__)
-    bad = set(section) - known
-    if bad:
-        raise UsageError(f"unknown sim settings: {sorted(bad)}")
-    merged = dict(section)
+    merged = dict(_config_section(config, "sim", SimSettings))
     for flag, key in (("replications", "replications"), ("seed", "base_seed"),
                       ("duration_us", "duration_us"), ("warmup_us", "warmup_us")):
         value = getattr(args, flag, None)
@@ -237,10 +225,10 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def cmd_table1(params, n_list, solver, out=None) -> list[tuple]:
+def cmd_table1(params, n_list, out=None) -> list[tuple]:
     rows = []
     for n in n_list:
-        report = critical_lambda(n, params, solver)
+        report = critical_lambda(n, params)
         rows.append((n, report.s_max, report.lambda_c / _PKT_S_TO_PKT_US))
     print(f"{'N':>4s} {'S_m (Mbps)':>12s} {'lambda_c (pkt/s)':>18s}")
     for n, s_max, lam_c in rows:
@@ -255,7 +243,7 @@ def _sweep_points(spec: SweepSpec) -> list[CurvePoint]:
     points = []
     index = 0
     for n in spec.n_list:
-        report = critical_lambda(n, spec.params, spec.solver)
+        report = critical_lambda(n, spec.params)
         grid = spec.lambda_grid or _auto_grid(report)
         for lam_pkt_s in grid:
             lam = lam_pkt_s * _PKT_S_TO_PKT_US
@@ -354,10 +342,7 @@ def cmd_sim(params, n, lam_pkt_s, sim: SimSettings, out=None,
         replications=sim.replications,
         base_seed=sim.base_seed,
     )
-    if trace is not None:
-        result = run(cfg, trace_dir=trace)
-    else:
-        result = run(cfg)
+    result = run(cfg, trace_dir=trace)
     print(f"throughput {result.mean_throughput:.4f} Mbps "
           f"(95% CI +/- {result.ci95_halfwidth:.4f}), "
           f"{result.successes} successes, {result.collisions} collisions, "
@@ -377,7 +362,7 @@ def main(argv=None) -> int:
         solver = _resolve_solver(config)
 
         if args.command == "table1":
-            cmd_table1(params, _parse_n_list(args.n), solver, out=args.out)
+            cmd_table1(params, _parse_n_list(args.n), out=args.out)
             return 0
 
         if args.command == "sweep":

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, ParameterError
-from .params import (DerivedTimes, PhyMacParams, _geom_sums,
-                     collision_probability, derive_times)
+from .params import (DerivedTimes, PhyMacParams, _check_tau_n, _geom_sums,
+                     derive_times)
 
 _TINY = 1e-300
 
@@ -61,6 +61,17 @@ class FixedPointSolution:
     converged: bool
 
 
+def _slot_kernel(tau, n, times, params):
+    # Collision probability, transmission and backoff slot durations, and
+    # the stage sums gamma, epsilon, theta, alpha at tau. Written with
+    # operators only so numpy arrays flow through for grid evaluation.
+    p = 1.0 - (1.0 - tau) ** (n - 1)
+    t_tx = (1.0 - p) * times.t_s + p * times.t_c
+    t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
+    gamma, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
+    return p, t_tx, t_bo, gamma, epsilon, theta, alpha
+
+
 def slot_times_at(tau: float, n: int, times: DerivedTimes,
                   params: PhyMacParams) -> tuple[float, float]:
     """Mean transmission-slot and backoff-slot durations seen by one station.
@@ -69,9 +80,8 @@ def slot_times_at(tau: float, n: int, times: DerivedTimes,
     implied by tau; a backoff slot is idle (sigma) when nobody else
     transmits.
     """
-    p = collision_probability(tau, n)
-    t_tx = (1.0 - p) * times.t_s + p * times.t_c
-    t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
+    _check_tau_n(tau, n)
+    _, t_tx, t_bo, *_ = _slot_kernel(tau, n, times, params)
     return t_tx, t_bo
 
 
@@ -125,51 +135,31 @@ def queue_empty_probability(rho: float, k: int) -> float:
 
 
 def _s_of_tau(tau, n, times, params):
-    # Closed throughput form in tau alone; written with operators only so
-    # numpy arrays flow through for grid evaluation.
-    one_minus = (1.0 - tau) ** (n - 1)
-    p = 1.0 - one_minus
-    t_tx = (1.0 - p) * times.t_s + p * times.t_c
-    t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
-    _, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
-    return (n * tau * one_minus * params.payload_bits * alpha
+    # Closed throughput form in tau alone; numpy arrays flow through.
+    _, t_tx, t_bo, _, epsilon, theta, alpha = _slot_kernel(tau, n, times,
+                                                          params)
+    return (n * tau * (1.0 - tau) ** (n - 1) * params.payload_bits * alpha
             / (epsilon * t_tx + theta * t_bo))
 
 
 def throughput_tau_form(tau: float, n: int, params: PhyMacParams) -> float:
     """Aggregate throughput as a function of the transmission probability."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_tau_n(tau, n)
     return float(_s_of_tau(tau, n, derive_times(params), params))
-
-
-def _throughput_from_parts(tau, p, b_idle, b00, t_i, t_tx, t_bo, n, params):
-    p_t = 1.0 - (1.0 - tau) ** n
-    if p_t <= 0.0:
-        return 0.0
-    p_s = n * tau * (1.0 - tau) ** (n - 1) / p_t
-    _, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
-    t_av = b_idle * t_i + (epsilon * t_tx + theta * t_bo) * b00
-    return p_t * p_s * params.payload_bits / t_av
 
 
 def throughput(sol: FixedPointSolution, n: int, params: PhyMacParams) -> float:
     """Aggregate throughput at a solved operating point, in bits/us (Mbps)."""
     if not sol.converged:
         raise ValueError("cannot evaluate throughput of a non-converged solution")
-    return _throughput_from_parts(sol.tau, sol.p, sol.b_idle, sol.b00,
-                                  sol.t_i, sol.t_tx, sol.t_bo, n, params)
+    return throughput_tau_form(sol.tau, n, params)
 
 
 def _state_at(tau, lam, n, times, params):
     """One application of the fixed-point map; returns tau_next and the
     intermediate quantities at the input tau."""
-    p = collision_probability(tau, n)
-    t_tx = (1.0 - p) * times.t_s + p * times.t_c
-    t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
-    gamma, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
+    p, t_tx, t_bo, gamma, epsilon, theta, alpha = _slot_kernel(tau, n, times,
+                                                               params)
     t_a = (params.w0 / (2.0 * epsilon)) * gamma * t_bo
     t_service = t_a + t_tx
     rho = lam * t_service
@@ -178,33 +168,30 @@ def _state_at(tau, lam, n, times, params):
     p_i0 = -math.expm1(-lam * t_i)
     b00 = 1.0 / (alpha + (1.0 - q) / p_i0)
     tau_next = epsilon * b00
-    return tau_next, (p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00,
-                      epsilon, theta, alpha)
+    return tau_next, (p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00)
 
 
 def _assemble(tau, lam, n, times, params, residual, iterations):
     _, st = _state_at(tau, lam, n, times, params)
-    p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00, eps, theta, alpha = st
-    b_idle = (1.0 - q) * b00 / p_i0
-    t_av = b_idle * t_i + (eps * t_tx + theta * t_bo) * b00
-    s = _throughput_from_parts(tau, p, b_idle, b00, t_i, t_tx, t_bo, n, params)
+    p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00 = st
+    # b00 normalises the chain, so b_idle + alpha * b00 = 1 and the average
+    # slot b_idle * t_i + (epsilon * t_tx + theta * t_bo) * b00 is just t_i.
     return FixedPointSolution(
-        tau=tau, p=p, b00=b00, b_idle=b_idle, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
-        t_a=t_a, t_service=t_service, rho=rho, q=q, p_i0=p_i0,
-        p_tx_others=p, t_av=t_av, throughput=s, residual=residual,
-        iterations=iterations, converged=True)
+        tau=tau, p=p, b00=b00, b_idle=(1.0 - q) * b00 / p_i0, t_tx=t_tx,
+        t_bo=t_bo, t_i=t_i, t_a=t_a, t_service=t_service, rho=rho, q=q,
+        p_i0=p_i0, p_tx_others=p, t_av=t_i,
+        throughput=_s_of_tau(tau, n, times, params),
+        residual=residual, iterations=iterations, converged=True)
 
 
-def _zero_load_solution(n, times, params):
+def _zero_load_solution(params, times):
     # lam = 0 pins the station in the idle state: tau = 0 and S = 0.
-    gamma, epsilon, theta, alpha = _geom_sums(0.0, params.w0, params.m)
-    t_tx = times.t_s
-    t_bo = params.slot_sigma
-    t_a = (params.w0 / (2.0 * epsilon)) * gamma * t_bo
-    t_i = (epsilon * t_tx + theta * t_bo) / alpha
+    t_tx, t_bo = times.t_s, params.slot_sigma
+    t_a, t_service = access_and_service_time(0.0, t_bo, t_tx, params)
+    t_i = idle_slot_time(0.0, t_tx, t_bo, params)
     return FixedPointSolution(
         tau=0.0, p=0.0, b00=0.0, b_idle=1.0, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
-        t_a=t_a, t_service=t_a + t_tx, rho=0.0, q=0.0, p_i0=0.0,
+        t_a=t_a, t_service=t_service, rho=0.0, q=0.0, p_i0=0.0,
         p_tx_others=0.0, t_av=t_i, throughput=0.0, residual=0.0,
         iterations=0, converged=True)
 
@@ -214,19 +201,19 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
     """Solve the coupled tau equation at per-station arrival rate lam.
 
     lam is in packets per microsecond. lam = 0 returns the exact idle
-    solution; lam = inf reproduces the saturated operating point. Raises
+    solution; lam = inf is the saturated operating point. Raises
     ConvergenceError when the iteration budget runs out and bisection is
     disabled or fails.
     """
     if cfg is None:
         cfg = SolverConfig()
-    if lam < 0:
+    if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
     if n < 1:
         raise ParameterError("n must be >= 1")
     times = derive_times(params)
     if lam == 0.0:
-        return _zero_load_solution(n, times, params)
+        return _zero_load_solution(params, times)
 
     tau = 1.0 / (params.w0 + 1.0)
     for it in range(1, cfg.max_iterations + 1):
@@ -280,50 +267,7 @@ def solve_saturated(n: int, params: PhyMacParams,
                     cfg: SolverConfig | None = None) -> FixedPointSolution:
     """Solve the always-backlogged limit where every queue is nonempty.
 
-    Equivalent to solve_fixed_point with lam = inf but without the queue
-    bookkeeping: tau = epsilon(p) / alpha(p) coupled through p(tau).
+    This is solve_fixed_point at lam = inf: q = 1, p_i0 = 1, b_idle = 0,
+    and the map reduces to tau = epsilon(p) / alpha(p).
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    times = derive_times(params)
-
-    def sat_map(t):
-        p = collision_probability(t, n)
-        _, epsilon, _, alpha = _geom_sums(p, params.w0, params.m)
-        return epsilon / alpha
-
-    tau = 1.0 / (params.w0 + 1.0)
-    for it in range(1, cfg.max_iterations + 1):
-        tau_next = sat_map(tau)
-        if abs(tau_next - tau) <= cfg.tolerance * max(tau_next, _TINY):
-            tau = tau_next
-            residual = abs(sat_map(tau) - tau) / max(tau, _TINY)
-            return _assemble_saturated(tau, n, times, params, residual, it)
-        tau = tau + cfg.damping * (tau_next - tau)
-
-    residual = abs(sat_map(tau) - tau) / max(tau, _TINY)
-    last = _assemble_saturated(tau, n, times, params, residual,
-                               cfg.max_iterations)
-    last = replace(last, converged=False)
-    raise ConvergenceError(
-        f"saturated fixed point not reached after {cfg.max_iterations} "
-        f"iterations (residual {residual:.3e})", solution=last,
-        residual=residual)
-
-
-def _assemble_saturated(tau, n, times, params, residual, iterations):
-    p = collision_probability(tau, n)
-    t_tx = (1.0 - p) * times.t_s + p * times.t_c
-    t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
-    gamma, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
-    t_a = (params.w0 / (2.0 * epsilon)) * gamma * t_bo
-    t_i = (epsilon * t_tx + theta * t_bo) / alpha
-    b00 = 1.0 / alpha
-    s = _throughput_from_parts(tau, p, 0.0, b00, t_i, t_tx, t_bo, n, params)
-    return FixedPointSolution(
-        tau=tau, p=p, b00=b00, b_idle=0.0, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
-        t_a=t_a, t_service=t_a + t_tx, rho=math.inf, q=1.0, p_i0=1.0,
-        p_tx_others=p, t_av=t_i, throughput=s, residual=residual,
-        iterations=iterations, converged=True)
+    return solve_fixed_point(math.inf, n, params, cfg)

@@ -214,10 +214,14 @@ def geom_quantities(p: float, w0: int, m: int) -> GeomQuantities:
     return GeomQuantities(gamma=gamma, epsilon=epsilon, theta=theta, alpha=alpha)
 
 
-def collision_probability(tau: float, n: int) -> float:
-    """Probability that a transmission by one of n stations is collided."""
+def _check_tau_n(tau, n):
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if n < 1:
         raise ParameterError("n must be >= 1")
+
+
+def collision_probability(tau: float, n: int) -> float:
+    """Probability that a transmission by one of n stations is collided."""
+    _check_tau_n(tau, n)
     return 1.0 - (1.0 - tau) ** (n - 1)

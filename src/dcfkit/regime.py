@@ -73,16 +73,13 @@ def _parabolic_refine(f, x, h, lo, hi):
     return (vertex, fv) if fv > fm else (x, fm)
 
 
-def max_throughput(n: int, params: PhyMacParams,
-                   cfg: SolverConfig | None = None) -> tuple[float, float]:
+def max_throughput(n: int, params: PhyMacParams) -> tuple[float, float]:
     """Locate the throughput maximum over tau in [1e-6, 0.5].
 
     Golden-section search plus a parabolic refinement, then a dense grid
-    sweep as a unimodality safety net. cfg is accepted for interface
-    symmetry with the solvers; the maximization itself is closed-form in
-    tau and does not iterate a fixed point. Returns (s_max, tau_max).
+    sweep as a unimodality safety net. The maximization is closed-form in
+    tau and iterates no fixed point. Returns (s_max, tau_max).
     """
-    del cfg
     if n < 1:
         raise ParameterError("n must be >= 1")
     times = derive_times(params)
@@ -115,8 +112,7 @@ def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
     return n * params.payload_bits * lam
 
 
-def critical_lambda(n: int, params: PhyMacParams,
-                    cfg: SolverConfig | None = None) -> RegimeReport:
+def critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
     """Compute S_m and the critical per-station arrival rate lam_c.
 
     lam_c satisfies lam_c * N * E[PL] = S_m exactly. tau_at_boundary is
@@ -124,7 +120,7 @@ def critical_lambda(n: int, params: PhyMacParams,
     maximum and its reported s_max is a formula supremum, not an
     achievable rate).
     """
-    s_max, tau_max = max_throughput(n, params, cfg)
+    s_max, tau_max = max_throughput(n, params)
     slope = n * params.payload_bits
     lam_c = s_max / slope
     at_edge = tau_max <= _TAU_LO * (1.0 + 1e-6) or tau_max >= _TAU_HI - 1e-6
@@ -139,7 +135,7 @@ def linearity_error(lam: float, n: int, params: PhyMacParams,
     Only defined strictly below the critical rate; raises ValueError
     outside (0, lam_c).
     """
-    report = critical_lambda(n, params, cfg)
+    report = critical_lambda(n, params)
     if not 0.0 < lam < report.lambda_c:
         raise ValueError(
             f"lam must lie in (0, lambda_c={report.lambda_c:.6e}), got {lam}")

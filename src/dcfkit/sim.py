@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import fmean
 
@@ -265,26 +264,19 @@ def _ci95_halfwidth(values) -> float:
     return tcrit * math.sqrt(var / n)
 
 
-def run(cfg: SimConfig, max_workers: int | None = None,
-        trace_dir=None) -> SimResult:
-    """Run all replications and aggregate.
+def run(cfg: SimConfig, trace_dir=None) -> SimResult:
+    """Run all replications in turn and aggregate.
 
-    Replication i uses seed base_seed + i, so results are reproducible and
-    independent of scheduling. max_workers > 1 runs replications in a
-    process pool; the default runs them serially. trace_dir, if given,
-    forces serial execution and writes one event CSV per replication.
+    Replication i uses seed base_seed + i, so results are reproducible.
+    trace_dir, if given, receives one event CSV per replication.
     """
-    seeds = [cfg.base_seed + i for i in range(cfg.replications)]
+    traces = [None] * cfg.replications
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-        reps = [run_replication(cfg, s,
-                                trace=os.path.join(trace_dir, f"rep{i:03d}.csv"))
-                for i, s in enumerate(seeds)]
-    elif max_workers is not None and max_workers > 1 and cfg.replications > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            reps = list(pool.map(run_replication, [cfg] * len(seeds), seeds))
-    else:
-        reps = [run_replication(cfg, s) for s in seeds]
+        traces = [os.path.join(trace_dir, f"rep{i:03d}.csv")
+                  for i in range(cfg.replications)]
+    reps = [run_replication(cfg, cfg.base_seed + i, trace=path)
+            for i, path in enumerate(traces)]
 
     throughputs = [r.throughput for r in reps]
     return SimResult(

@@ -39,13 +39,18 @@ def queue_empty_sum(rho, k):
 
     Terms come from repeated multiplication so an overloaded queue
     saturates to inf (and the probability to 0.0) instead of raising.
+    fsum raises OverflowError when finite terms sum past the float range;
+    that sum is inf as well.
     """
     terms = []
     term = 1.0
     for _ in range(k + 1):
         terms.append(term)
         term *= rho
-    return 1.0 / math.fsum(terms)
+    try:
+        return 1.0 / math.fsum(terms)
+    except OverflowError:
+        return 1.0 / math.inf
 
 
 def access_delay_terms(p, w0, m, t_bo):

@@ -190,10 +190,21 @@ class TestConfigHandling:
         assert float(row["s_max_mbps"]) == pytest.approx(report.s_max,
                                                          rel=1e-9)
 
-    def test_unknown_override_key_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config_data", [
+        pytest.param({"params": {"retry_limit": 4}}, id="params-unknown-key"),
+        pytest.param({"sim": {"workers": 4}}, id="sim-unknown-key"),
+        pytest.param({"solver": {"method": "newton"}}, id="solver-unknown-key"),
+        pytest.param({"params": [4]}, id="params-not-object"),
+        pytest.param({"sim": 4}, id="sim-not-object"),
+        pytest.param({"solver": "fast"}, id="solver-not-object"),
+    ])
+    def test_unknown_override_key_exits_1(self, tmp_path, capsys,
+                                          config_data):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"params": {"retry_limit": 4}}))
-        assert main(["table1", "--config", str(config)]) == 1
+        config.write_text(json.dumps(config_data))
+        assert main(["sweep", "--n", "10", "--lambda-grid", "50",
+                     "--config", str(config)]) == 1
+        assert "error" in capsys.readouterr().err
 
     def test_flag_overrides_config_grid(self, tmp_path):
         config = tmp_path / "cfg.json"

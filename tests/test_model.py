@@ -163,6 +163,9 @@ class TestSolveFixedPoint:
         assert inf.throughput == pytest.approx(sat.throughput, rel=1e-9)
         assert inf.q == 1.0
         assert inf.p_i0 == 1.0
+        for n in range(1, 51):
+            assert solve_saturated(n, params) == solve_fixed_point(
+                math.inf, n, params)
 
     def test_throughput_consistency(self, params):
         for lam_pkt_s in (5.0, 60.0, 150.0):
@@ -170,6 +173,8 @@ class TestSolveFixedPoint:
             assert throughput(sol, 10, params) == sol.throughput
             assert throughput_tau_form(sol.tau, 10, params) == pytest.approx(
                 sol.throughput, rel=1e-10)
+            assert throughput_tau_form(sol.tau, 10, params) == sol.throughput
+            assert sol.t_av == sol.t_i
 
     def test_monotone_saturation_tail(self, params):
         sat = solve_saturated(10, params).throughput

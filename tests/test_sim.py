@@ -146,9 +146,10 @@ class TestTrace:
 
     def test_run_writes_one_trace_per_replication(self, params, tmp_path):
         cfg = cfg_for(params, 2, 1e-4, duration=1e5, warmup=0.0, reps=3)
-        run(cfg, trace_dir=tmp_path)
+        traced = run(cfg, trace_dir=tmp_path)
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == ["rep000.csv", "rep001.csv", "rep002.csv"]
+        assert traced == run(cfg)
 
 
 class TestConfigValidation:
