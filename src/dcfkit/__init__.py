@@ -6,7 +6,7 @@ slot-accurate simulator for validation.
 """
 
 from .errors import ConvergenceError, ParameterError
-from .model import (FixedPointSolution, SolverConfig, access_and_service_time,
+from .model import (FixedPointSolution, access_and_service_time,
                     idle_slot_time, queue_empty_probability, slot_times_at,
                     solve_fixed_point, solve_saturated, throughput,
                     throughput_tau_form)
@@ -25,7 +25,7 @@ __all__ = [
     "PhyMacParams", "DerivedTimes", "GeomQuantities", "PROFILES",
     "derive_times", "geom_quantities", "collision_probability",
     "get_profile", "load_params",
-    "SolverConfig", "FixedPointSolution", "solve_fixed_point",
+    "FixedPointSolution", "solve_fixed_point",
     "solve_saturated", "throughput", "throughput_tau_form", "slot_times_at",
     "access_and_service_time", "idle_slot_time", "queue_empty_probability",
     "RegimeReport", "max_throughput", "linear_throughput", "critical_lambda",

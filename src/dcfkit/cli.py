@@ -1,7 +1,8 @@
 """Command-line harness: reference table, curve sweeps, model-vs-sim checks.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numeric failure
-(solver non-convergence), 3 model-vs-simulation comparison failure.
+(no solution of the model's tau equation), 3 model-vs-simulation
+comparison failure.
 
 Arrival rates on the command line and in CSV output are packets per
 second per station; throughput columns are Mbps. Internally everything
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .model import SolverConfig, solve_fixed_point
+from .model import solve_fixed_point
 from .params import PROFILES, PhyMacParams, get_profile, load_params
 from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import SimConfig, run
@@ -29,6 +30,7 @@ from .sim import SimConfig, run
 _PKT_S_TO_PKT_US = 1e-6
 _AUTO_GRID_POINTS = 25
 _AUTO_GRID_SPAN = (0.01, 5.0)  # multiples of lambda_c
+_CONFIG_KEYS = {"profile", "params", "lambda_grid", "with_simulation", "sim"}
 
 
 class UsageError(Exception):
@@ -57,7 +59,6 @@ class SweepSpec:
     lambda_grid: tuple[float, ...] | None  # pkt/s; None means auto per N
     with_simulation: bool
     sim: SimSettings
-    solver: SolverConfig
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,9 @@ def _load_config(path) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must contain a JSON object")
+    bad = set(data) - _CONFIG_KEYS
+    if bad:
+        raise UsageError(f"unknown keys in config: {sorted(bad)}")
     return data
 
 
@@ -155,10 +159,6 @@ def _resolve_params(profile_flag, config) -> PhyMacParams:
         raise UsageError(f"unknown profile or missing file: {name!r}")
     return dataclasses.replace(base,
                                **_config_section(config, "params", PhyMacParams))
-
-
-def _resolve_solver(config) -> SolverConfig:
-    return SolverConfig(**_config_section(config, "solver", SolverConfig))
 
 
 def _resolve_sim(args, config) -> SimSettings:
@@ -254,10 +254,9 @@ def _sweep_points(spec: SweepSpec) -> list[CurvePoint]:
             ci = None
             error = ""
             try:
-                s_model = solve_fixed_point(lam, n, spec.params,
-                                            spec.solver).throughput
+                s_model = solve_fixed_point(lam, n, spec.params).throughput
             except ConvergenceError as exc:
-                error = f"no convergence (residual {exc.residual:.3e})"
+                error = f"no convergence: {exc}"
             if spec.with_simulation:
                 sim_cfg = SimConfig(
                     n_stations=n,
@@ -359,7 +358,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(args.config) if args.config else {}
         params = _resolve_params(args.profile, config)
-        solver = _resolve_solver(config)
 
         if args.command == "table1":
             cmd_table1(params, _parse_n_list(args.n), out=args.out)
@@ -372,7 +370,7 @@ def main(argv=None) -> int:
             spec = SweepSpec(params=params, n_list=_parse_n_list(args.n),
                              lambda_grid=_parse_grid(args.lambda_grid, config),
                              with_simulation=with_sim,
-                             sim=_resolve_sim(args, config), solver=solver)
+                             sim=_resolve_sim(args, config))
             _, code = cmd_sweep(spec, out=args.out)
             return code
 
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
             spec = SweepSpec(params=params, n_list=_parse_n_list(args.n),
                              lambda_grid=_parse_grid(args.lambda_grid, config),
                              with_simulation=True,
-                             sim=_resolve_sim(args, config), solver=solver)
+                             sim=_resolve_sim(args, config))
             _, code = cmd_compare(spec, out=args.out)
             return code
 

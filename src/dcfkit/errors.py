@@ -6,9 +6,11 @@ class ParameterError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver exhausts its iteration budget.
+    """Raised when the bracketed solve for tau fails.
 
-    Carries the last iterate so callers can inspect how close the solver got.
+    That is, tau - map(tau) does not change sign on the bracket, or the
+    root finder stops short of convergence; in the latter case the error
+    carries the last iterate and its residual.
     """
 
     def __init__(self, message, solution=None, residual=None):

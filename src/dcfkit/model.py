@@ -4,37 +4,28 @@ The per-station behaviour is a backoff chain with an idle state: a station
 that empties its queue parks until the next arrival, then always draws a
 fresh stage-0 backoff. Coupling N identical stations through the collision
 probability p = 1 - (1 - tau)^(N-1) yields one nonlinear equation in the
-per-slot transmission probability tau, solved here by damped iteration with
-a bisection fallback.
+per-slot transmission probability tau. Its residual tau - map(tau) is
+negative near 0 and positive near 1, so the root is found by Brent's
+method on the (0, 1) bracket.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+
+from scipy import optimize
 
 from .errors import ConvergenceError, ParameterError
 from .params import (DerivedTimes, PhyMacParams, _check_tau_n, _geom_sums,
                      derive_times)
 
-_TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the fixed-point iteration."""
-
-    tolerance: float = 1e-10
-    max_iterations: int = 100_000
-    damping: float = 0.5
-    fallback_bisection: bool = True
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ParameterError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ParameterError("damping must lie in (0, 1]")
+# Root bracket for tau. Brent's tolerance is relative only, so the small
+# tau of light load keeps full precision: rtol is the least brentq accepts
+# and xtol sits far below the bracket's lower end.
+_BRACKET = (1e-15, 1.0 - 1e-12)
+_RTOL = 4.0 * sys.float_info.epsilon
+_XTOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -171,8 +162,8 @@ def _state_at(tau, lam, n, times, params):
     return tau_next, (p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00)
 
 
-def _assemble(tau, lam, n, times, params, residual, iterations):
-    _, st = _state_at(tau, lam, n, times, params)
+def _assemble(tau, lam, n, times, params, iterations):
+    tau_next, st = _state_at(tau, lam, n, times, params)
     p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00 = st
     # b00 normalises the chain, so b_idle + alpha * b00 = 1 and the average
     # slot b_idle * t_i + (epsilon * t_tx + theta * t_bo) * b00 is just t_i.
@@ -181,7 +172,8 @@ def _assemble(tau, lam, n, times, params, residual, iterations):
         t_bo=t_bo, t_i=t_i, t_a=t_a, t_service=t_service, rho=rho, q=q,
         p_i0=p_i0, p_tx_others=p, t_av=t_i,
         throughput=_s_of_tau(tau, n, times, params),
-        residual=residual, iterations=iterations, converged=True)
+        residual=abs(tau_next - tau) / tau, iterations=iterations,
+        converged=True)
 
 
 def _zero_load_solution(params, times):
@@ -196,17 +188,17 @@ def _zero_load_solution(params, times):
         iterations=0, converged=True)
 
 
-def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
-                      cfg: SolverConfig | None = None) -> FixedPointSolution:
+def solve_fixed_point(lam: float, n: int,
+                      params: PhyMacParams) -> FixedPointSolution:
     """Solve the coupled tau equation at per-station arrival rate lam.
 
     lam is in packets per microsecond. lam = 0 returns the exact idle
-    solution; lam = inf is the saturated operating point. Raises
-    ConvergenceError when the iteration budget runs out and bisection is
-    disabled or fails.
+    solution; lam = inf is the saturated operating point. Otherwise the
+    root of g(tau) = tau - map(tau), negative near 0 and positive near 1,
+    is found by Brent's method on that bracket; iterations counts the map
+    evaluations. Raises ConvergenceError when g does not change sign on
+    the bracket or the solve does not converge.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
     if n < 1:
@@ -215,59 +207,28 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
     if lam == 0.0:
         return _zero_load_solution(params, times)
 
-    tau = 1.0 / (params.w0 + 1.0)
-    for it in range(1, cfg.max_iterations + 1):
-        tau_next, _ = _state_at(tau, lam, n, times, params)
-        if abs(tau_next - tau) <= cfg.tolerance * max(tau_next, _TINY):
-            final, _ = _state_at(tau_next, lam, n, times, params)
-            residual = abs(final - tau_next) / max(tau_next, _TINY)
-            return _assemble(tau_next, lam, n, times, params, residual, it)
-        tau = tau + cfg.damping * (tau_next - tau)
-
-    if cfg.fallback_bisection:
-        sol = _bisect(lam, n, times, params, cfg)
-        if sol is not None:
-            return sol
-
-    final, _ = _state_at(tau, lam, n, times, params)
-    residual = abs(final - tau) / max(tau, _TINY)
-    last = _assemble(tau, lam, n, times, params, residual, cfg.max_iterations)
-    last = replace(last, converged=False)
-    raise ConvergenceError(
-        f"fixed point not reached after {cfg.max_iterations} iterations "
-        f"(residual {residual:.3e})", solution=last, residual=residual)
-
-
-def _bisect(lam, n, times, params, cfg):
-    # Root of g(tau) = tau - map(tau); g < 0 near 0 and g > 0 near 1.
     def g(t):
-        nxt, _ = _state_at(t, lam, n, times, params)
-        return t - nxt
+        return t - _state_at(t, lam, n, times, params)[0]
 
-    lo, hi = 1e-15, 1.0 - 1e-12
-    if g(lo) > 0.0 or g(hi) < 0.0:
-        return None
-    for it in range(1, 201):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= cfg.tolerance * max(lo, _TINY):
-            break
-    tau = 0.5 * (lo + hi)
-    nxt, _ = _state_at(tau, lam, n, times, params)
-    residual = abs(nxt - tau) / max(tau, _TINY)
-    if residual > math.sqrt(cfg.tolerance):
-        return None
-    return _assemble(tau, lam, n, times, params, residual, it)
+    try:
+        tau, info = optimize.brentq(g, *_BRACKET, xtol=_XTOL, rtol=_RTOL,
+                                    full_output=True, disp=False)
+    except ValueError as exc:  # g has one sign on the whole bracket
+        raise ConvergenceError(
+            f"tau - map(tau) does not change sign on {_BRACKET}") from exc
+    sol = _assemble(tau, lam, n, times, params, info.function_calls)
+    if not info.converged:
+        raise ConvergenceError(
+            f"fixed point not reached: {info.flag} "
+            f"(residual {sol.residual:.3e})",
+            solution=replace(sol, converged=False), residual=sol.residual)
+    return sol
 
 
-def solve_saturated(n: int, params: PhyMacParams,
-                    cfg: SolverConfig | None = None) -> FixedPointSolution:
+def solve_saturated(n: int, params: PhyMacParams) -> FixedPointSolution:
     """Solve the always-backlogged limit where every queue is nonempty.
 
     This is solve_fixed_point at lam = inf: q = 1, p_i0 = 1, b_idle = 0,
     and the map reduces to tau = epsilon(p) / alpha(p).
     """
-    return solve_fixed_point(math.inf, n, params, cfg)
+    return solve_fixed_point(math.inf, n, params)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import SolverConfig, _s_of_tau, solve_fixed_point
+from .model import _s_of_tau, solve_fixed_point
 from .params import PhyMacParams, derive_times
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -128,8 +128,7 @@ def critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
                         linear_slope=float(slope), tau_at_boundary=at_edge)
 
 
-def linearity_error(lam: float, n: int, params: PhyMacParams,
-                    cfg: SolverConfig | None = None) -> float:
+def linearity_error(lam: float, n: int, params: PhyMacParams) -> float:
     """Relative gap between the solved model and the linear law at lam.
 
     Only defined strictly below the critical rate; raises ValueError
@@ -139,6 +138,6 @@ def linearity_error(lam: float, n: int, params: PhyMacParams,
     if not 0.0 < lam < report.lambda_c:
         raise ValueError(
             f"lam must lie in (0, lambda_c={report.lambda_c:.6e}), got {lam}")
-    s_model = solve_fixed_point(lam, n, params, cfg).throughput
+    s_model = solve_fixed_point(lam, n, params).throughput
     s_line = linear_throughput(lam, n, params)
     return abs(s_model - s_line) / s_line

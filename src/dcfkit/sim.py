@@ -31,8 +31,6 @@ from scipy import stats
 from .errors import ParameterError
 from .params import PhyMacParams, derive_times
 
-_IDLE, _BACKOFF = 0, 1
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -93,16 +91,17 @@ class SimResult:
 
 
 class _Station:
-    __slots__ = ("sid", "rng", "queue", "stage", "counter", "mode",
-                 "next_arrival", "arrivals", "successes", "drops")
+    # backlog counts queued packets; a station contends exactly when it is
+    # nonzero and is idle otherwise.
+    __slots__ = ("sid", "rng", "backlog", "stage", "counter", "next_arrival",
+                 "arrivals", "successes", "drops")
 
     def __init__(self, sid, rng):
         self.sid = sid
         self.rng = rng
-        self.queue = []
+        self.backlog = 0
         self.stage = 0
         self.counter = 0
-        self.mode = _IDLE
         self.next_arrival = math.inf
         self.arrivals = 0
         self.successes = 0
@@ -146,20 +145,18 @@ def run_replication(cfg: SimConfig, seed: int,
         for st in stations:
             na = st.next_arrival
             if na <= now:
-                queue = st.queue
                 rng = st.rng
                 while na <= now:
                     st.arrivals += 1
-                    if len(queue) >= cap:
+                    if st.backlog >= cap:
                         st.drops += 1
                         if events is not None:
-                            events.append((na, "drop", st.sid, len(queue)))
+                            events.append((na, "drop", st.sid, st.backlog))
                     else:
-                        queue.append(na)
+                        st.backlog += 1
                         if events is not None:
-                            events.append((na, "arrival", st.sid, len(queue)))
-                        if st.mode == _IDLE:
-                            st.mode = _BACKOFF
+                            events.append((na, "arrival", st.sid, st.backlog))
+                        if st.backlog == 1:
                             st.stage = 0
                             st.counter = int(rng.integers(0, w0))
                             active.append(st)
@@ -177,14 +174,13 @@ def run_replication(cfg: SimConfig, seed: int,
                 measured += 1
             successes += 1
             st.successes += 1
-            st.queue.pop(0)
+            st.backlog -= 1
             if events is not None:
-                events.append((now, "success", st.sid, len(st.queue)))
-            if st.queue:
+                events.append((now, "success", st.sid, st.backlog))
+            if st.backlog:
                 st.stage = 0
                 st.counter = int(st.rng.integers(0, w0))
             else:
-                st.mode = _IDLE
                 active.remove(st)
             now += t_s
         elif k:
@@ -198,14 +194,14 @@ def run_replication(cfg: SimConfig, seed: int,
                     st.stage += 1
                 st.counter = int(st.rng.integers(0, w0 << st.stage))
                 if events is not None:
-                    events.append((now, "collision", st.sid, len(st.queue)))
+                    events.append((now, "collision", st.sid, st.backlog))
             now += t_c
         else:
             # Idle stretch: jump to the next boundary where anything changes.
             jump = min(st.counter for st in active) if active else -1
             na_idle = math.inf
             for st in stations:
-                if st.mode == _IDLE and st.next_arrival < na_idle:
+                if not st.backlog and st.next_arrival < na_idle:
                     na_idle = st.next_arrival
             if na_idle < math.inf:
                 j_arr = int(math.ceil((na_idle - now) / sigma))
@@ -241,7 +237,7 @@ def run_replication(cfg: SimConfig, seed: int,
         per_station_arrivals=tuple(st.arrivals for st in stations),
         per_station_successes=tuple(st.successes for st in stations),
         per_station_drops=tuple(st.drops for st in stations),
-        final_queue_lengths=tuple(len(st.queue) for st in stations),
+        final_queue_lengths=tuple(st.backlog for st in stations),
     )
 
 

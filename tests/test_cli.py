@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dcfkit import critical_lambda, solve_saturated
+from dcfkit import ConvergenceError, critical_lambda, solve_saturated
 from dcfkit.cli import main
 
 
@@ -94,14 +94,15 @@ class TestSweep:
     def test_negative_rate_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", "-5"]) == 1
 
-    def test_solver_failure_exits_2_and_records_error(self, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "solver": {"max_iterations": 1, "damping": 1.0,
-                       "fallback_bisection": False}}))
+    def test_solver_failure_exits_2_and_records_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def fail(lam, n, params):
+            raise ConvergenceError("no sign change")
+
+        monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--n", "10", "--lambda-grid", "50",
-                     "--config", str(config), "--out", str(out)])
+                     "--out", str(out)])
         assert code == 2
         row = read_csv(out)[0]
         assert row["error"] != ""
@@ -193,10 +194,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("config_data", [
         pytest.param({"params": {"retry_limit": 4}}, id="params-unknown-key"),
         pytest.param({"sim": {"workers": 4}}, id="sim-unknown-key"),
-        pytest.param({"solver": {"method": "newton"}}, id="solver-unknown-key"),
+        pytest.param({"lamda_grid": [10.0]}, id="top-level-unknown-key"),
         pytest.param({"params": [4]}, id="params-not-object"),
         pytest.param({"sim": 4}, id="sim-not-object"),
-        pytest.param({"solver": "fast"}, id="solver-not-object"),
+        pytest.param({"solver": {"damping": 0.5}}, id="removed-solver-section"),
     ])
     def test_unknown_override_key_exits_1(self, tmp_path, capsys,
                                           config_data):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from dcfkit import (ConvergenceError, ParameterError, SolverConfig,
-                    access_and_service_time, collision_probability,
-                    geom_quantities, get_profile, idle_slot_time,
-                    queue_empty_probability, slot_times_at, solve_fixed_point,
-                    solve_saturated, throughput, throughput_tau_form)
+from dcfkit import (ConvergenceError, ParameterError, access_and_service_time,
+                    collision_probability, critical_lambda, geom_quantities,
+                    get_profile, idle_slot_time, queue_empty_probability,
+                    slot_times_at, solve_fixed_point, solve_saturated,
+                    throughput, throughput_tau_form)
+from dcfkit.model import _state_at
 
 
 def small_chain_params():
@@ -142,7 +143,7 @@ class TestSolveFixedPoint:
                 assert sol.tau == pytest.approx(g.epsilon * sol.b00, rel=1e-8)
                 assert g.alpha * sol.b00 + sol.b_idle == pytest.approx(
                     1.0, abs=1e-12)
-                assert sol.residual <= 1e-8
+                assert sol.residual <= 1e-13
                 assert sol.p == pytest.approx(
                     collision_probability(sol.tau, n), rel=1e-12)
 
@@ -183,21 +184,29 @@ class TestSolveFixedPoint:
             sol = solve_fixed_point(lam, 10, params)
             assert sol.throughput == pytest.approx(sat, rel=0.02)
 
-    def test_non_convergence_carries_iterate(self, params):
-        cfg = SolverConfig(tolerance=1e-10, max_iterations=1, damping=1.0,
-                           fallback_bisection=False)
-        with pytest.raises(ConvergenceError) as err:
-            solve_fixed_point(90e-6, 10, params, cfg)
-        assert err.value.solution is not None
-        assert not err.value.solution.converged
-        assert err.value.residual > 0
+    def test_single_root_and_bounded_calls(self, params, times):
+        # The solver brackets the one root of g(tau) = tau - map(tau); check
+        # on a dense grid that there is exactly one sign change and that the
+        # solved tau lies in the cell where it happens.
+        grid = np.linspace(1e-15, 1.0 - 1e-12, 2000)
+        for n in (1, 2, 10, 50, 100):
+            lam_c = critical_lambda(n, params).lambda_c
+            for lam in (0.01 * lam_c, lam_c, 5.0 * lam_c, math.inf):
+                sol = solve_fixed_point(lam, n, params)
+                assert sol.iterations <= 30
+                g = np.array([t - _state_at(t, lam, n, times, params)[0]
+                              for t in grid])
+                changes = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+                assert len(changes) == 1, (n, lam)
+                i = changes[0]
+                assert grid[i] <= sol.tau <= grid[i + 1], (n, lam)
 
-    def test_bisection_fallback_agrees(self, params):
-        loose = SolverConfig(tolerance=1e-10, max_iterations=3, damping=1.0,
-                             fallback_bisection=True)
-        direct = solve_fixed_point(90e-6, 10, params)
-        fallback = solve_fixed_point(90e-6, 10, params, loose)
-        assert fallback.tau == pytest.approx(direct.tau, rel=1e-5)
+    def test_bracket_without_sign_change_raises(self, params, monkeypatch):
+        # A map that never crosses tau leaves nothing to bracket.
+        monkeypatch.setattr("dcfkit.model._state_at",
+                            lambda tau, *args: (tau + 1.0, None))
+        with pytest.raises(ConvergenceError):
+            solve_fixed_point(90e-6, 10, params)
 
     def test_domain(self, params):
         with pytest.raises(ValueError):
