@@ -11,11 +11,21 @@ immediate-access shortcut. After a collision the window doubles up to
 stage m and then stays at w_max until the packet finally gets through
 (packets are never dropped for retry count, only for a full queue).
 
-Long idle stretches are compressed: when no counter is at zero the loop
-jumps straight to the earliest slot where a counter can expire, an idle
-station can receive its next arrival, or the run ends. The jump leaves
-the per-station RNG draw order untouched, so results are bit-identical
-to the slot-by-slot walk.
+The loop is event-driven, so its work per channel event follows the
+transmitters, not the number of stations. One global index counts
+virtual slots, and a backoff is stored as the slot it expires in: a
+counter c drawn by a fresh arrival at slot vs expires at vs + c, one
+drawn after a transmission at vs + 1 + c. A heap of expiry slots yields
+the transmitters of a slot; a second heap holds the next arrival of each
+idle station. An idle stretch is one jump to the earliest of the next
+expiry, the next idle arrival and the end of the run. A contending
+station's arrivals only change its backlog and drops, so they are taken
+just before its next backoff draw and at the end of the run. Each
+station draws from its own RNG stream in the order of the plain
+slot-by-slot walk, so results are bit-identical to that walk.
+
+Trace rows are ordered by time and then station id; the stations of one
+collision share a timestamp.
 """
 from __future__ import annotations
 
@@ -23,6 +33,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from statistics import fmean
 
 import numpy as np
@@ -49,8 +60,8 @@ class SimConfig:
             raise ParameterError("n_stations must be >= 1")
         if not 0.0 <= self.lambda_per_station < math.inf:
             raise ParameterError("lambda_per_station must be finite and >= 0")
-        if self.sim_duration <= 0:
-            raise ParameterError("sim_duration must be positive")
+        if not 0.0 < self.sim_duration < math.inf:
+            raise ParameterError("sim_duration must be finite and positive")
         if not 0.0 <= self.warmup < self.sim_duration:
             raise ParameterError("warmup must lie in [0, sim_duration)")
         if self.replications < 1:
@@ -75,6 +86,7 @@ class ReplicationResult:
     per_station_successes: tuple[int, ...]
     per_station_drops: tuple[int, ...]
     final_queue_lengths: tuple[int, ...]
+    virtual_slots: int  # idle, success and collision slots; 0 if lambda is 0
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ class SimResult:
 class _Station:
     # backlog counts queued packets; a station contends exactly when it is
     # nonzero and is idle otherwise.
-    __slots__ = ("sid", "rng", "backlog", "stage", "counter", "next_arrival",
+    __slots__ = ("sid", "rng", "backlog", "stage", "next_arrival",
                  "arrivals", "successes", "drops")
 
     def __init__(self, sid, rng):
@@ -101,7 +113,6 @@ class _Station:
         self.rng = rng
         self.backlog = 0
         self.stage = 0
-        self.counter = 0
         self.next_arrival = math.inf
         self.arrivals = 0
         self.successes = 0
@@ -114,7 +125,7 @@ def run_replication(cfg: SimConfig, seed: int,
 
     trace, if given, is a path that receives the event log as CSV with
     columns time_us, event, station_id, queue_len (events: arrival,
-    success, collision, drop).
+    success, collision, drop), ordered by time and then station_id.
     """
     params = cfg.params
     times = derive_times(params)
@@ -129,47 +140,53 @@ def run_replication(cfg: SimConfig, seed: int,
     streams = np.random.SeedSequence(seed).spawn(cfg.n_stations)
     stations = [_Station(i, np.random.default_rng(s))
                 for i, s in enumerate(streams)]
+    idle = []  # (next arrival, sid) of stations with no backlog
     if lam > 0:
         for st in stations:
             st.next_arrival = st.rng.exponential(mean_ia)
-
-    active = []  # stations currently counting down
+        idle = [(st.next_arrival, st.sid) for st in stations]
+        heapify(idle)
+    expiry = []  # (virtual slot of the next transmission, sid) of contenders
     events = [] if trace is not None else None
+
+    def admit(st, now, vs):
+        # Takes the station's arrivals up to now, in its own draw order. A
+        # packet reaching an empty queue draws a fresh stage-0 backoff.
+        na, rng = st.next_arrival, st.rng
+        while na <= now:
+            st.arrivals += 1
+            if st.backlog >= cap:
+                st.drops += 1
+                if events is not None:
+                    events.append((na, "drop", st.sid, st.backlog))
+            else:
+                st.backlog += 1
+                if events is not None:
+                    events.append((na, "arrival", st.sid, st.backlog))
+                if st.backlog == 1:
+                    st.stage = 0
+                    heappush(expiry, (vs + int(rng.integers(0, w0)), st.sid))
+            na += rng.exponential(mean_ia)
+        st.next_arrival = na
+
     successes = 0
     measured = 0
     collisions = 0
     participations = 0
-    now = 0.0
+    vs = 0  # virtual slots elapsed
+    now = last = 0.0
 
     while now < duration:
-        for st in stations:
-            na = st.next_arrival
-            if na <= now:
-                rng = st.rng
-                while na <= now:
-                    st.arrivals += 1
-                    if st.backlog >= cap:
-                        st.drops += 1
-                        if events is not None:
-                            events.append((na, "drop", st.sid, st.backlog))
-                    else:
-                        st.backlog += 1
-                        if events is not None:
-                            events.append((na, "arrival", st.sid, st.backlog))
-                        if st.backlog == 1:
-                            st.stage = 0
-                            st.counter = int(rng.integers(0, w0))
-                            active.append(st)
-                    na += rng.exponential(mean_ia)
-                st.next_arrival = na
+        last = now
+        while idle and idle[0][0] <= now:
+            admit(stations[heappop(idle)[1]], now, vs)
 
-        txs = [st for st in active if st.counter == 0]
-        k = len(txs)
-        if k == 1:
-            for st in active:
-                if st.counter:
-                    st.counter -= 1
+        txs = []
+        while expiry and expiry[0][0] == vs:
+            txs.append(stations[heappop(expiry)[1]])
+        if len(txs) == 1:
             st = txs[0]
+            admit(st, now, vs)
             if now >= warmup:
                 measured += 1
             successes += 1
@@ -179,48 +196,43 @@ def run_replication(cfg: SimConfig, seed: int,
                 events.append((now, "success", st.sid, st.backlog))
             if st.backlog:
                 st.stage = 0
-                st.counter = int(st.rng.integers(0, w0))
+                heappush(
+                    expiry, (vs + 1 + int(st.rng.integers(0, w0)), st.sid))
             else:
-                active.remove(st)
+                heappush(idle, (st.next_arrival, st.sid))
             now += t_s
-        elif k:
+            vs += 1
+        elif txs:
             collisions += 1
-            participations += k
-            for st in active:
-                if st.counter:
-                    st.counter -= 1
+            participations += len(txs)
             for st in txs:
+                admit(st, now, vs)
                 if st.stage < m_stages:
                     st.stage += 1
-                st.counter = int(st.rng.integers(0, w0 << st.stage))
+                heappush(expiry, (
+                    vs + 1 + int(st.rng.integers(0, w0 << st.stage)), st.sid))
                 if events is not None:
                     events.append((now, "collision", st.sid, st.backlog))
             now += t_c
+            vs += 1
         else:
-            # Idle stretch: jump to the next boundary where anything changes.
-            jump = min(st.counter for st in active) if active else -1
-            na_idle = math.inf
-            for st in stations:
-                if not st.backlog and st.next_arrival < na_idle:
-                    na_idle = st.next_arrival
-            if na_idle < math.inf:
-                j_arr = int(math.ceil((na_idle - now) / sigma))
-                if j_arr < 1:
-                    j_arr = 1
+            # Idle stretch: jump to the next slot where a backoff expires,
+            # an idle station can receive its next packet, or the run ends.
+            # Both ceilings are >= 1: idle arrivals and the end lie past now.
+            jump = expiry[0][0] - vs if expiry else -1
+            if idle:
+                j_arr = int(math.ceil((idle[0][0] - now) / sigma))
                 if jump < 0 or j_arr < jump:
                     jump = j_arr
             if jump < 0:
                 now = duration  # nothing pending and no arrivals ever
                 break
-            j_end = int(math.ceil((duration - now) / sigma))
-            if j_end < 1:
-                j_end = 1
-            if jump > j_end:
-                jump = j_end
+            jump = min(jump, int(math.ceil((duration - now) / sigma)))
             now += jump * sigma
-            for st in active:
-                st.counter -= jump
+            vs += jump
 
+    for _, sid in expiry:  # arrivals contenders have not taken, up to last
+        admit(stations[sid], last, vs)
     span = now - warmup
     throughput = measured * params.payload_bits / span
     if trace is not None:
@@ -238,11 +250,12 @@ def run_replication(cfg: SimConfig, seed: int,
         per_station_successes=tuple(st.successes for st in stations),
         per_station_drops=tuple(st.drops for st in stations),
         final_queue_lengths=tuple(st.backlog for st in stations),
+        virtual_slots=vs,
     )
 
 
 def _write_trace(path, events):
-    events.sort(key=lambda e: e[0])
+    events.sort(key=lambda e: (e[0], e[2]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("time_us", "event", "station_id", "queue_len"))

@@ -165,6 +165,11 @@ class TestSimCommand:
     def test_negative_lambda_exits_1(self, capsys):
         assert main(["sim", "--n", "2", "--lambda", "-4"]) == 1
 
+    def test_infinite_duration_exits_1(self, capsys):
+        assert main(["sim", "--n", "2", "--lambda", "40",
+                     "--duration-us", "inf"]) == 1
+        assert "sim_duration" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_profile_and_overrides_from_config(self, params, tmp_path):

@@ -1,12 +1,15 @@
 import csv
 import dataclasses
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dcfkit import (ParameterError, SimConfig, critical_lambda,
-                    linear_throughput, solve_saturated)
+                    derive_times, linear_throughput, solve_saturated)
 from dcfkit.sim import run, run_replication
 
 
@@ -36,6 +39,55 @@ class TestDeterminism:
         result = run(cfg)
         singles = [run_replication(cfg, 100 + i).throughput for i in range(3)]
         assert list(result.per_replication) == singles
+
+
+# sha256 of repr() of these fields, recorded before the simulator moved from
+# a per-station slot scan to expiry slots; any change to a simulated value,
+# a draw order or the float accumulation of end_time shows here.
+_PINNED_FIELDS = (
+    "throughput", "end_time", "successes", "measured_successes",
+    "collisions", "collision_participations", "drops", "arrivals",
+    "per_station_arrivals", "per_station_successes", "per_station_drops",
+    "final_queue_lengths")
+
+_PINNED = {
+    # name: (n, lambda pkt/us, duration, warmup, seed, tiny K=1 window, sha)
+    "zero-rate": (5, 0.0, 1e6, 1e5, 3, False,
+                  "8babe094e1a54e54f8e8df2431ae78df"
+                  "8236bdc7cf87229888adff7c3d48fedc"),
+    "single-saturated": (1, 1e-2, 2e6, 1e5, 5, False,
+                         "3eb4ec3dbae448db3b59ed7e58d5012d"
+                         "5ec9fc6460928cc9e5acadd662e67657"),
+    "n10-0.3-lambda-c": (10, 0.3 * 110.594e-6, 2e6, 1e5, 7, False,
+                         "df23b7360e8d27f2a1d7b783778d0ca5"
+                         "68885ff71881977ab154f88ad4147817"),
+    "n50-3-lambda-c": (50, 3 * 20.643e-6, 1e6, 2e5, 11, False,
+                       "5f698ee2c598a9dbabef931f3b6249ef"
+                       "7743ff8064b0427ff1d284db877a2f4c"),
+    "k1-w0-2-m-1": (8, 5e-4, 1e6, 1e5, 13, True,
+                    "500676bf976db334449038829251d277"
+                    "694e07f8c612d1a7137bde6d1ca74160"),
+    "no-warmup": (4, 1e-4, 1e6, 0.0, 17, False,
+                  "cb1f7f17497d69de69630b0f014ca8bc"
+                  "cc52be8e2d7427b376f430a2d93249ca"),
+}
+
+
+def tiny_window(params):
+    """K = 1, w0 = 2, m = 1: frequent collisions and drops."""
+    return dataclasses.replace(params, queue_capacity_k=1, w0=2, m=1,
+                               w_max=4)
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_replication_matches_recorded_digest(self, params, name):
+        n, lam, duration, warmup, seed, tiny, want = _PINNED[name]
+        p = tiny_window(params) if tiny else params
+        cfg = cfg_for(p, n, lam, duration=duration, warmup=warmup, reps=1)
+        rep = run_replication(cfg, seed)
+        values = tuple(getattr(rep, f) for f in _PINNED_FIELDS)
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == want
 
 
 class TestConservation:
@@ -127,6 +179,53 @@ class TestAggregation:
         assert rep.throughput == want
 
 
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 30),
+           lam=st.one_of(st.just(0.0), st.floats(1e-7, 5e-3)),
+           k=st.integers(1, 20), w0=st.sampled_from([2, 4, 16, 32]),
+           m=st.integers(1, 6), duration=st.floats(1e4, 2e5),
+           warmup_share=st.floats(0.0, 0.99), seed=st.integers(0, 2**32))
+    def test_conserves_packets_and_repeats(self, params, n, lam, k, w0, m,
+                                           duration, warmup_share, seed):
+        p = dataclasses.replace(params, queue_capacity_k=k, w0=w0, m=m,
+                                w_max=w0 << m)
+        cfg = cfg_for(p, n, lam, duration=duration,
+                      warmup=warmup_share * duration, reps=1)
+        rep = run_replication(cfg, seed)
+        for a, s, d, q in zip(rep.per_station_arrivals,
+                              rep.per_station_successes,
+                              rep.per_station_drops,
+                              rep.final_queue_lengths):
+            assert a == s + d + q
+            assert 0 <= q <= k
+        assert rep.arrivals == sum(rep.per_station_arrivals)
+        assert rep.successes == sum(rep.per_station_successes)
+        assert rep.drops == sum(rep.per_station_drops)
+        assert rep.measured_successes <= rep.successes
+        assert rep.collision_participations >= 2 * rep.collisions
+        assert run_replication(cfg, seed) == rep
+
+
+class TestVirtualSlots:
+    @pytest.mark.parametrize("name", sorted(set(_PINNED) - {"zero-rate"}))
+    def test_end_time_from_slot_counts(self, params, name):
+        n, lam, duration, warmup, seed, tiny, _ = _PINNED[name]
+        p = tiny_window(params) if tiny else params
+        t = derive_times(p)
+        cfg = cfg_for(p, n, lam, duration=duration, warmup=warmup, reps=1)
+        rep = run_replication(cfg, seed)
+        idle = rep.virtual_slots - rep.successes - rep.collisions
+        assert idle >= 0
+        want = (idle * p.slot_sigma + rep.successes * t.t_s
+                + rep.collisions * t.t_c)
+        assert rep.end_time == pytest.approx(want, rel=1e-12)
+
+    def test_zero_rate_has_no_slots(self, params):
+        cfg = cfg_for(params, 5, 0.0, duration=1e6, warmup=0.0)
+        assert run_replication(cfg, 3).virtual_slots == 0
+
+
 class TestTrace:
     def test_trace_contents(self, params, tmp_path):
         path = tmp_path / "trace.csv"
@@ -143,6 +242,25 @@ class TestTrace:
                    for r in rows)
         n_success = sum(1 for r in rows if r["event"] == "success")
         assert n_success == rep.successes
+
+    def test_collision_ties_in_station_order(self, params, tmp_path):
+        # Rows sharing a timestamp (the stations of one collision) come out
+        # in ascending station_id; the bytes are the recorded rows sorted
+        # on (time_us, station_id).
+        path = tmp_path / "trace.csv"
+        cfg = cfg_for(tiny_window(params), 6, 5e-4, duration=5e4,
+                      warmup=0.0)
+        run_replication(cfg, 19, trace=path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        ties = [(a, b) for a, b in zip(rows, rows[1:])
+                if a["time_us"] == b["time_us"]]
+        assert len(ties) > 30
+        assert all(int(a["station_id"]) < int(b["station_id"])
+                   for a, b in ties)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == ("efd92e789bf25992a49c4b4b44785ac3"
+                          "0ced99ae0af15bd9663e0b1926f5cb87")
 
     def test_run_writes_one_trace_per_replication(self, params, tmp_path):
         cfg = cfg_for(params, 2, 1e-4, duration=1e5, warmup=0.0, reps=3)
@@ -161,6 +279,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             SimConfig(n_stations=2, lambda_per_station=1e-5, params=params,
                       sim_duration=1e5, warmup=1e5)
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_rejects_non_finite_duration(self, params, duration):
+        with pytest.raises(ParameterError, match="sim_duration must"):
+            SimConfig(n_stations=2, lambda_per_station=1e-5, params=params,
+                      sim_duration=duration, warmup=0.0)
 
     def test_rejects_zero_stations(self, params):
         with pytest.raises(ParameterError):
