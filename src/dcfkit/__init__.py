@@ -7,14 +7,12 @@ slot-accurate simulator for validation.
 
 from .errors import ConvergenceError, ParameterError
 from .model import (FixedPointSolution, access_and_service_time,
-                    idle_slot_time, queue_empty_probability, slot_times_at,
-                    solve_fixed_point, solve_saturated, throughput,
-                    throughput_tau_form)
-from .params import (PROFILES, DerivedTimes, GeomQuantities, PhyMacParams,
-                     collision_probability, derive_times, geom_quantities,
+                    idle_slot_time, queue_empty_probability, solve_fixed_point,
+                    solve_saturated, throughput_tau_form)
+from .params import (PROFILES, DerivedTimes, PhyMacParams, derive_times,
                      get_profile, load_params)
 from .regime import (RegimeReport, critical_lambda, linear_throughput,
-                     linearity_error, max_throughput)
+                     max_throughput)
 from .sim import ReplicationResult, SimConfig, SimResult, run_replication
 from .sim import run as run_simulation
 
@@ -22,14 +20,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "ParameterError",
-    "PhyMacParams", "DerivedTimes", "GeomQuantities", "PROFILES",
-    "derive_times", "geom_quantities", "collision_probability",
-    "get_profile", "load_params",
-    "FixedPointSolution", "solve_fixed_point",
-    "solve_saturated", "throughput", "throughput_tau_form", "slot_times_at",
+    "PhyMacParams", "DerivedTimes", "PROFILES",
+    "derive_times", "get_profile", "load_params",
+    "FixedPointSolution", "solve_fixed_point", "solve_saturated",
+    "throughput_tau_form",
     "access_and_service_time", "idle_slot_time", "queue_empty_probability",
     "RegimeReport", "max_throughput", "linear_throughput", "critical_lambda",
-    "linearity_error",
     "SimConfig", "SimResult", "ReplicationResult", "run_replication",
     "run_simulation",
     "__version__",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -21,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError
 from .model import solve_fixed_point
-from .params import PROFILES, PhyMacParams, get_profile, load_params
+from .params import (PROFILES, PhyMacParams, _check_int_fields, get_profile,
+                     load_params)
 from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import SimConfig, run
 
@@ -48,6 +50,18 @@ class SimSettings:
     base_seed: int = 12345
     duration_us: float = 5e6
     warmup_us: float = 5e5
+
+    def __post_init__(self):
+        # A sweep offsets base_seed per point before SimConfig sees it, and
+        # True + 0 is the integer 1, so config values are checked here.
+        _check_int_fields(self)
+
+
+def _sim_config(params, n, lam, sim: SimSettings,
+                base_seed: int) -> SimConfig:
+    return SimConfig(n_stations=n, lambda_per_station=lam, params=params,
+                     sim_duration=sim.duration_us, warmup=sim.warmup_us,
+                     replications=sim.replications, base_seed=base_seed)
 
 
 @dataclass(frozen=True)
@@ -123,6 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim_flags(p_sim)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process, built on first use so that importing this
+    # module builds nothing.
+    return build_parser()
 
 
 def _load_config(path) -> dict:
@@ -225,7 +246,7 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def cmd_table1(params, n_list, out=None) -> list[tuple]:
+def cmd_table1(params, n_list, out=None) -> int:
     rows = []
     for n in n_list:
         report = critical_lambda(n, params)
@@ -236,7 +257,7 @@ def cmd_table1(params, n_list, out=None) -> list[tuple]:
     if out is not None:
         _write_csv(out, ("n", "s_max_mbps", "lambda_c_pkt_s"),
                    [(r[0], _fmt(r[1]), _fmt(r[2])) for r in rows])
-    return rows
+    return 0
 
 
 def _sweep_points(spec: SweepSpec) -> list[CurvePoint]:
@@ -258,16 +279,8 @@ def _sweep_points(spec: SweepSpec) -> list[CurvePoint]:
             except ConvergenceError as exc:
                 error = f"no convergence: {exc}"
             if spec.with_simulation:
-                sim_cfg = SimConfig(
-                    n_stations=n,
-                    lambda_per_station=lam,
-                    params=spec.params,
-                    sim_duration=spec.sim.duration_us,
-                    warmup=spec.sim.warmup_us,
-                    replications=spec.sim.replications,
-                    base_seed=spec.sim.base_seed + 10_000 * index,
-                )
-                result = run(sim_cfg)
+                result = run(_sim_config(spec.params, n, lam, spec.sim,
+                                         spec.sim.base_seed + 10_000 * index))
                 s_sim = result.mean_throughput
                 ci = result.ci95_halfwidth
             points.append(CurvePoint(
@@ -283,21 +296,20 @@ _SWEEP_HEADER = ("n", "lambda_pkt_s", "s_model_mbps", "s_linear_mbps",
                  "error")
 
 
-def cmd_sweep(spec: SweepSpec, out=None) -> tuple[list[CurvePoint], int]:
+def cmd_sweep(spec: SweepSpec, out=None) -> int:
     points = _sweep_points(spec)
     rows = [(p.n, _fmt(p.lambda_pkt_s), _fmt(p.s_model), _fmt(p.s_linear),
              _fmt(p.s_max), p.regime, _fmt(p.s_sim), _fmt(p.sim_ci95),
              p.error) for p in points]
     _write_csv(out, _SWEEP_HEADER, rows)
-    code = 2 if any(p.error for p in points) else 0
-    return points, code
+    return 2 if any(p.error for p in points) else 0
 
 
 _COMPARE_HEADER = ("n", "lambda_pkt_s", "regime", "s_model_mbps",
                    "s_sim_mbps", "sim_ci95_mbps", "band_mbps", "inside_band")
 
 
-def cmd_compare(spec: SweepSpec, out=None) -> tuple[list[CurvePoint], int]:
+def cmd_compare(spec: SweepSpec, out=None) -> int:
     """Model point inside sim CI widened by 5 percent of the sim mean."""
     points = _sweep_points(spec)
     rows = []
@@ -326,22 +338,14 @@ def cmd_compare(spec: SweepSpec, out=None) -> tuple[list[CurvePoint], int]:
     if out is not None:
         _write_csv(out, _COMPARE_HEADER, rows)
     if solver_failures:
-        return points, 2
-    return points, 3 if failures else 0
+        return 2
+    return 3 if failures else 0
 
 
 def cmd_sim(params, n, lam_pkt_s, sim: SimSettings, out=None,
             trace=None) -> int:
-    cfg = SimConfig(
-        n_stations=n,
-        lambda_per_station=lam_pkt_s * _PKT_S_TO_PKT_US,
-        params=params,
-        sim_duration=sim.duration_us,
-        warmup=sim.warmup_us,
-        replications=sim.replications,
-        base_seed=sim.base_seed,
-    )
-    result = run(cfg, trace_dir=trace)
+    result = run(_sim_config(params, n, lam_pkt_s * _PKT_S_TO_PKT_US, sim,
+                             sim.base_seed), trace_dir=trace)
     print(f"throughput {result.mean_throughput:.4f} Mbps "
           f"(95% CI +/- {result.ci95_halfwidth:.4f}), "
           f"{result.successes} successes, {result.collisions} collisions, "
@@ -353,38 +357,13 @@ def cmd_sim(params, n, lam_pkt_s, sim: SimSettings, out=None,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         config = _load_config(args.config) if args.config else {}
         params = _resolve_params(args.profile, config)
 
         if args.command == "table1":
-            cmd_table1(params, _parse_n_list(args.n), out=args.out)
-            return 0
-
-        if args.command == "sweep":
-            with_sim = args.with_sim
-            if with_sim is None:
-                with_sim = bool(config.get("with_simulation", False))
-            spec = SweepSpec(params=params, n_list=_parse_n_list(args.n),
-                             lambda_grid=_parse_grid(args.lambda_grid, config),
-                             with_simulation=with_sim,
-                             sim=_resolve_sim(args, config))
-            _, code = cmd_sweep(spec, out=args.out)
-            return code
-
-        if args.command == "compare":
-            if config.get("with_simulation") is False:
-                raise UsageError(
-                    "compare requires simulation; config sets "
-                    "with_simulation=false")
-            spec = SweepSpec(params=params, n_list=_parse_n_list(args.n),
-                             lambda_grid=_parse_grid(args.lambda_grid, config),
-                             with_simulation=True,
-                             sim=_resolve_sim(args, config))
-            _, code = cmd_compare(spec, out=args.out)
-            return code
+            return cmd_table1(params, _parse_n_list(args.n), out=args.out)
 
         if args.command == "sim":
             if args.n < 1:
@@ -395,11 +374,23 @@ def main(argv=None) -> int:
                            _resolve_sim(args, config), out=args.out,
                            trace=args.trace)
 
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParameterError, ValueError) as exc:
+        if args.command == "compare":
+            if config.get("with_simulation") is False:
+                raise UsageError(
+                    "compare requires simulation; config sets "
+                    "with_simulation=false")
+            with_sim, cmd = True, cmd_compare
+        else:
+            with_sim, cmd = args.with_sim, cmd_sweep
+            if with_sim is None:
+                with_sim = bool(config.get("with_simulation", False))
+        spec = SweepSpec(params=params, n_list=_parse_n_list(args.n),
+                         lambda_grid=_parse_grid(args.lambda_grid, config),
+                         with_simulation=with_sim,
+                         sim=_resolve_sim(args, config))
+        return cmd(spec, out=args.out)
+    # ParameterError is a ValueError; OSError covers the paths the user gave.
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 from scipy import optimize
 
 from .errors import ConvergenceError, ParameterError
-from .params import (DerivedTimes, PhyMacParams, _check_tau_n, _geom_sums,
-                     derive_times)
+from .params import PhyMacParams, _geom_sums, derive_times
 
 # Root bracket for tau. Brent's tolerance is relative only, so the small
 # tau of light load keeps full precision: rtol is the least brentq accepts
@@ -44,8 +43,6 @@ class FixedPointSolution:
     rho: float
     q: float
     p_i0: float
-    p_tx_others: float
-    t_av: float
     throughput: float
     residual: float
     iterations: int
@@ -53,27 +50,16 @@ class FixedPointSolution:
 
 
 def _slot_kernel(tau, n, times, params):
-    # Collision probability, transmission and backoff slot durations, and
-    # the stage sums gamma, epsilon, theta, alpha at tau. Written with
-    # operators only so numpy arrays flow through for grid evaluation.
+    # Collision probability, the mean transmission and backoff slot
+    # durations seen by one station (a backoff slot is sigma when nobody
+    # else transmits), and the stage sums gamma, epsilon, theta, alpha at
+    # tau. Written with operators only so numpy arrays flow through for
+    # grid evaluation.
     p = 1.0 - (1.0 - tau) ** (n - 1)
     t_tx = (1.0 - p) * times.t_s + p * times.t_c
     t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
     gamma, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
     return p, t_tx, t_bo, gamma, epsilon, theta, alpha
-
-
-def slot_times_at(tau: float, n: int, times: DerivedTimes,
-                  params: PhyMacParams) -> tuple[float, float]:
-    """Mean transmission-slot and backoff-slot durations seen by one station.
-
-    Both mix success and collision outcomes with the collision probability
-    implied by tau; a backoff slot is idle (sigma) when nobody else
-    transmits.
-    """
-    _check_tau_n(tau, n)
-    _, t_tx, t_bo, *_ = _slot_kernel(tau, n, times, params)
-    return t_tx, t_bo
 
 
 def access_and_service_time(p: float, t_bo: float, t_tx: float,
@@ -135,15 +121,11 @@ def _s_of_tau(tau, n, times, params):
 
 def throughput_tau_form(tau: float, n: int, params: PhyMacParams) -> float:
     """Aggregate throughput as a function of the transmission probability."""
-    _check_tau_n(tau, n)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     return float(_s_of_tau(tau, n, derive_times(params), params))
-
-
-def throughput(sol: FixedPointSolution, n: int, params: PhyMacParams) -> float:
-    """Aggregate throughput at a solved operating point, in bits/us (Mbps)."""
-    if not sol.converged:
-        raise ValueError("cannot evaluate throughput of a non-converged solution")
-    return throughput_tau_form(sol.tau, n, params)
 
 
 def _state_at(tau, lam, n, times, params):
@@ -170,8 +152,7 @@ def _assemble(tau, lam, n, times, params, iterations):
     return FixedPointSolution(
         tau=tau, p=p, b00=b00, b_idle=(1.0 - q) * b00 / p_i0, t_tx=t_tx,
         t_bo=t_bo, t_i=t_i, t_a=t_a, t_service=t_service, rho=rho, q=q,
-        p_i0=p_i0, p_tx_others=p, t_av=t_i,
-        throughput=_s_of_tau(tau, n, times, params),
+        p_i0=p_i0, throughput=_s_of_tau(tau, n, times, params),
         residual=abs(tau_next - tau) / tau, iterations=iterations,
         converged=True)
 
@@ -184,8 +165,7 @@ def _zero_load_solution(params, times):
     return FixedPointSolution(
         tau=0.0, p=0.0, b00=0.0, b_idle=1.0, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
         t_a=t_a, t_service=t_service, rho=0.0, q=0.0, p_i0=0.0,
-        p_tx_others=0.0, t_av=t_i, throughput=0.0, residual=0.0,
-        iterations=0, converged=True)
+        throughput=0.0, residual=0.0, iterations=0, converged=True)
 
 
 def solve_fixed_point(lam: float, n: int,

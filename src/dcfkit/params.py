@@ -8,9 +8,24 @@ and arrival rates are packets per microsecond.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ParameterError
+
+
+def _check_int_fields(obj):
+    """Refuse a non-integer in any int-annotated field of a dataclass.
+
+    bool is an int subclass, yet True is no count. A float window or queue
+    capacity would pass the range checks and then fail or round later.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)):
+            raise ParameterError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +51,7 @@ class PhyMacParams:
     queue_capacity_k: int
 
     def __post_init__(self):
+        _check_int_fields(self)
         for name in ("mac_header_bits", "phy_preamble_bits", "plcp_header_bits",
                      "ack_bits", "payload_bits"):
             if getattr(self, name) <= 0:
@@ -57,10 +73,6 @@ class PhyMacParams:
             raise ParameterError("w_max must equal w0 * 2**m")
         if self.queue_capacity_k < 1:
             raise ParameterError("queue_capacity_k must be >= 1")
-
-    def window(self, stage: int) -> int:
-        """Contention window size at a backoff stage, capped at stage m."""
-        return self.w0 << min(stage, self.m)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -122,17 +134,12 @@ def load_params(path) -> PhyMacParams:
 
 @dataclass(frozen=True)
 class DerivedTimes:
-    """Channel occupancy times implied by a parameter set.
-
-    component_breakdown keeps the individual terms, labelled "t_s/..." and
-    "t_c/...", in the exact order they are summed.
-    """
+    """Channel occupancy times implied by a parameter set."""
 
     t_s: float
     t_c: float
     t_plcp: float
     t_ack: float
-    component_breakdown: tuple[tuple[str, float], ...]
 
 
 def derive_times(params: PhyMacParams) -> DerivedTimes:
@@ -145,47 +152,16 @@ def derive_times(params: PhyMacParams) -> DerivedTimes:
     t_plcp = (params.phy_preamble_bits + params.plcp_header_bits) / params.basic_rate
     t_ack = t_plcp + params.ack_bits / params.basic_rate
     t_frame = (params.mac_header_bits + params.payload_bits) / params.data_rate
-    ts_parts = (
-        ("t_s/plcp", t_plcp),
-        ("t_s/frame", t_frame),
-        ("t_s/sifs", params.sifs),
-        ("t_s/prop", params.prop_delta),
-        ("t_s/ack", t_ack),
-        ("t_s/difs", params.difs),
-        ("t_s/prop", params.prop_delta),
-    )
-    tc_parts = (
-        ("t_c/plcp", t_plcp),
-        ("t_c/frame", t_frame),
-        ("t_c/prop", params.prop_delta),
-        ("t_c/eifs", params.eifs),
-    )
-    t_s = 0.0
-    for _, value in ts_parts:
-        t_s += value
-    t_c = 0.0
-    for _, value in tc_parts:
-        t_c += value
-    return DerivedTimes(
-        t_s=t_s,
-        t_c=t_c,
-        t_plcp=t_plcp,
-        t_ack=t_ack,
-        component_breakdown=ts_parts + tc_parts,
-    )
-
-
-@dataclass(frozen=True)
-class GeomQuantities:
-    """The four window-weighted sums that drive the backoff chain algebra."""
-
-    gamma: float  # sum of (2p)^i over stages 0..m
-    epsilon: float  # sum of p^i over stages 0..m
-    theta: float  # (gamma*w0 - epsilon) / 2
-    alpha: float  # (gamma*w0 + epsilon) / 2
+    t_s = (t_plcp + t_frame + params.sifs + params.prop_delta + t_ack
+           + params.difs + params.prop_delta)
+    t_c = t_plcp + t_frame + params.prop_delta + params.eifs
+    return DerivedTimes(t_s=t_s, t_c=t_c, t_plcp=t_plcp, t_ack=t_ack)
 
 
 def _geom_sums(p, w0, m):
+    """The stage sums gamma = sum (2p)^i and epsilon = sum p^i over stages
+    0..m, and the slot weights theta, alpha = (gamma * w0 -/+ epsilon) / 2.
+    """
     # Term-by-term summation: no ratio form, so p = 1/2 and p = 1 need no
     # special-casing and alpha - theta == epsilon holds by construction.
     gamma = 1.0
@@ -200,28 +176,3 @@ def _geom_sums(p, w0, m):
     half_w = 0.5 * (w0 * gamma)
     half_e = 0.5 * epsilon
     return gamma, epsilon, half_w - half_e, half_w + half_e
-
-
-def geom_quantities(p: float, w0: int, m: int) -> GeomQuantities:
-    """Evaluate the stage sums gamma, epsilon and the slot weights theta, alpha."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if w0 < 2:
-        raise ParameterError("w0 must be >= 2")
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    gamma, epsilon, theta, alpha = _geom_sums(float(p), w0, m)
-    return GeomQuantities(gamma=gamma, epsilon=epsilon, theta=theta, alpha=alpha)
-
-
-def _check_tau_n(tau, n):
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-
-
-def collision_probability(tau: float, n: int) -> float:
-    """Probability that a transmission by one of n stations is collided."""
-    _check_tau_n(tau, n)
-    return 1.0 - (1.0 - tau) ** (n - 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import _s_of_tau, solve_fixed_point
+from .model import _s_of_tau
 from .params import PhyMacParams, derive_times
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -127,17 +127,3 @@ def critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
     return RegimeReport(n=n, s_max=s_max, tau_max=tau_max, lambda_c=lam_c,
                         linear_slope=float(slope), tau_at_boundary=at_edge)
 
-
-def linearity_error(lam: float, n: int, params: PhyMacParams) -> float:
-    """Relative gap between the solved model and the linear law at lam.
-
-    Only defined strictly below the critical rate; raises ValueError
-    outside (0, lam_c).
-    """
-    report = critical_lambda(n, params)
-    if not 0.0 < lam < report.lambda_c:
-        raise ValueError(
-            f"lam must lie in (0, lambda_c={report.lambda_c:.6e}), got {lam}")
-    s_model = solve_fixed_point(lam, n, params).throughput
-    s_line = linear_throughput(lam, n, params)
-    return abs(s_model - s_line) / s_line

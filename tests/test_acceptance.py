@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import oracles
-from dcfkit import (SimConfig, collision_probability, critical_lambda,
-                    derive_times, geom_quantities, get_profile,
-                    queue_empty_probability, slot_times_at, solve_fixed_point,
+from dcfkit import (SimConfig, critical_lambda, derive_times, get_profile,
+                    queue_empty_probability, solve_fixed_point,
                     solve_saturated)
 from dcfkit.cli import main
+from dcfkit.model import _slot_kernel
+from dcfkit.params import _geom_sums
 from dcfkit.sim import run
 
 PKT_S = 1e-6  # packets/second expressed in packets/microsecond
@@ -104,18 +105,17 @@ def test_criterion_05_algebraic_identities(p):
     rng = np.random.default_rng(20260819)
     worst_geom = 0.0
     for prob in rng.uniform(0.0, 1.0, size=10_000):
-        g = geom_quantities(float(prob), p.w0, p.m)
-        worst_geom = max(worst_geom, abs(g.alpha - g.theta - g.epsilon)
-                         / g.epsilon)
+        _, epsilon, theta, alpha = _geom_sums(float(prob), p.w0, p.m)
+        worst_geom = max(worst_geom, abs(alpha - theta - epsilon) / epsilon)
 
     worst_tav = 0.0
     for lam_pkt_s in (10.0, 40.0, 80.0, 110.0, 200.0, 500.0):
         for n in (5, 10, 20, 30):
             sol = solve_fixed_point(lam_pkt_s * PKT_S, n, p)
-            g = geom_quantities(sol.p, p.w0, p.m)
+            _, epsilon, theta, _ = _geom_sums(sol.p, p.w0, p.m)
             direct = sol.b_idle * sol.t_i + (
-                g.epsilon * sol.t_tx + g.theta * sol.t_bo) * sol.b00
-            worst_tav = max(worst_tav, abs(sol.t_av - direct)
+                epsilon * sol.t_tx + theta * sol.t_bo) * sol.b00
+            worst_tav = max(worst_tav, abs(sol.t_i - direct)
                             / max(direct, 1e-300))
 
     worst_num = 0.0
@@ -136,19 +136,17 @@ def test_criterion_06_vanishing_contention_limits(p):
     times = derive_times(p)
     tau = 1e-6
     n = 10
-    prob = collision_probability(tau, n)
-    g = geom_quantities(prob, p.w0, p.m)
-    t_tx, t_bo = slot_times_at(tau, n, times, p)
+    _, t_tx, t_bo, _, epsilon, theta, alpha = _slot_kernel(tau, n, times, p)
     checks = {
-        "eps": abs(g.epsilon - 1.0) < 1e-4,
-        "theta": abs(g.theta - 15.5) < 1e-3,
-        "alpha": abs(g.alpha - 16.5) < 1e-3,
+        "eps": abs(epsilon - 1.0) < 1e-4,
+        "theta": abs(theta - 15.5) < 1e-3,
+        "alpha": abs(alpha - 16.5) < 1e-3,
         "t_tx": abs(t_tx - times.t_s) / times.t_s < 1e-4,
         "t_bo": abs(t_bo - p.slot_sigma) / p.slot_sigma < 1e-2,
     }
     ok = all(checks.values())
     verdict(6, "tau -> 0 limits", ok,
-            f"eps={g.epsilon:.6f} theta={g.theta:.5f} alpha={g.alpha:.5f} "
+            f"eps={epsilon:.6f} theta={theta:.5f} alpha={alpha:.5f} "
             f"t_tx={t_tx:.4f} t_bo={t_bo:.4f} ({checks})")
 
 
@@ -158,8 +156,7 @@ def test_criterion_07_stage_occupancy_small_chain(p):
     worst = 0.0
     for prob in (0.1, 0.3, 0.6):
         pi = oracles.chain_stationary(prob, small.w0, small.m)
-        g = geom_quantities(prob, small.w0, small.m)
-        b00 = 1.0 / g.alpha
+        b00 = 1.0 / _geom_sums(prob, small.w0, small.m)[3]
         for i in range(small.m + 1):
             worst = max(worst, abs(pi[(i, 0)] - prob ** i * b00))
     ok = worst <= 1e-8

@@ -4,12 +4,17 @@ import json
 import pytest
 
 from dcfkit import ConvergenceError, critical_lambda, solve_saturated
-from dcfkit.cli import main
+from dcfkit.cli import _parser, build_parser, main
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestTable1:
@@ -119,6 +124,29 @@ class TestSweep:
         assert row["s_sim_mbps"] != ""
         assert float(row["s_sim_mbps"]) > 0
 
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path, monkeypatch):
+        # main reuses one parser per process; a second call must see none
+        # of the first call's flags and must not rebuild it.
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr("dcfkit.cli.build_parser", counted)
+        _parser.cache_clear()
+        first = tmp_path / "first.csv"
+        second = tmp_path / "second.csv"
+        assert main(["sweep", "--n", "3", "--lambda-grid", "30",
+                     "--with-sim", "--replications", "2",
+                     "--duration-us", "100000", "--warmup-us", "10000",
+                     "--out", str(first)]) == 0
+        assert main(["sweep", "--n", "3", "--lambda-grid", "30",
+                     "--out", str(second)]) == 0
+        assert read_csv(first)[0]["s_sim_mbps"] != ""
+        assert read_csv(second)[0]["s_sim_mbps"] == ""
+        assert len(builds) == 1
+
 
 class TestCompare:
     def test_pass_at_light_load(self, params, tmp_path, capsys):
@@ -225,3 +253,31 @@ class TestConfigHandling:
         config = tmp_path / "cfg.json"
         config.write_text("{not json")
         assert main(["table1", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("params_section", [
+        pytest.param({"w0": 32.5, "w_max": 1040}, id="float-w0"),
+        pytest.param({"queue_capacity_k": 2.5}, id="float-capacity"),
+    ])
+    def test_non_integer_param_exits_1(self, tmp_path, capsys,
+                                       params_section):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": params_section}))
+        assert main(["table1", "--n", "10", "--config", str(config)]) == 1
+        assert_one_line_error(capsys)
+
+
+class TestUserPaths:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["table1", "--n", "10", "--profile", "{dir}"],
+                     id="profile-is-a-directory"),
+        pytest.param(["table1", "--n", "10", "--out", "{dir}/missing/x.csv"],
+                     id="out-in-a-missing-directory"),
+        pytest.param(["sim", "--n", "2", "--lambda", "40", "--replications",
+                      "1", "--duration-us", "1e5", "--warmup-us", "0",
+                      "--trace", "{dir}/existing.csv"],
+                     id="trace-is-a-file"),
+    ])
+    def test_os_error_exits_1(self, tmp_path, capsys, argv):
+        (tmp_path / "existing.csv").write_text("")
+        assert main([a.format(dir=tmp_path) for a in argv]) == 1
+        assert_one_line_error(capsys)

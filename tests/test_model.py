@@ -6,11 +6,11 @@ import pytest
 
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, access_and_service_time,
-                    collision_probability, critical_lambda, geom_quantities,
-                    get_profile, idle_slot_time, queue_empty_probability,
-                    slot_times_at, solve_fixed_point, solve_saturated,
-                    throughput, throughput_tau_form)
-from dcfkit.model import _state_at
+                    critical_lambda, get_profile, idle_slot_time,
+                    queue_empty_probability, solve_fixed_point,
+                    solve_saturated, throughput_tau_form)
+from dcfkit.model import _slot_kernel, _state_at
+from dcfkit.params import _geom_sums
 
 
 def small_chain_params():
@@ -20,18 +20,17 @@ def small_chain_params():
 
 class TestSlotTimes:
     def test_no_contention(self, params, times):
-        t_tx, t_bo = slot_times_at(0.0, 10, times, params)
+        _, t_tx, t_bo, *_ = _slot_kernel(0.0, 10, times, params)
         assert t_tx == times.t_s
         assert t_bo == params.slot_sigma
 
     def test_certain_collision(self, params, times):
-        t_tx, t_bo = slot_times_at(1.0, 5, times, params)
+        _, t_tx, t_bo, *_ = _slot_kernel(1.0, 5, times, params)
         assert t_tx == times.t_c
         assert t_bo == times.t_c
 
     def test_mix_from_collision_probability(self, params, times):
-        p = collision_probability(0.1, 10)
-        t_tx, t_bo = slot_times_at(0.1, 10, times, params)
+        p, t_tx, t_bo, *_ = _slot_kernel(0.1, 10, times, params)
         assert t_tx == pytest.approx((1 - p) * 714.0 + p * 713.0, rel=1e-15)
         assert t_tx == pytest.approx(713.387420489, abs=1e-9)
         assert t_bo == pytest.approx((1 - p) * 20.0 + p * t_tx, rel=1e-15)
@@ -139,23 +138,23 @@ class TestSolveFixedPoint:
         for lam_pkt_s in (10.0, 50.0, 90.0, 200.0):
             for n in (5, 10, 20):
                 sol = solve_fixed_point(lam_pkt_s * 1e-6, n, params)
-                g = geom_quantities(sol.p, params.w0, params.m)
-                assert sol.tau == pytest.approx(g.epsilon * sol.b00, rel=1e-8)
-                assert g.alpha * sol.b00 + sol.b_idle == pytest.approx(
+                _, epsilon, _, alpha = _geom_sums(sol.p, params.w0, params.m)
+                assert sol.tau == pytest.approx(epsilon * sol.b00, rel=1e-8)
+                assert alpha * sol.b00 + sol.b_idle == pytest.approx(
                     1.0, abs=1e-12)
                 assert sol.residual <= 1e-13
                 assert sol.p == pytest.approx(
-                    collision_probability(sol.tau, n), rel=1e-12)
+                    1.0 - (1.0 - sol.tau) ** (n - 1), rel=1e-12)
 
     def test_average_slot_identity(self, params):
         for lam_pkt_s in (20.0, 80.0, 500.0):
             sol = solve_fixed_point(lam_pkt_s * 1e-6, 10, params)
-            g = geom_quantities(sol.p, params.w0, params.m)
-            direct = sol.b_idle * sol.t_i + (g.epsilon * sol.t_tx
-                                             + g.theta * sol.t_bo) * sol.b00
-            ratio = (g.epsilon * sol.t_tx + g.theta * sol.t_bo) / g.alpha
-            assert sol.t_av == pytest.approx(direct, rel=1e-12)
-            assert sol.t_av == pytest.approx(ratio, rel=1e-10)
+            _, epsilon, theta, alpha = _geom_sums(sol.p, params.w0, params.m)
+            direct = sol.b_idle * sol.t_i + (epsilon * sol.t_tx
+                                             + theta * sol.t_bo) * sol.b00
+            ratio = (epsilon * sol.t_tx + theta * sol.t_bo) / alpha
+            assert sol.t_i == pytest.approx(direct, rel=1e-12)
+            assert sol.t_i == pytest.approx(ratio, rel=1e-10)
 
     def test_infinite_rate_matches_saturated(self, params):
         sat = solve_saturated(10, params)
@@ -171,11 +170,9 @@ class TestSolveFixedPoint:
     def test_throughput_consistency(self, params):
         for lam_pkt_s in (5.0, 60.0, 150.0):
             sol = solve_fixed_point(lam_pkt_s * 1e-6, 10, params)
-            assert throughput(sol, 10, params) == sol.throughput
             assert throughput_tau_form(sol.tau, 10, params) == pytest.approx(
                 sol.throughput, rel=1e-10)
             assert throughput_tau_form(sol.tau, 10, params) == sol.throughput
-            assert sol.t_av == sol.t_i
 
     def test_monotone_saturation_tail(self, params):
         sat = solve_saturated(10, params).throughput
@@ -229,15 +226,15 @@ class TestSolveSaturated:
         assert sol.tau == pytest.approx(0.0375542, abs=1e-6)
         assert sol.q == 1.0
         assert sol.b_idle == 0.0
-        g = geom_quantities(sol.p, params.w0, params.m)
-        assert sol.tau == pytest.approx(g.epsilon / g.alpha, rel=1e-9)
+        _, epsilon, _, alpha = _geom_sums(sol.p, params.w0, params.m)
+        assert sol.tau == pytest.approx(epsilon / alpha, rel=1e-9)
 
     def test_small_chain_against_stationary_distribution(self, params):
         small = small_chain_params()
         sol = solve_saturated(3, small)
         pi = oracles.chain_stationary(sol.p, small.w0, small.m)
-        g = geom_quantities(sol.p, small.w0, small.m)
-        assert pi[(0, 0)] == pytest.approx(1.0 / g.alpha, abs=1e-8)
+        alpha = _geom_sums(sol.p, small.w0, small.m)[3]
+        assert pi[(0, 0)] == pytest.approx(1.0 / alpha, abs=1e-8)
         tau_chain = sum(pi[(i, 0)] for i in range(small.m + 1))
         assert tau_chain == pytest.approx(sol.tau, abs=1e-8)
 
@@ -249,8 +246,7 @@ class TestStageOccupancy:
         # stationary stage-heads must decay geometrically in p.
         small = small_chain_params()
         pi = oracles.chain_stationary(p, small.w0, small.m)
-        g = geom_quantities(p, small.w0, small.m)
-        b00 = 1.0 / g.alpha
+        b00 = 1.0 / _geom_sums(p, small.w0, small.m)[3]
         for i in range(small.m + 1):
             assert abs(pi[(i, 0)] - p ** i * b00) <= 1e-8
 
@@ -280,12 +276,11 @@ class TestThroughputTauForm:
     def test_small_tau_limits(self, params, times):
         tau = 1e-6
         n = 10
-        p = collision_probability(tau, n)
-        g = geom_quantities(p, params.w0, params.m)
-        assert abs(g.epsilon - 1.0) < 1e-4
-        assert abs(g.theta - 15.5) < 1e-3
-        assert abs(g.alpha - 16.5) < 1e-3
-        t_tx, t_bo = slot_times_at(tau, n, times, params)
+        _, t_tx, t_bo, _, epsilon, theta, alpha = _slot_kernel(tau, n, times,
+                                                               params)
+        assert abs(epsilon - 1.0) < 1e-4
+        assert abs(theta - 15.5) < 1e-3
+        assert abs(alpha - 16.5) < 1e-3
         assert abs(t_tx - times.t_s) / times.t_s < 1e-4
         assert abs(t_bo - params.slot_sigma) / params.slot_sigma < 1e-2
 

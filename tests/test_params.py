@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
-from dcfkit import (PROFILES, ParameterError, PhyMacParams,
-                    collision_probability, derive_times, geom_quantities,
-                    get_profile, load_params)
+from dcfkit import (PROFILES, ParameterError, PhyMacParams, get_profile,
+                    load_params, throughput_tau_form)
+from dcfkit.model import _slot_kernel
+from dcfkit.params import _geom_sums
+
+
+def collision_probability(tau, n, times, params):
+    return _slot_kernel(tau, n, times, params)[0]
 
 
 class TestDerivedTimes:
@@ -22,19 +27,6 @@ class TestDerivedTimes:
     def test_collision_occupancy(self, times):
         assert times.t_c == oracles.T_C_US
         assert times.t_c == 713.0
-
-    def test_breakdown_sums_exactly(self, times):
-        ts_total = 0.0
-        tc_total = 0.0
-        for label, value in times.component_breakdown:
-            assert value >= 0.0
-            if label.startswith("t_s/"):
-                ts_total += value
-            else:
-                assert label.startswith("t_c/")
-                tc_total += value
-        assert ts_total == times.t_s
-        assert tc_total == times.t_c
 
     def test_eifs_matches_sifs_ack_difs(self, params, times):
         assert params.sifs + times.t_ack + params.difs == params.eifs
@@ -67,10 +59,26 @@ class TestParamValidation:
         with pytest.raises(ParameterError):
             dataclasses.replace(params, data_rate=0.5)
 
-    def test_window_helper_caps_at_m(self, params):
-        assert params.window(0) == 32
-        assert params.window(5) == 1024
-        assert params.window(9) == 1024
+    @pytest.mark.parametrize("overrides, message", [
+        ({"w0": 1, "w_max": 32}, "w0 must be >= 2"),
+        ({"m": 0, "w_max": 32}, "m must be >= 1"),
+    ])
+    def test_window_limits(self, params, overrides, message):
+        # w_max stays w0 * 2**m, so only the limit itself can refuse.
+        with pytest.raises(ParameterError, match=message):
+            dataclasses.replace(params, **overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"w0": 32.5, "w_max": 1040},  # w_max == w0 * 2**m holds
+        {"queue_capacity_k": 2.5},
+        {"payload_bits": 8200.0},
+        {"m": True, "w_max": 64},
+        {"ack_bits": "112"},
+    ])
+    def test_integer_fields_reject_non_integers(self, params, overrides):
+        field = next(iter(overrides))
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+            PhyMacParams.from_dict({**params.as_dict(), **overrides})
 
     def test_json_round_trip(self, params, tmp_path):
         path = tmp_path / "params.json"
@@ -100,89 +108,82 @@ class TestParamValidation:
 
 class TestGeomQuantities:
     def test_zero_collision_limits(self):
-        g = geom_quantities(0.0, 32, 5)
-        assert g.gamma == 1.0
-        assert g.epsilon == 1.0
-        assert g.theta == 15.5
-        assert g.alpha == 16.5
+        gamma, epsilon, theta, alpha = _geom_sums(0.0, 32, 5)
+        assert gamma == 1.0
+        assert epsilon == 1.0
+        assert theta == 15.5
+        assert alpha == 16.5
 
     def test_half_needs_no_special_case(self):
-        g = geom_quantities(0.5, 32, 5)
-        assert g.gamma == pytest.approx(6.0, rel=1e-14)
-        assert g.epsilon == pytest.approx(oracles.geom_epsilon(0.5, 5),
-                                          rel=1e-14)
+        gamma, epsilon, _, _ = _geom_sums(0.5, 32, 5)
+        assert gamma == pytest.approx(6.0, rel=1e-14)
+        assert epsilon == pytest.approx(oracles.geom_epsilon(0.5, 5),
+                                        rel=1e-14)
 
     def test_continuity_around_half(self):
-        below = geom_quantities(0.5 - 1e-9, 32, 5).gamma
-        above = geom_quantities(0.5 + 1e-9, 32, 5).gamma
+        below = _geom_sums(0.5 - 1e-9, 32, 5)[0]
+        above = _geom_sums(0.5 + 1e-9, 32, 5)[0]
         assert abs(below - 6.0) < 1e-6
         assert abs(above - 6.0) < 1e-6
 
     def test_certain_collision(self):
-        g = geom_quantities(1.0, 32, 5)
-        assert g.epsilon == 6.0
-        assert g.gamma == oracles.geom_gamma(1.0, 5)
+        gamma, epsilon, _, _ = _geom_sums(1.0, 32, 5)
+        assert epsilon == 6.0
+        assert gamma == oracles.geom_gamma(1.0, 5)
 
     def test_quarter_against_summation(self):
-        g = geom_quantities(0.25, 32, 5)
-        assert g.gamma == pytest.approx(oracles.geom_gamma(0.25, 5), rel=1e-15)
-        assert g.epsilon == pytest.approx(oracles.geom_epsilon(0.25, 5),
-                                          rel=1e-15)
-        assert g.theta == pytest.approx(oracles.geom_theta(0.25, 32, 5),
+        gamma, epsilon, theta, alpha = _geom_sums(0.25, 32, 5)
+        assert gamma == pytest.approx(oracles.geom_gamma(0.25, 5), rel=1e-15)
+        assert epsilon == pytest.approx(oracles.geom_epsilon(0.25, 5),
                                         rel=1e-15)
-        assert g.alpha == pytest.approx(oracles.geom_alpha(0.25, 32, 5),
-                                        rel=1e-15)
+        assert theta == pytest.approx(oracles.geom_theta(0.25, 32, 5),
+                                      rel=1e-15)
+        assert alpha == pytest.approx(oracles.geom_alpha(0.25, 32, 5),
+                                      rel=1e-15)
 
     def test_quarter_frozen_values(self):
-        g = geom_quantities(0.25, 32, 5)
-        assert g.gamma == 1.96875
-        assert g.epsilon == 1.3330078125
-        assert g.theta == 30.83349609375
-        assert g.alpha == 32.16650390625
+        gamma, epsilon, theta, alpha = _geom_sums(0.25, 32, 5)
+        assert gamma == 1.96875
+        assert epsilon == 1.3330078125
+        assert theta == 30.83349609375
+        assert alpha == 32.16650390625
 
     def test_alpha_minus_theta_is_epsilon(self):
         rng = np.random.default_rng(20260819)
         for p in rng.uniform(0.0, 1.0, size=10_000):
-            g = geom_quantities(float(p), 32, 5)
-            assert abs(g.alpha - g.theta - g.epsilon) <= 1e-12 * g.epsilon
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            geom_quantities(-0.1, 32, 5)
-        with pytest.raises(ValueError):
-            geom_quantities(1.1, 32, 5)
-        with pytest.raises(ParameterError):
-            geom_quantities(0.5, 1, 5)
-        with pytest.raises(ParameterError):
-            geom_quantities(0.5, 32, 0)
+            _, epsilon, theta, alpha = _geom_sums(float(p), 32, 5)
+            assert abs(alpha - theta - epsilon) <= 1e-12 * epsilon
 
 
 class TestCollisionProbability:
-    def test_single_station_never_collides(self):
-        assert collision_probability(0.3, 1) == 0.0
+    def test_single_station_never_collides(self, params, times):
+        assert collision_probability(0.3, 1, times, params) == 0.0
 
-    def test_zero_tau(self):
-        assert collision_probability(0.0, 10) == 0.0
+    def test_zero_tau(self, params, times):
+        assert collision_probability(0.0, 10, times, params) == 0.0
 
-    def test_certain(self):
-        assert collision_probability(1.0, 2) == 1.0
+    def test_certain(self, params, times):
+        assert collision_probability(1.0, 2, times, params) == 1.0
 
-    def test_frozen_example(self):
-        assert collision_probability(0.1, 10) == pytest.approx(
+    def test_frozen_example(self, params, times):
+        assert collision_probability(0.1, 10, times, params) == pytest.approx(
             0.612579511, abs=1e-9)
 
-    def test_monotone_in_tau_and_n(self):
+    def test_monotone_in_tau_and_n(self, params, times):
         taus = np.linspace(0.0, 1.0, 101)
-        values = [collision_probability(float(t), 10) for t in taus]
+        values = [collision_probability(float(t), 10, times, params)
+                  for t in taus]
         assert all(b >= a for a, b in zip(values, values[1:]))
         for tau in (0.01, 0.1, 0.3):
-            by_n = [collision_probability(tau, n) for n in range(1, 40)]
+            by_n = [collision_probability(tau, n, times, params)
+                    for n in range(1, 40)]
             assert all(b >= a for a, b in zip(by_n, by_n[1:]))
 
-    def test_domain(self):
+    def test_domain(self, params):
+        # tau and n are checked where they enter the collision probability.
         with pytest.raises(ValueError):
-            collision_probability(-0.2, 5)
+            throughput_tau_form(-0.2, 5, params)
         with pytest.raises(ValueError):
-            collision_probability(1.2, 5)
+            throughput_tau_form(1.2, 5, params)
         with pytest.raises(ParameterError):
-            collision_probability(0.5, 0)
+            throughput_tau_form(0.5, 0, params)

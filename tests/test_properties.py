@@ -5,8 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dcfkit import (collision_probability, geom_quantities,
-                    queue_empty_probability)
+from dcfkit import derive_times, get_profile, queue_empty_probability
+from dcfkit.model import _slot_kernel
+from dcfkit.params import _geom_sums
+
+PARAMS = get_profile("dot11g-54")
+TIMES = derive_times(PARAMS)
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 windows = st.sampled_from([2, 4, 8, 16, 32, 64])
@@ -15,16 +19,16 @@ stages = st.integers(min_value=1, max_value=8)
 
 @given(p=probabilities, w0=windows, m=stages)
 def test_alpha_minus_theta_equals_epsilon(p, w0, m):
-    g = geom_quantities(p, w0, m)
-    assert abs(g.alpha - g.theta - g.epsilon) <= 1e-12 * g.epsilon
+    _, epsilon, theta, alpha = _geom_sums(p, w0, m)
+    assert abs(alpha - theta - epsilon) <= 1e-12 * epsilon
 
 
 @given(p=probabilities, w0=windows, m=stages)
 def test_geom_sums_match_term_oracle(p, w0, m):
-    g = geom_quantities(p, w0, m)
-    assert math.isclose(g.gamma, oracles.geom_gamma(p, m),
+    gamma, epsilon, _, _ = _geom_sums(p, w0, m)
+    assert math.isclose(gamma, oracles.geom_gamma(p, m),
                         rel_tol=1e-12, abs_tol=0.0)
-    assert math.isclose(g.epsilon, oracles.geom_epsilon(p, m),
+    assert math.isclose(epsilon, oracles.geom_epsilon(p, m),
                         rel_tol=1e-12, abs_tol=0.0)
 
 
@@ -45,4 +49,5 @@ def test_queue_empty_probability_matches_sum(rho, k):
        n=st.integers(min_value=1, max_value=60))
 def test_collision_probability_monotone(tau_a, tau_b, n):
     lo, hi = sorted((tau_a, tau_b))
-    assert collision_probability(lo, n) <= collision_probability(hi, n)
+    assert (_slot_kernel(lo, n, TIMES, PARAMS)[0]
+            <= _slot_kernel(hi, n, TIMES, PARAMS)[0])

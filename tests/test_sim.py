@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import json
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from dcfkit import (ParameterError, SimConfig, critical_lambda,
                     derive_times, linear_throughput, solve_saturated)
+from dcfkit.cli import main
 from dcfkit.sim import run, run_replication
 
 
@@ -289,3 +291,31 @@ class TestConfigValidation:
     def test_rejects_zero_stations(self, params):
         with pytest.raises(ParameterError):
             SimConfig(n_stations=0, lambda_per_station=1e-5, params=params)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_stations", 2.0), ("n_stations", True), ("replications", 1.5),
+        ("replications", True), ("base_seed", 1.5), ("base_seed", "7"),
+    ])
+    def test_rejects_non_integer_counts(self, params, field, value):
+        kwargs = dict(n_stations=2, lambda_per_station=1e-5, params=params)
+        kwargs[field] = value
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("command, sim_section", [
+        pytest.param("sim", {"replications": 1.5}, id="sim-replications-1.5"),
+        pytest.param("sim", {"base_seed": 1.5}, id="sim-base-seed-1.5"),
+        pytest.param("sim", {"replications": True}, id="sim-replications-true"),
+        # sweep adds a per-point offset to base_seed, and True + 0 == 1
+        pytest.param("sweep", {"base_seed": True}, id="sweep-base-seed-true"),
+    ])
+    def test_cli_refuses_non_integer_config(self, tmp_path, capsys, command,
+                                            sim_section):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sim": sim_section}))
+        point = {"sim": ["--n", "2", "--lambda", "40"],
+                 "sweep": ["--n", "2", "--lambda-grid", "40", "--with-sim"]}
+        assert main([command, *point[command], "--duration-us", "1e5",
+                     "--warmup-us", "0", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
