@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .model import solve_fixed_point
-from .params import (PROFILES, PhyMacParams, _check_int_fields, get_profile,
-                     load_params)
+from .params import (PROFILES, PhyMacParams, _check_number_fields,
+                     get_profile, load_params)
 from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import SimConfig, run
 
@@ -54,7 +55,7 @@ class SimSettings:
     def __post_init__(self):
         # A sweep offsets base_seed per point before SimConfig sees it, and
         # True + 0 is the integer 1, so config values are checked here.
-        _check_int_fields(self)
+        _check_number_fields(self)
 
 
 def _sim_config(params, n, lam, sim: SimSettings,
@@ -157,6 +158,10 @@ def _load_config(path) -> dict:
     bad = set(data) - _CONFIG_KEYS
     if bad:
         raise UsageError(f"unknown keys in config: {sorted(bad)}")
+    if not isinstance(data.get("profile", ""), str):
+        raise UsageError("config 'profile' must be a string")
+    if not isinstance(data.get("with_simulation", False), bool):
+        raise UsageError("config 'with_simulation' must be true or false")
     return data
 
 
@@ -206,6 +211,9 @@ def _parse_grid(text, config):
     if text is None:
         text = config.get("lambda_grid", "auto")
     if isinstance(text, (list, tuple)):
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+               for v in text):
+            raise UsageError(f"lambda grid entries must be numbers: {text!r}")
         values = tuple(float(v) for v in text)
     elif str(text).strip() == "auto":
         return None
@@ -383,7 +391,7 @@ def main(argv=None) -> int:
         else:
             with_sim, cmd = args.with_sim, cmd_sweep
             if with_sim is None:
-                with_sim = bool(config.get("with_simulation", False))
+                with_sim = config.get("with_simulation", False)
         spec = SweepSpec(params=params, n_list=_parse_n_list(args.n),
                          lambda_grid=_parse_grid(args.lambda_grid, config),
                          with_simulation=with_sim,

@@ -14,18 +14,23 @@ from dataclasses import asdict, dataclass, fields
 from .errors import ParameterError
 
 
-def _check_int_fields(obj):
-    """Refuse a non-integer in any int-annotated field of a dataclass.
+def _check_number_fields(obj):
+    """Refuse a value of the wrong kind in an int- or float-annotated field.
 
-    bool is an int subclass, yet True is no count. A float window or queue
-    capacity would pass the range checks and then fail or round later.
+    bool is an int subclass, yet True is no count and no duration. A float
+    window or queue capacity would pass the range checks and then fail or
+    round later; a string would make the range checks raise TypeError.
     """
     for f in fields(obj):
+        if f.type in ("int", int):
+            kind, what = numbers.Integral, "an integer"
+        elif f.type in ("float", float):
+            kind, what = numbers.Real, "a number"
+        else:
+            continue
         value = getattr(obj, f.name)
-        if f.type in ("int", int) and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)):
-            raise ParameterError(f"{f.name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ParameterError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class PhyMacParams:
     queue_capacity_k: int
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_number_fields(self)
         for name in ("mac_header_bits", "phy_preamble_bits", "plcp_header_bits",
                      "ack_bits", "payload_bits"):
             if getattr(self, name) <= 0:

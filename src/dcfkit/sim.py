@@ -40,7 +40,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import ParameterError
-from .params import PhyMacParams, _check_int_fields, derive_times
+from .params import PhyMacParams, _check_number_fields, derive_times
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class SimConfig:
     base_seed: int = 12345
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_number_fields(self)
         if self.n_stations < 1:
             raise ParameterError("n_stations must be >= 1")
         if not 0.0 <= self.lambda_per_station < math.inf:

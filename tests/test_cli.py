@@ -265,6 +265,33 @@ class TestConfigHandling:
         assert main(["table1", "--n", "10", "--config", str(config)]) == 1
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv, config_data", [
+        pytest.param(["table1", "--n", "10"], {"params": {"sifs": "10"}},
+                     id="params-float-as-string"),
+        pytest.param(["table1", "--n", "10"], {"params": {"data_rate": True}},
+                     id="params-float-as-bool"),
+        pytest.param(["sim", "--n", "2", "--lambda", "40"],
+                     {"sim": {"duration_us": "1e5"}},
+                     id="sim-float-as-string"),
+        pytest.param(["sim", "--n", "2", "--lambda", "40"],
+                     {"sim": {"warmup_us": False}}, id="sim-float-as-bool"),
+        pytest.param(["sweep", "--n", "2", "--lambda-grid", "40"],
+                     {"with_simulation": "false"},
+                     id="with-simulation-as-string"),
+        pytest.param(["sweep", "--n", "2"], {"lambda_grid": [True]},
+                     id="lambda-grid-bool-entry"),
+        pytest.param(["sweep", "--n", "2"], {"lambda_grid": ["40"]},
+                     id="lambda-grid-string-entry"),
+        pytest.param(["table1", "--n", "10"], {"profile": 0},
+                     id="profile-as-number"),
+    ])
+    def test_value_of_the_wrong_json_type_exits_1(self, tmp_path, capsys,
+                                                  argv, config_data):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(config_data))
+        assert main([*argv, "--config", str(config)]) == 1
+        assert_one_line_error(capsys)
+
 
 class TestUserPaths:
     @pytest.mark.parametrize("argv", [

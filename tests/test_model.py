@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from dcfkit import (ConvergenceError, ParameterError, access_and_service_time,
-                    critical_lambda, get_profile, idle_slot_time,
-                    queue_empty_probability, solve_fixed_point,
+from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
+                    get_profile, queue_empty_probability, solve_fixed_point,
                     solve_saturated, throughput_tau_form)
-from dcfkit.model import _slot_kernel, _state_at
+from dcfkit.model import _access_and_idle_times, _slot_kernel, _state_at
 from dcfkit.params import _geom_sums
 
 
@@ -36,48 +35,48 @@ class TestSlotTimes:
         assert t_bo == pytest.approx((1 - p) * 20.0 + p * t_tx, rel=1e-15)
 
 
+def access_and_idle(p, t_tx, t_bo, params):
+    """The model's t_a and t_i at a p decoupled from the slot durations."""
+    return _access_and_idle_times(
+        t_tx, t_bo, *_geom_sums(p, params.w0, params.m), params.w0)
+
+
 class TestAccessAndService:
     def test_collision_free_window(self, params, times):
-        t_a, t_srv = access_and_service_time(0.0, params.slot_sigma,
-                                             times.t_s, params)
+        t_a, _ = access_and_idle(0.0, times.t_s, params.slot_sigma, params)
         assert t_a == 16.0 * params.slot_sigma
-        assert t_srv == 16.0 * params.slot_sigma + times.t_s
-        assert t_srv == 1034.0
+        idle = solve_fixed_point(0.0, 10, params)
+        assert idle.t_a == t_a
+        assert idle.t_service == 16.0 * params.slot_sigma + times.t_s
+        assert idle.t_service == 1034.0
 
     def test_against_stage_sum(self, params):
         for p in (0.1, 0.25, 0.6):
-            t_a, _ = access_and_service_time(p, 25.0, 700.0, params)
+            t_a, _ = access_and_idle(p, 700.0, 25.0, params)
             want = oracles.access_delay_terms(p, params.w0, params.m, 25.0)
             assert t_a == pytest.approx(want, rel=1e-12)
 
     def test_frozen_quarter(self, params):
-        t_a, _ = access_and_service_time(0.25, 25.0, 700.0, params)
+        t_a, _ = access_and_idle(0.25, 700.0, 25.0, params)
         assert t_a == pytest.approx(590.769230769231, abs=1e-9)
-
-    def test_domain(self, params):
-        with pytest.raises(ValueError):
-            access_and_service_time(1.5, 25.0, 700.0, params)
 
 
 class TestIdleSlotTime:
     def test_no_contention(self, params, times):
-        value = idle_slot_time(0.0, times.t_s, params.slot_sigma, params)
+        _, value = access_and_idle(0.0, times.t_s, params.slot_sigma, params)
         want = (714.0 + 15.5 * 20.0) / 16.5
         assert value == pytest.approx(want, rel=1e-15)
         assert value == pytest.approx(62.0606060606, abs=1e-9)
+        assert solve_fixed_point(0.0, 10, params).t_i == value
 
     def test_quarter_against_summed_weights(self, params):
         eps = oracles.geom_epsilon(0.25, 5)
         theta = oracles.geom_theta(0.25, 32, 5)
         alpha = oracles.geom_alpha(0.25, 32, 5)
         want = (eps * 713.9 + theta * 25.0) / alpha
-        value = idle_slot_time(0.25, 713.9, 25.0, params)
+        _, value = access_and_idle(0.25, 713.9, 25.0, params)
         assert value == pytest.approx(want, rel=1e-12)
         assert value == pytest.approx(53.548613324832644, rel=1e-12)
-
-    def test_domain(self, params):
-        with pytest.raises(ValueError):
-            idle_slot_time(-0.1, 700.0, 25.0, params)
 
 
 class TestQueueEmptyProbability:

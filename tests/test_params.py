@@ -80,6 +80,16 @@ class TestParamValidation:
         with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
             PhyMacParams.from_dict({**params.as_dict(), **overrides})
 
+    @pytest.mark.parametrize("overrides", [
+        {"sifs": "10"},
+        {"data_rate": True},
+        {"slot_sigma": None},
+    ])
+    def test_float_fields_reject_non_numbers(self, params, overrides):
+        field = next(iter(overrides))
+        with pytest.raises(ParameterError, match=f"^{field} must be a number"):
+            PhyMacParams.from_dict({**params.as_dict(), **overrides})
+
     def test_json_round_trip(self, params, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(params.as_dict()))

@@ -1,12 +1,17 @@
-"""Property tests for the algebraic building blocks."""
+"""Property tests for the algebraic building blocks and for the shape of
+the model that the solver and the critical-rate search rely on."""
+import dataclasses
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dcfkit import derive_times, get_profile, queue_empty_probability
-from dcfkit.model import _slot_kernel
+from dcfkit import (derive_times, get_profile, max_throughput,
+                    queue_empty_probability, solve_fixed_point,
+                    solve_saturated)
+from dcfkit.model import _BRACKET, _s_of_tau, _slot_kernel, _state_at
 from dcfkit.params import _geom_sums
 
 PARAMS = get_profile("dot11g-54")
@@ -51,3 +56,83 @@ def test_collision_probability_monotone(tau_a, tau_b, n):
     lo, hi = sorted((tau_a, tau_b))
     assert (_slot_kernel(lo, n, TIMES, PARAMS)[0]
             <= _slot_kernel(hi, n, TIMES, PARAMS)[0])
+
+
+@st.composite
+def networks(draw):
+    """A station count and a PhyMacParams varied around dot11g-54."""
+    w0 = draw(st.integers(min_value=2, max_value=128))
+    m = draw(st.integers(min_value=1, max_value=8))
+    params = dataclasses.replace(
+        PARAMS, w0=w0, m=m, w_max=w0 * 2 ** m,
+        payload_bits=draw(st.integers(min_value=64, max_value=18_496)),
+        data_rate=draw(st.floats(min_value=1.0, max_value=600.0)),
+        slot_sigma=draw(st.floats(min_value=5.0, max_value=50.0)),
+        eifs=draw(st.floats(min_value=10.0, max_value=1000.0)),
+        queue_capacity_k=draw(st.integers(min_value=1, max_value=200)))
+    return draw(st.integers(min_value=1, max_value=200)), params
+
+
+# Per-station arrival rates from 0.01 to 100 000 pkt/s, plus saturation.
+rates = st.one_of(st.floats(min_value=-8.0, max_value=-1.0).map(
+    lambda e: 10.0 ** e), st.just(math.inf))
+
+# Brent's bracket, sampled geometrically where light load puts the root.
+BRACKET_GRID = np.concatenate((np.geomspace(_BRACKET[0], 1e-3, 150),
+                               np.linspace(1e-3, _BRACKET[1], 250)[1:]))
+
+
+def reachable_grid(n, params, points=2000):
+    """tau_sat and S on an even grid of the reachable branch (0, tau_sat]."""
+    tau_sat = solve_saturated(n, params).tau
+    grid = np.linspace(tau_sat / points, tau_sat, points)
+    return tau_sat, _s_of_tau(grid, n, derive_times(params), params)
+
+
+@given(net=networks(), lam=rates)
+def test_residual_changes_sign_once_on_the_bracket(net, lam):
+    n, params = net
+    times = derive_times(params)
+    g = np.array([t - _state_at(float(t), lam, n, times, params)[0]
+                  for t in BRACKET_GRID])
+    assert g[0] < 0.0 < g[-1]
+    changes = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+    assert len(changes) == 1
+    i = changes[0]
+    tau = solve_fixed_point(lam, n, params).tau
+    assert BRACKET_GRID[i] <= tau <= BRACKET_GRID[i + 1]
+
+
+@given(net=networks())
+def test_tau_rises_with_load_up_to_saturation(net):
+    # Brent's roots are exact to a few ulps, so ties may differ by that.
+    n, params = net
+    tau_sat = solve_saturated(n, params).tau
+    taus = [solve_fixed_point(lam, n, params).tau
+            for lam in np.geomspace(1e-8, 1e-1, 30)]
+    slack = 1.0 + 1e-13
+    assert all(a <= b * slack for a, b in zip(taus, taus[1:]))
+    assert all(tau <= tau_sat * slack for tau in taus)
+
+
+@given(net=networks())
+def test_throughput_is_unimodal_on_the_reachable_branch(net):
+    n, params = net
+    _, s = reachable_grid(n, params)
+    steps = np.diff(s)
+    noise = 1e-12 * s.max()
+    falling = np.flatnonzero(steps < -noise)
+    if len(falling):
+        assert not np.any(steps[falling[0]:] > noise)
+
+
+@given(net=networks())
+def test_max_throughput_beats_the_reachable_grid(net):
+    # S carries a few ulps of rounding noise, and on its flat top that
+    # noise decides the search's comparisons: the slack is far below the
+    # ten digits the CSV prints.
+    n, params = net
+    tau_sat, s = reachable_grid(n, params)
+    s_max, tau_max = max_throughput(n, params)
+    assert s_max >= s.max() * (1.0 - 1e-13)
+    assert 0.0 < tau_max <= tau_sat

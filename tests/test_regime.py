@@ -6,6 +6,7 @@ import pytest
 from dcfkit import (critical_lambda, derive_times, linear_throughput,
                     max_throughput, solve_fixed_point, solve_saturated,
                     throughput_tau_form)
+from dcfkit.model import _s_of_tau
 
 # Reference operating points for the dot11g-54 profile; the model is
 # expected to land within 5 percent of each.
@@ -25,16 +26,17 @@ class TestMaxThroughput:
         assert 0.0 < tau_max < 0.1
 
     def test_beats_dense_grid(self, params):
+        # The grid covers the branch the fixed point reaches, (0, tau_sat].
         times = derive_times(params)
-        from dcfkit.model import _s_of_tau
         for n in (2, 10, 30):
             s_max, _ = max_throughput(n, params)
-            grid = np.linspace(1e-6, 0.5, 10_000)
+            tau_sat = solve_saturated(n, params).tau
+            grid = np.linspace(tau_sat / 10_000, tau_sat, 10_000)
             assert s_max >= float(np.max(_s_of_tau(grid, n, times, params)))
 
     def test_above_saturated_operating_point(self, params):
-        # The optimum tau is not the saturated tau, so S_m must exceed the
-        # saturated throughput.
+        # The saturated point ends the branch that is searched, so S_m is
+        # at least the saturated throughput.
         for n in (5, 10, 20):
             s_max, tau_max = max_throughput(n, params)
             sat = solve_saturated(n, params)
@@ -67,10 +69,17 @@ class TestCriticalLambda:
         rates = [critical_lambda(n, params).lambda_c for n in (5, 10, 20, 40)]
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
-    def test_single_station_flagged(self, params):
-        report = critical_lambda(1, params)
-        assert report.tau_at_boundary
-        assert not critical_lambda(10, params).tau_at_boundary
+    def test_small_networks_peak_at_saturation(self, params):
+        # S(tau) still rises at tau_sat for N <= 10, so the largest
+        # reachable throughput is the saturated one; beyond, it peaks inside.
+        for n in range(1, 11):
+            report = critical_lambda(n, params)
+            sat = solve_saturated(n, params)
+            assert report.tau_max == sat.tau
+            assert report.s_max == sat.throughput
+        for n in range(11, 101):
+            assert critical_lambda(n, params).tau_max < solve_saturated(
+                n, params).tau
 
     def test_regime_classification(self, params):
         report = critical_lambda(10, params)

@@ -302,6 +302,16 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_per_station", "1e-5"), ("sim_duration", True),
+        ("warmup", "0"),
+    ])
+    def test_rejects_non_number_times(self, params, field, value):
+        kwargs = dict(n_stations=2, lambda_per_station=1e-5, params=params)
+        kwargs[field] = value
+        with pytest.raises(ParameterError, match=f"^{field} must be a number"):
+            SimConfig(**kwargs)
+
     @pytest.mark.parametrize("command, sim_section", [
         pytest.param("sim", {"replications": 1.5}, id="sim-replications-1.5"),
         pytest.param("sim", {"base_seed": 1.5}, id="sim-base-seed-1.5"),
