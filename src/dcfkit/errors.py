@@ -8,8 +8,8 @@ class ParameterError(ValueError):
 class ConvergenceError(RuntimeError):
     """Raised when the bracketed solve for tau fails.
 
-    That is, tau - map(tau) does not change sign on the bracket, or the
-    root finder stops short of convergence; in the latter case the error
+    That is, tau - map(tau) does not change sign on the bracket, is NaN,
+    or the root finder stops short of convergence; in the latter case the error
     carries the last iterate and its residual.
     """
 

@@ -6,7 +6,8 @@ fresh stage-0 backoff. Coupling N identical stations through the collision
 probability p = 1 - (1 - tau)^(N-1) yields one nonlinear equation in the
 per-slot transmission probability tau. Its residual tau - map(tau) is
 negative near 0 and positive near 1, so the root is found by Brent's
-method on the (0, 1) bracket.
+method (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4)
+on the (0, 1) bracket.
 """
 from __future__ import annotations
 
@@ -14,14 +15,13 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from scipy import optimize
-
 from .errors import ConvergenceError, ParameterError
 from .params import PhyMacParams, _geom_sums, derive_times
 
 # Root bracket for tau. Brent's tolerance is relative only, so the small
-# tau of light load keeps full precision: rtol is the least brentq accepts
-# and xtol sits far below the bracket's lower end.
+# tau of light load keeps full precision: rtol is 4 eps, the floor scipy's
+# brentq sets for a relative tolerance, and xtol sits far below the
+# bracket's lower end.
 _BRACKET = (1e-15, 1.0 - 1e-12)
 _RTOL = 4.0 * sys.float_info.epsilon
 _XTOL = 1e-300
@@ -156,6 +156,62 @@ def _zero_load_solution(params, times):
         throughput=0.0, residual=0.0, iterations=0, converged=True)
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Brent's root finder, step for step the one in scipy's brentq.c.
+
+    Returns (root, calls, converged): calls counts the evaluations of f,
+    and converged is False when maxiter steps ran out. Raises
+    ConvergenceError when f is NaN or has one sign on [xa, xb].
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ConvergenceError(f"tau - map(tau) is NaN at tau = {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    calls = 2
+    if fpre == 0.0:
+        return xpre, calls, True
+    if fcur == 0.0:
+        return xcur, calls, True
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConvergenceError(
+            f"tau - map(tau) does not change sign on {(xa, xb)}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+        calls += 1
+    return xcur, calls, False
+
+
 def solve_fixed_point(lam: float, n: int,
                       params: PhyMacParams) -> FixedPointSolution:
     """Solve the coupled tau equation at per-station arrival rate lam.
@@ -165,7 +221,7 @@ def solve_fixed_point(lam: float, n: int,
     root of g(tau) = tau - map(tau), negative near 0 and positive near 1,
     is found by Brent's method on that bracket; iterations counts the map
     evaluations. Raises ConvergenceError when g does not change sign on
-    the bracket or the solve does not converge.
+    the bracket, is NaN, or the solve does not converge.
     """
     if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -178,16 +234,11 @@ def solve_fixed_point(lam: float, n: int,
     def g(t):
         return t - _state_at(t, lam, n, times, params)[0]
 
-    try:
-        tau, info = optimize.brentq(g, *_BRACKET, xtol=_XTOL, rtol=_RTOL,
-                                    full_output=True, disp=False)
-    except ValueError as exc:  # g has one sign on the whole bracket
+    tau, calls, converged = _brentq(g, *_BRACKET, xtol=_XTOL, rtol=_RTOL)
+    sol = _assemble(tau, lam, n, times, params, calls)
+    if not converged:
         raise ConvergenceError(
-            f"tau - map(tau) does not change sign on {_BRACKET}") from exc
-    sol = _assemble(tau, lam, n, times, params, info.function_calls)
-    if not info.converged:
-        raise ConvergenceError(
-            f"fixed point not reached: {info.flag} "
+            f"fixed point not reached in {calls} map calls "
             f"(residual {sol.residual:.3e})",
             solution=replace(sol, converged=False), residual=sol.residual)
     return sol

@@ -8,6 +8,7 @@ and arrival rates are packets per microsecond.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
@@ -57,6 +58,12 @@ class PhyMacParams:
 
     def __post_init__(self):
         _check_number_fields(self)
+        # NaN and an infinite rate pass the range checks below, and JSON
+        # config files can carry both.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", float) and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value!r}")
         for name in ("mac_header_bits", "phy_preamble_bits", "plcp_header_bits",
                      "ack_bits", "payload_bits"):
             if getattr(self, name) <= 0:

@@ -37,7 +37,6 @@ from heapq import heapify, heappop, heappush
 from statistics import fmean
 
 import numpy as np
-from scipy import stats
 
 from .errors import ParameterError
 from .params import PhyMacParams, _check_number_fields, derive_times
@@ -270,7 +269,10 @@ def _ci95_halfwidth(values) -> float:
         return math.nan
     mean = fmean(values)
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    tcrit = stats.t.ppf(0.975, n - 1)
+    # Imported here: scipy.special costs about half a second to load, and
+    # only runs of two or more replications need the Student-t quantile.
+    from scipy.special import stdtrit
+    tcrit = stdtrit(n - 1, 0.975)
     return tcrit * math.sqrt(var / n)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -263,6 +264,19 @@ class TestConfigHandling:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"params": params_section}))
         assert main(["table1", "--n", "10", "--config", str(config)]) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("params_section", [
+        pytest.param({"sifs": math.nan}, id="nan-duration"),
+        pytest.param({"data_rate": math.inf}, id="infinite-rate"),
+    ])
+    def test_non_finite_param_exits_1(self, tmp_path, capsys,
+                                      params_section):
+        # Python's json writes and reads these as NaN and Infinity.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": params_section}))
+        assert main(["sweep", "--n", "2", "--lambda-grid", "40",
+                     "--config", str(config)]) == 1
         assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("argv, config_data", [

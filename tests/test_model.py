@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
                     get_profile, queue_empty_probability, solve_fixed_point,
                     solve_saturated, throughput_tau_form)
-from dcfkit.model import _access_and_idle_times, _slot_kernel, _state_at
+from dcfkit.model import (_BRACKET, _RTOL, _XTOL, _access_and_idle_times,
+                          _brentq, _slot_kernel, _state_at)
 from dcfkit.params import _geom_sums
 
 
@@ -204,11 +206,57 @@ class TestSolveFixedPoint:
         with pytest.raises(ConvergenceError):
             solve_fixed_point(90e-6, 10, params)
 
+    def test_nan_map_raises_naming_nan(self, params, monkeypatch):
+        monkeypatch.setattr("dcfkit.model._state_at",
+                            lambda tau, *args: (math.nan, None))
+        with pytest.raises(ConvergenceError, match="NaN") as info:
+            solve_fixed_point(90e-6, 10, params)
+        assert "change sign" not in str(info.value)
+
+    def test_no_convergence_raises_with_last_iterate(self, params,
+                                                     monkeypatch):
+        # A residual that is a flat cubic, (tau - 1e-9)^3 scaled up so the
+        # subtraction in tau - map(tau) keeps it, takes Brent about 236
+        # map calls: more than the 100 steps the solve allows.
+        real = _state_at
+        monkeypatch.setattr(
+            "dcfkit.model._state_at",
+            lambda tau, *args: (tau - 1e100 * (tau - 1e-9) ** 3,
+                                real(tau, *args)[1]))
+        with pytest.raises(ConvergenceError,
+                           match="not reached in 102 map calls") as info:
+            solve_fixed_point(90e-6, 10, params)
+        sol = info.value.solution
+        assert sol is not None and not sol.converged
+        assert sol.iterations == 102
+        assert info.value.residual == sol.residual > 0.0
+        assert sol.tau == pytest.approx(1e-9, rel=0.1)
+
     def test_domain(self, params):
         with pytest.raises(ValueError):
             solve_fixed_point(-1e-6, 10, params)
         with pytest.raises(ParameterError):
             solve_fixed_point(1e-5, 0, params)
+
+
+class TestBrentAgainstScipy:
+    # _brentq transliterates scipy's brentq.c, so roots and call counts
+    # must match scipy's bit for bit on the model's own residual.
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 100])
+    def test_same_root_and_calls(self, params, times, n):
+        lam_c = critical_lambda(n, params).lambda_c
+        for lam in (0.01 * lam_c, 0.3 * lam_c, lam_c, 5.0 * lam_c,
+                    math.inf):
+            def g(t):
+                return t - _state_at(t, lam, n, times, params)[0]
+
+            want, info = optimize.brentq(g, *_BRACKET, xtol=_XTOL,
+                                         rtol=_RTOL, full_output=True)
+            root, calls, converged = _brentq(g, *_BRACKET, _XTOL, _RTOL)
+            assert (root, calls, converged) == (
+                want, info.function_calls, info.converged), (n, lam)
+            sol = solve_fixed_point(lam, n, params)
+            assert (sol.tau, sol.iterations) == (want, info.function_calls)
 
 
 class TestSolveSaturated:

@@ -1,6 +1,10 @@
 """The public surface of the package and the README's API sketch."""
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,45 @@ def test_readme_api_sketch_runs(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+_FOOTPRINT = """
+import json, sys
+from dcfkit import SimConfig, get_profile, run_simulation
+from dcfkit.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+steps = {"import": scipy_modules()}
+assert main(["sweep", "--n", "5", "--lambda-grid", "auto",
+             "--out", sys.argv[1]]) == 0
+steps["sweep"] = scipy_modules()
+for reps in (1, 2):
+    run_simulation(SimConfig(n_stations=2, lambda_per_station=4e-5,
+                             params=get_profile("dot11g-54"),
+                             sim_duration=1e5, warmup=0.0,
+                             replications=reps))
+    steps[f"run-{reps}"] = scipy_modules()
+print(json.dumps(steps))
+"""
+
+
+def test_import_footprint(tmp_path):
+    # scipy costs about a second to import. The model and a single
+    # replication need none of it; only the confidence interval of two or
+    # more replications loads scipy.special, for one Student-t quantile.
+    src = str(Path(dcfkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(tmp_path / "sweep.csv")],
+        env=env, capture_output=True, text=True, check=True)
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    for step in ("import", "sweep", "run-1"):
+        assert steps[step] == [], step
+    loaded = steps["run-2"]
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded
+                if m.startswith(("scipy.stats", "scipy.optimize"))], loaded

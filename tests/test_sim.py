@@ -3,16 +3,18 @@ import dataclasses
 import hashlib
 import json
 import math
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 from dcfkit import (ParameterError, SimConfig, critical_lambda,
                     derive_times, linear_throughput, solve_saturated)
 from dcfkit.cli import main
-from dcfkit.sim import run, run_replication
+from dcfkit.sim import _ci95_halfwidth, run, run_replication
 
 
 def cfg_for(params, n, lam, duration=2e6, warmup=1e5, reps=2, seed=977):
@@ -172,6 +174,14 @@ class TestAggregation:
         result = run(cfg)
         assert result.ci95_halfwidth > 0.0
         assert len(result.per_replication) == 4
+
+    def test_ci_equals_student_t_formula(self):
+        for n in range(2, 51):
+            values = [1.0 + 0.37 * ((7 * i) % 11) for i in range(n)]
+            mean = fmean(values)
+            var = sum((v - mean) ** 2 for v in values) / (n - 1)
+            want = stats.t.ppf(0.975, n - 1) * math.sqrt(var / n)
+            assert _ci95_halfwidth(values) == want, n
 
     def test_throughput_matches_counters(self, params):
         cfg = cfg_for(params, 5, 8e-5, duration=1e6, warmup=2e5)
