@@ -21,8 +21,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError
 from .model import solve_fixed_point
 from .params import (PROFILES, PhyMacParams, _check_number_fields,
@@ -232,8 +230,14 @@ def _parse_grid(text, config):
 def _auto_grid(report: RegimeReport) -> tuple[float, ...]:
     lo = _AUTO_GRID_SPAN[0] * report.lambda_c / _PKT_S_TO_PKT_US
     hi = _AUTO_GRID_SPAN[1] * report.lambda_c / _PKT_S_TO_PKT_US
-    return tuple(float(v) for v in
-                 np.geomspace(lo, hi, _AUTO_GRID_POINTS))
+    # Geometric spacing as numpy.geomspace builds it: a linear step in
+    # log10 and exact end points. An inner point can differ from numpy's in
+    # the last bit, where numpy takes vectorised log10 and pow.
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / (_AUTO_GRID_POINTS - 1)
+    inner = [10.0 ** (i * step + start)
+             for i in range(1, _AUTO_GRID_POINTS - 1)]
+    return (lo, *inner, hi)
 
 
 def _fmt(value) -> str:

@@ -58,11 +58,16 @@ class PhyMacParams:
 
     def __post_init__(self):
         _check_number_fields(self)
-        # NaN and an infinite rate pass the range checks below, and JSON
-        # config files can carry both.
+        # NaN, an infinite rate and an integer past the float range pass
+        # the range checks below, and JSON config files can carry all three.
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("float", float) and not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ParameterError(
+                    f"{f.name} is too large for a float") from None
+            if not finite:
                 raise ParameterError(f"{f.name} must be finite, got {value!r}")
         for name in ("mac_header_bits", "phy_preamble_bits", "plcp_header_bits",
                      "ack_bits", "payload_bits"):

@@ -279,6 +279,14 @@ class TestConfigHandling:
                      "--config", str(config)]) == 1
         assert_one_line_error(capsys)
 
+    def test_param_past_float_range_exits_1(self, tmp_path, capsys):
+        # json reads a long integer literal as an exact int.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": {"payload_bits": 10**400}}))
+        assert main(["sweep", "--n", "2", "--lambda-grid", "40",
+                     "--config", str(config)]) == 1
+        assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("argv, config_data", [
         pytest.param(["table1", "--n", "10"], {"params": {"sifs": "10"}},
                      id="params-float-as-string"),

@@ -56,27 +56,29 @@ import json, sys
 from dcfkit import SimConfig, get_profile, run_simulation
 from dcfkit.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("numpy", "scipy"))
 
-steps = {"import": scipy_modules()}
+steps = {"import": heavy_modules()}
 assert main(["sweep", "--n", "5", "--lambda-grid", "auto",
              "--out", sys.argv[1]]) == 0
-steps["sweep"] = scipy_modules()
+steps["sweep"] = heavy_modules()
 for reps in (1, 2):
     run_simulation(SimConfig(n_stations=2, lambda_per_station=4e-5,
                              params=get_profile("dot11g-54"),
                              sim_duration=1e5, warmup=0.0,
                              replications=reps))
-    steps[f"run-{reps}"] = scipy_modules()
+    steps[f"run-{reps}"] = heavy_modules()
 print(json.dumps(steps))
 """
 
 
 def test_import_footprint(tmp_path):
-    # scipy costs about a second to import. The model and a single
-    # replication need none of it; only the confidence interval of two or
-    # more replications loads scipy.special, for one Student-t quantile.
+    # scipy costs about a second to import and numpy about a tenth. The
+    # model, a sweep and a single replication need neither; only the
+    # confidence interval of two or more replications loads scipy.special
+    # (and numpy with it), for one Student-t quantile.
     src = str(Path(dcfkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -90,6 +90,17 @@ class TestParamValidation:
         with pytest.raises(ParameterError, match=f"^{field} must be a number"):
             PhyMacParams.from_dict({**params.as_dict(), **overrides})
 
+    @pytest.mark.parametrize("overrides", [
+        {"payload_bits": 10**400},
+        {"data_rate": 10**400},  # an int is a number in a float field
+    ])
+    def test_fields_reject_integers_past_float_range(self, params, overrides):
+        # A JSON config can carry a long integer literal; derive_times would
+        # raise OverflowError converting it.
+        field = next(iter(overrides))
+        with pytest.raises(ParameterError, match=f"^{field} is too large"):
+            PhyMacParams.from_dict({**params.as_dict(), **overrides})
+
     def test_json_round_trip(self, params, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(params.as_dict()))

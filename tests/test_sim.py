@@ -14,7 +14,7 @@ import oracles
 from dcfkit import (ParameterError, SimConfig, critical_lambda,
                     derive_times, linear_throughput, solve_saturated)
 from dcfkit.cli import main
-from dcfkit.sim import _ci95_halfwidth, run, run_replication
+from dcfkit.sim import _ci95_halfwidth, _station_rng, run, run_replication
 
 
 def cfg_for(params, n, lam, duration=2e6, warmup=1e5, reps=2, seed=977):
@@ -45,9 +45,71 @@ class TestDeterminism:
         assert list(result.per_replication) == singles
 
 
-# sha256 of repr() of these fields, recorded before the simulator moved from
-# a per-station slot scan to expiry slots; any change to a simulated value,
-# a draw order or the float accumulation of end_time shows here.
+def first_draws(seed, sid, k=8):
+    rng = _station_rng(seed, sid)
+    return [rng.random() for _ in range(k)]
+
+
+class TestStreams:
+    @pytest.mark.parametrize("stage", [0, 5])
+    def test_backoff_draws_uniform(self, params, stage):
+        # The window after `stage` collisions: w0, and w_max at stage m.
+        w = params.w0 << stage
+        rng = _station_rng(4, stage)
+        counts = [0] * w
+        for _ in range(50 * w):
+            counts[rng.randrange(w)] += 1
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_inter_arrivals_exponential(self, params, tmp_path):
+        # Arrival and drop rows carry the drawn arrival time itself, not
+        # the slot boundary it takes effect at.
+        lam = 1e-4
+        path = tmp_path / "trace.csv"
+        cfg = cfg_for(params, 2, lam, duration=1e8, warmup=0.0)
+        run_replication(cfg, 23, trace=path)
+        with open(path, newline="") as fh:
+            times = [float(r["time_us"]) for r in csv.DictReader(fh)
+                     if r["station_id"] == "1"
+                     and r["event"] in ("arrival", "drop")]
+        gaps = [b - a for a, b in zip([0.0] + times, times)]
+        assert len(gaps) > 9000
+        ks = stats.kstest(gaps, "expon", args=(0.0, 1.0 / lam))
+        assert ks.pvalue > 1e-3
+
+    def test_replication_draws_from_station_streams(self, params, tmp_path):
+        lam, seed = 2e-4, 29
+        path = tmp_path / "trace.csv"
+        run_replication(cfg_for(params, 4, lam, duration=1e5, warmup=0.0),
+                        seed, trace=path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for sid in range(4):
+            first = next(r for r in rows if r["station_id"] == str(sid))
+            want = _station_rng(seed, sid).expovariate(lam)
+            assert first["time_us"] == format(want, ".10g")
+
+    @pytest.mark.parametrize("a, b", [
+        # the same stream under (seed << 20) | sid
+        ((1, 0), (1, 1 << 20)),
+        ((0, 1 << 20), (1, 1 << 20)),
+        # the same stream under plain digit concatenation
+        ((1, 23), (12, 3)),
+        ((2**100, 7), (2**100 + 1, 7)),
+    ])
+    def test_streams_differ(self, a, b):
+        assert first_draws(*a) != first_draws(*b)
+
+    def test_stations_of_one_replication_differ(self):
+        draws = {tuple(first_draws(7, sid, k=2)) for sid in range(200)}
+        assert len(draws) == 200
+
+
+# sha256 of repr() of these fields, recorded with each station drawing from
+# random.Random(f"{seed}/{sid}") (expovariate, randrange) and checked equal
+# to the per-station slot scan on those streams; any change to a simulated
+# value, a stream, a draw order or the float accumulation of end_time shows
+# here. zero-rate draws nothing, so its digest predates the stdlib streams.
 _PINNED_FIELDS = (
     "throughput", "end_time", "successes", "measured_successes",
     "collisions", "collision_participations", "drops", "arrivals",
@@ -60,20 +122,20 @@ _PINNED = {
                   "8babe094e1a54e54f8e8df2431ae78df"
                   "8236bdc7cf87229888adff7c3d48fedc"),
     "single-saturated": (1, 1e-2, 2e6, 1e5, 5, False,
-                         "3eb4ec3dbae448db3b59ed7e58d5012d"
-                         "5ec9fc6460928cc9e5acadd662e67657"),
+                         "1d1c880a275247f8c492eb88b127ba69"
+                         "2805bab03232a1e35604eb23fc6e82b6"),
     "n10-0.3-lambda-c": (10, 0.3 * 110.594e-6, 2e6, 1e5, 7, False,
-                         "df23b7360e8d27f2a1d7b783778d0ca5"
-                         "68885ff71881977ab154f88ad4147817"),
+                         "635f9a3fe24e163f29b87f8a80024f9b"
+                         "4f97d1824a6f8857157240e306c4b48a"),
     "n50-3-lambda-c": (50, 3 * 20.643e-6, 1e6, 2e5, 11, False,
-                       "5f698ee2c598a9dbabef931f3b6249ef"
-                       "7743ff8064b0427ff1d284db877a2f4c"),
+                       "713c620ed14b567fafdd412c8fba1a96"
+                       "034a017a4d904dc5564266c1cafd3611"),
     "k1-w0-2-m-1": (8, 5e-4, 1e6, 1e5, 13, True,
-                    "500676bf976db334449038829251d277"
-                    "694e07f8c612d1a7137bde6d1ca74160"),
+                    "6b7ef64911e9a705a2e31a3b1e3316f7"
+                    "79b0640ac038ae3df37dab6dd5570110"),
     "no-warmup": (4, 1e-4, 1e6, 0.0, 17, False,
-                  "cb1f7f17497d69de69630b0f014ca8bc"
-                  "cc52be8e2d7427b376f430a2d93249ca"),
+                  "e41dd1c33c0a9c165b1d1aa4b49b2391"
+                  "20d14b4da33e2b240f7d03ec5a3bde49"),
 }
 
 
@@ -271,8 +333,8 @@ class TestTrace:
         assert all(int(a["station_id"]) < int(b["station_id"])
                    for a, b in ties)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == ("efd92e789bf25992a49c4b4b44785ac3"
-                          "0ced99ae0af15bd9663e0b1926f5cb87")
+        assert digest == ("4e0f3c109fc7e43e62b968f2daf6cc7c"
+                          "5de3dddf36c9b436fb307646f245e499")
 
     def test_run_writes_one_trace_per_replication(self, params, tmp_path):
         cfg = cfg_for(params, 2, 1e-4, duration=1e5, warmup=0.0, reps=3)
