@@ -100,10 +100,11 @@ def queue_empty_probability(rho: float, k: int) -> float:
 
 def _s_of_tau(tau, n, times, params):
     # Closed throughput form in tau alone; numpy arrays flow through.
-    _, t_tx, t_bo, _, epsilon, theta, alpha = _slot_kernel(tau, n, times,
-                                                          params)
-    return (n * tau * (1.0 - tau) ** (n - 1) * params.payload_bits * alpha
-            / (epsilon * t_tx + theta * t_bo))
+    _, t_tx, t_bo, gamma, epsilon, theta, alpha = _slot_kernel(tau, n, times,
+                                                               params)
+    t_i = _access_and_idle_times(t_tx, t_bo, gamma, epsilon, theta, alpha,
+                                 params.w0)[1]
+    return n * tau * (1.0 - tau) ** (n - 1) * params.payload_bits / t_i
 
 
 def throughput_tau_form(tau: float, n: int, params: PhyMacParams) -> float:
@@ -134,8 +135,8 @@ def _state_at(tau, lam, n, times, params):
 def _assemble(tau, lam, n, times, params, iterations):
     tau_next, st = _state_at(tau, lam, n, times, params)
     p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00 = st
-    # b00 normalises the chain, so b_idle + alpha * b00 = 1 and the average
-    # slot b_idle * t_i + (epsilon * t_tx + theta * t_bo) * b00 is just t_i.
+    # b00 normalises the chain, so b_idle + alpha * b00 = 1, and the chain's
+    # slots sum to alpha * t_i: the average slot is just t_i.
     return FixedPointSolution(
         tau=tau, p=p, b00=b00, b_idle=(1.0 - q) * b00 / p_i0, t_tx=t_tx,
         t_bo=t_bo, t_i=t_i, t_a=t_a, t_service=t_service, rho=rho, q=q,
@@ -144,15 +145,13 @@ def _assemble(tau, lam, n, times, params, iterations):
         converged=True)
 
 
-def _zero_load_solution(params, times):
+def _zero_load_solution(n, params, times):
     # lam = 0 pins the station in the idle state: tau = 0 and S = 0.
-    t_tx, t_bo = times.t_s, params.slot_sigma
-    t_a, t_i = _access_and_idle_times(
-        t_tx, t_bo, *_geom_sums(0.0, params.w0, params.m), params.w0)
-    t_service = t_a + t_tx
+    p, t_tx, t_bo, *sums = _slot_kernel(0.0, n, times, params)
+    t_a, t_i = _access_and_idle_times(t_tx, t_bo, *sums, params.w0)
     return FixedPointSolution(
-        tau=0.0, p=0.0, b00=0.0, b_idle=1.0, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
-        t_a=t_a, t_service=t_service, rho=0.0, q=0.0, p_i0=0.0,
+        tau=0.0, p=p, b00=0.0, b_idle=1.0, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
+        t_a=t_a, t_service=t_a + t_tx, rho=0.0, q=0.0, p_i0=0.0,
         throughput=0.0, residual=0.0, iterations=0, converged=True)
 
 
@@ -229,7 +228,7 @@ def solve_fixed_point(lam: float, n: int,
         raise ParameterError("n must be >= 1")
     times = derive_times(params)
     if lam == 0.0:
-        return _zero_load_solution(params, times)
+        return _zero_load_solution(n, params, times)
 
     def g(t):
         return t - _state_at(t, lam, n, times, params)[0]

@@ -49,11 +49,9 @@ class PhyMacParams:
     sifs: float  # us
     difs: float  # us
     eifs: float  # us
-    ack_timeout: float  # us
     prop_delta: float  # us
     w0: int  # minimum contention window
-    m: int  # number of window-doubling stages
-    w_max: int  # must equal w0 * 2**m
+    m: int  # window-doubling stages; the largest window is w0 * 2**m
     queue_capacity_k: int
 
     def __post_init__(self):
@@ -77,7 +75,7 @@ class PhyMacParams:
             raise ParameterError("rates must be positive")
         if self.data_rate < self.basic_rate:
             raise ParameterError("data_rate must be >= basic_rate")
-        for name in ("slot_sigma", "sifs", "difs", "eifs", "ack_timeout"):
+        for name in ("slot_sigma", "sifs", "difs", "eifs"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be a positive duration")
         if self.prop_delta < 0:
@@ -86,10 +84,15 @@ class PhyMacParams:
             raise ParameterError("w0 must be >= 2")
         if self.m < 1:
             raise ParameterError("m must be >= 1")
-        if self.w_max != self.w0 * 2 ** self.m:
-            raise ParameterError("w_max must equal w0 * 2**m")
         if self.queue_capacity_k < 1:
             raise ParameterError("queue_capacity_k must be >= 1")
+        try:  # finite fields can sum to an infinite t_s or t_c (S reads 0)
+            times = derive_times(self)
+            finite = math.isfinite(times.t_s) and math.isfinite(times.t_c)
+        except OverflowError:  # two huge integer bit counts added
+            finite = False
+        if not finite:
+            raise ParameterError("t_s or t_c is too large for a float")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -120,11 +123,9 @@ PROFILES: dict[str, dict] = {
         "sifs": 10.0,
         "difs": 50.0,
         "eifs": 364.0,
-        "ack_timeout": 364.0,
         "prop_delta": 1.0,
         "w0": 32,
         "m": 5,
-        "w_max": 1024,
         "queue_capacity_k": 50,
     },
 }

@@ -28,7 +28,6 @@ class RegimeReport:
     s_max: float  # bits/us
     tau_max: float
     lambda_c: float  # packets/us, per station
-    linear_slope: float  # bits per packet times n
 
     def regime_of(self, lam: float) -> str:
         """Classify a per-station arrival rate (packets/us)."""
@@ -91,6 +90,6 @@ def critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
     S_sat / (N * E[PL]).
     """
     s_max, tau_max = max_throughput(n, params)
-    slope = n * params.payload_bits
+    # The linear law at lam = 1 is its slope N * E[PL].
     return RegimeReport(n=n, s_max=s_max, tau_max=tau_max,
-                        lambda_c=s_max / slope, linear_slope=float(slope))
+                        lambda_c=s_max / linear_throughput(1.0, n, params))

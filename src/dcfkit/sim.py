@@ -8,7 +8,7 @@ abstraction used by the analytic model. Arrivals are continuous-time
 Poisson per station but take effect at slot boundaries. A packet reaching
 an idle station always draws a fresh stage-0 backoff; there is no
 immediate-access shortcut. After a collision the window doubles up to
-stage m and then stays at w_max until the packet finally gets through
+stage m and then stays at w0 * 2**m until the packet finally gets through
 (packets are never dropped for retry count, only for a full queue).
 
 The loop is event-driven, so its work per channel event follows the

@@ -152,7 +152,7 @@ def test_criterion_06_vanishing_contention_limits(p):
 
 def test_criterion_07_stage_occupancy_small_chain(p):
     import dataclasses
-    small = dataclasses.replace(p, w0=4, m=2, w_max=16)
+    small = dataclasses.replace(p, w0=4, m=2)
     worst = 0.0
     for prob in (0.1, 0.3, 0.6):
         pi = oracles.chain_stationary(prob, small.w0, small.m)

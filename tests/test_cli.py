@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcfkit
 from dcfkit import ConvergenceError, critical_lambda, solve_saturated
 from dcfkit.cli import _parser, build_parser, main
 
@@ -16,6 +21,7 @@ def read_csv(path):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestTable1:
@@ -232,6 +238,9 @@ class TestConfigHandling:
         pytest.param({"params": [4]}, id="params-not-object"),
         pytest.param({"sim": 4}, id="sim-not-object"),
         pytest.param({"solver": {"damping": 0.5}}, id="removed-solver-section"),
+        pytest.param({"params": {"ack_timeout": 364.0}},
+                     id="removed-ack-timeout"),
+        pytest.param({"params": {"w_max": 1024}}, id="removed-w-max"),
     ])
     def test_unknown_override_key_exits_1(self, tmp_path, capsys,
                                           config_data):
@@ -256,7 +265,7 @@ class TestConfigHandling:
         assert main(["table1", "--config", str(config)]) == 1
 
     @pytest.mark.parametrize("params_section", [
-        pytest.param({"w0": 32.5, "w_max": 1040}, id="float-w0"),
+        pytest.param({"w0": 32.5}, id="float-w0"),
         pytest.param({"queue_capacity_k": 2.5}, id="float-capacity"),
     ])
     def test_non_integer_param_exits_1(self, tmp_path, capsys,
@@ -264,7 +273,8 @@ class TestConfigHandling:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"params": params_section}))
         assert main(["table1", "--n", "10", "--config", str(config)]) == 1
-        assert_one_line_error(capsys)
+        field = next(iter(params_section))
+        assert f"{field} must be an integer" in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("params_section", [
         pytest.param({"sifs": math.nan}, id="nan-duration"),
@@ -286,6 +296,15 @@ class TestConfigHandling:
         assert main(["sweep", "--n", "2", "--lambda-grid", "40",
                      "--config", str(config)]) == 1
         assert_one_line_error(capsys)
+
+    def test_infinite_occupancy_time_exits_1(self, tmp_path, capsys):
+        # Every field is finite, but t_s is not: the sweep would print S 0.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"params": {"phy_preamble_bits": 10**308}}))
+        assert main(["sweep", "--n", "2", "--lambda-grid", "40",
+                     "--config", str(config)]) == 1
+        assert "t_s or t_c" in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("argv, config_data", [
         pytest.param(["table1", "--n", "10"], {"params": {"sifs": "10"}},
@@ -330,3 +349,23 @@ class TestUserPaths:
         (tmp_path / "existing.csv").write_text("")
         assert main([a.format(dir=tmp_path) for a in argv]) == 1
         assert_one_line_error(capsys)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("n, code", [("10", 0), ("0", 1)])
+    def test_module_run_exits_with_main_code(self, n, code):
+        # entry() hands main's return code to sys.exit, which the console
+        # script and python -m both end with.
+        src = str(Path(dcfkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "dcfkit.cli", "table1", "--n", n],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert "S_m" in done.stdout and done.stderr == ""
+        else:
+            assert done.stderr.startswith("error: ")
+            assert done.stderr.count("\n") == 1, done.stderr

@@ -16,7 +16,7 @@ from dcfkit.params import _geom_sums
 
 def small_chain_params():
     base = get_profile("dot11g-54")
-    return dataclasses.replace(base, w0=4, m=2, w_max=16)
+    return dataclasses.replace(base, w0=4, m=2)
 
 
 class TestSlotTimes:

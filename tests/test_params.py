@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from dcfkit import (PROFILES, ParameterError, PhyMacParams, get_profile,
-                    load_params, throughput_tau_form)
+from dcfkit import (PROFILES, ParameterError, PhyMacParams, derive_times,
+                    get_profile, load_params, solve_fixed_point,
+                    throughput_tau_form)
 from dcfkit.model import _slot_kernel
 from dcfkit.params import _geom_sums
 
@@ -40,16 +41,11 @@ class TestParamValidation:
     def test_profile_loads(self, params):
         assert params.w0 == 32
         assert params.m == 5
-        assert params.w_max == 1024
         assert params.queue_capacity_k == 50
 
     def test_unknown_profile(self):
         with pytest.raises(ParameterError):
             get_profile("dot11b-legacy")
-
-    def test_w_max_mismatch(self, params):
-        with pytest.raises(ParameterError):
-            dataclasses.replace(params, w_max=512)
 
     def test_nonpositive_duration(self, params):
         with pytest.raises(ParameterError):
@@ -60,19 +56,18 @@ class TestParamValidation:
             dataclasses.replace(params, data_rate=0.5)
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"w0": 1, "w_max": 32}, "w0 must be >= 2"),
-        ({"m": 0, "w_max": 32}, "m must be >= 1"),
+        ({"w0": 1}, "w0 must be >= 2"),
+        ({"m": 0}, "m must be >= 1"),
     ])
     def test_window_limits(self, params, overrides, message):
-        # w_max stays w0 * 2**m, so only the limit itself can refuse.
         with pytest.raises(ParameterError, match=message):
             dataclasses.replace(params, **overrides)
 
     @pytest.mark.parametrize("overrides", [
-        {"w0": 32.5, "w_max": 1040},  # w_max == w0 * 2**m holds
+        {"w0": 32.5},
         {"queue_capacity_k": 2.5},
         {"payload_bits": 8200.0},
-        {"m": True, "w_max": 64},
+        {"m": True},
         {"ack_bits": "112"},
     ])
     def test_integer_fields_reject_non_integers(self, params, overrides):
@@ -101,6 +96,18 @@ class TestParamValidation:
         with pytest.raises(ParameterError, match=f"^{field} is too large"):
             PhyMacParams.from_dict({**params.as_dict(), **overrides})
 
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"phy_preamble_bits": 10**308}, id="t_s-infinite"),
+        pytest.param({"payload_bits": 10**308, "data_rate": 1.0,
+                      "eifs": 1.7e308}, id="only-t_c-infinite"),
+        pytest.param({"mac_header_bits": int(1.7e308),
+                      "payload_bits": int(1.7e308)}, id="int-sum-overflows"),
+    ])
+    def test_occupancy_times_must_be_finite(self, params, overrides):
+        # Each field is a finite float; their sum in derive_times is not.
+        with pytest.raises(ParameterError, match="^t_s or t_c is too large"):
+            PhyMacParams.from_dict({**params.as_dict(), **overrides})
+
     def test_json_round_trip(self, params, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(params.as_dict()))
@@ -125,6 +132,46 @@ class TestParamValidation:
     def test_from_dict_matches_profile_table(self):
         assert PhyMacParams.from_dict(PROFILES["dot11g-54"]) == get_profile(
             "dot11g-54")
+
+
+# One valid change per PhyMacParams field, and the point (N, lambda) where
+# it must move the derived times or the fixed point's tau. A field that
+# moves neither is a knob no computation reads.
+NO_DEAD_N, NO_DEAD_LAM = 10, 100e-6  # 100 pkt/s, close to lambda_c
+FIELD_CHANGES = {
+    "mac_header_bits": 30 * 8,
+    "phy_preamble_bits": 72,
+    "plcp_header_bits": 40,
+    "ack_bits": 16 * 8,
+    "payload_bits": 512 * 8,
+    "data_rate": 11.0,
+    "basic_rate": 2.0,
+    "slot_sigma": 9.0,
+    "sifs": 16.0,
+    "difs": 34.0,
+    "eifs": 400.0,
+    "prop_delta": 2.0,
+    "w0": 16,
+    "m": 6,
+    "queue_capacity_k": 5,
+}
+
+
+class TestNoDeadParameter:
+    def test_every_field_has_a_change(self):
+        assert list(FIELD_CHANGES) == [
+            f.name for f in dataclasses.fields(PhyMacParams)]
+
+    @pytest.mark.parametrize("field", FIELD_CHANGES)
+    def test_field_moves_the_model(self, params, field):
+        changed = dataclasses.replace(params, **{field: FIELD_CHANGES[field]})
+        assert changed != params
+
+        def seen(p):
+            return (derive_times(p),
+                    solve_fixed_point(NO_DEAD_LAM, NO_DEAD_N, p).tau)
+
+        assert seen(changed) != seen(params)
 
 
 class TestGeomQuantities:

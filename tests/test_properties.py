@@ -64,7 +64,7 @@ def networks(draw):
     w0 = draw(st.integers(min_value=2, max_value=128))
     m = draw(st.integers(min_value=1, max_value=8))
     params = dataclasses.replace(
-        PARAMS, w0=w0, m=m, w_max=w0 * 2 ** m,
+        PARAMS, w0=w0, m=m,
         payload_bits=draw(st.integers(min_value=64, max_value=18_496)),
         data_rate=draw(st.floats(min_value=1.0, max_value=600.0)),
         slot_sigma=draw(st.floats(min_value=5.0, max_value=50.0)),

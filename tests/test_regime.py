@@ -63,7 +63,8 @@ class TestCriticalLambda:
             report = critical_lambda(n, params)
             assert report.lambda_c * n * params.payload_bits == pytest.approx(
                 report.s_max, rel=1e-12)
-            assert report.linear_slope == n * params.payload_bits
+            s_linear = linear_throughput(report.lambda_c, n, params)
+            assert s_linear == pytest.approx(report.s_max, rel=1e-12)
 
     def test_decreasing_in_n(self, params):
         rates = [critical_lambda(n, params).lambda_c for n in (5, 10, 20, 40)]

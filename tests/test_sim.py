@@ -53,7 +53,7 @@ def first_draws(seed, sid, k=8):
 class TestStreams:
     @pytest.mark.parametrize("stage", [0, 5])
     def test_backoff_draws_uniform(self, params, stage):
-        # The window after `stage` collisions: w0, and w_max at stage m.
+        # The window after `stage` collisions: w0, and w0 * 2**m at stage m.
         w = params.w0 << stage
         rng = _station_rng(4, stage)
         counts = [0] * w
@@ -141,8 +141,7 @@ _PINNED = {
 
 def tiny_window(params):
     """K = 1, w0 = 2, m = 1: frequent collisions and drops."""
-    return dataclasses.replace(params, queue_capacity_k=1, w0=2, m=1,
-                               w_max=4)
+    return dataclasses.replace(params, queue_capacity_k=1, w0=2, m=1)
 
 
 class TestPinnedOutputs:
@@ -262,8 +261,7 @@ class TestProperties:
            warmup_share=st.floats(0.0, 0.99), seed=st.integers(0, 2**32))
     def test_conserves_packets_and_repeats(self, params, n, lam, k, w0, m,
                                            duration, warmup_share, seed):
-        p = dataclasses.replace(params, queue_capacity_k=k, w0=w0, m=m,
-                                w_max=w0 << m)
+        p = dataclasses.replace(params, queue_capacity_k=k, w0=w0, m=m)
         cfg = cfg_for(p, n, lam, duration=duration,
                       warmup=warmup_share * duration, reps=1)
         rep = run_replication(cfg, seed)
