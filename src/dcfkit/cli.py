@@ -294,7 +294,8 @@ def _sweep_points(spec: SweepSpec) -> list[CurvePoint]:
                 result = run(_sim_config(spec.params, n, lam, spec.sim,
                                          spec.sim.base_seed + 10_000 * index))
                 s_sim = result.mean_throughput
-                ci = result.ci95_halfwidth
+                if spec.sim.replications > 1:  # one replication has no CI
+                    ci = result.ci95_halfwidth
             points.append(CurvePoint(
                 n=n, lambda_pkt_s=lam_pkt_s, s_model=s_model,
                 s_linear=s_linear, s_max=report.s_max, regime=regime,
@@ -333,10 +334,7 @@ def cmd_compare(spec: SweepSpec, out=None) -> int:
             rows.append((p.n, _fmt(p.lambda_pkt_s), p.regime, "",
                          _fmt(p.s_sim), _fmt(p.sim_ci95), "", "error"))
             continue
-        ci = p.sim_ci95
-        if ci is None or math.isnan(ci):
-            ci = 0.0
-        band = ci + 0.05 * p.s_sim
+        band = (p.sim_ci95 or 0.0) + 0.05 * p.s_sim
         inside = abs(p.s_model - p.s_sim) <= band
         if not inside:
             failures += 1
@@ -358,8 +356,9 @@ def cmd_sim(params, n, lam_pkt_s, sim: SimSettings, out=None,
             trace=None) -> int:
     result = run(_sim_config(params, n, lam_pkt_s * _PKT_S_TO_PKT_US, sim,
                              sim.base_seed), trace_dir=trace)
-    print(f"throughput {result.mean_throughput:.4f} Mbps "
-          f"(95% CI +/- {result.ci95_halfwidth:.4f}), "
+    ci = (f"95% CI +/- {result.ci95_halfwidth:.4f}"
+          if sim.replications > 1 else "one replication: no CI")
+    print(f"throughput {result.mean_throughput:.4f} Mbps ({ci}), "
           f"{result.successes} successes, {result.collisions} collisions, "
           f"{result.drops} drops")
     if out is not None:

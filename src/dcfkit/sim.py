@@ -43,6 +43,7 @@ from heapq import heapify, heappop, heappush
 from statistics import fmean
 
 from .errors import ParameterError
+from .model import _RTOL, _XTOL, _brentq
 from .params import PhyMacParams, _check_number_fields, derive_times
 
 
@@ -104,6 +105,8 @@ class SimResult:
     collisions: int
     drops: int
     arrivals: int
+    collision_participations: int  # station-transmissions inside collisions
+    virtual_slots: int  # idle, success and collision slots
 
 
 class _Station:
@@ -273,17 +276,50 @@ def _write_trace(path, events):
             writer.writerow((format(t, ".10g"), kind, sid, qlen))
 
 
+def _t_tail(t, df):
+    """P(T > t) for Student's t with integer df >= 1, t >= 0.
+
+    The finite sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4
+    (even df) in theta = atan(t / sqrt(df)). Each term carries a factor
+    cos^2 theta; it is applied as 1 - sin^2 theta, with sin^2 theta small
+    near the 97.5% quantile, so a rounding of cos^2 theta does not compound
+    over the df/2 terms, and fsum adds them exactly. For odd df the tail
+    takes pi/2 - theta as atan(sqrt(df) / t), which makes df = 1 exact to
+    rounding.
+    """
+    x = t * t / df
+    s2 = x / (1.0 + x)  # sin^2 theta
+    odd = df % 2
+    term = math.sqrt(s2 * (1.0 - s2) if odd else s2)
+    terms = []
+    for i in range(df // 2):
+        terms.append(term)
+        term = (term - term * s2) * (2 * i + 1 + odd) / (2 * i + 2 + odd)
+    if odd:
+        return (math.atan(math.sqrt(df) / t) - math.fsum(terms)) / math.pi
+    return (1.0 - math.fsum(terms)) / 2.0
+
+
+def _t975(df):
+    """The 97.5% quantile of Student's t with integer df >= 1.
+
+    It lies in [1.96, 12.71] for every df, so Brent's method on [1.9, 13]
+    finds it with the model's tolerances.
+    """
+    t, _, _ = _brentq(lambda t: _t_tail(t, df) - 0.025, 1.9, 13.0,
+                      xtol=_XTOL, rtol=_RTOL)
+    return t
+
+
 def _ci95_halfwidth(values) -> float:
     n = len(values)
     if n < 2:
         return math.nan
     mean = fmean(values)
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    # Imported here: scipy.special costs about half a second to load, and
-    # only runs of two or more replications need the Student-t quantile.
-    from scipy.special import stdtrit
-    tcrit = stdtrit(n - 1, 0.975)
-    return tcrit * math.sqrt(var / n)
+    # The Student-t quantile is computed in the package, so a run of any
+    # size needs only the standard library.
+    return _t975(n - 1) * math.sqrt(var / n)
 
 
 def run(cfg: SimConfig, trace_dir=None) -> SimResult:
@@ -309,4 +345,7 @@ def run(cfg: SimConfig, trace_dir=None) -> SimResult:
         collisions=sum(r.collisions for r in reps),
         drops=sum(r.drops for r in reps),
         arrivals=sum(r.arrivals for r in reps),
+        collision_participations=sum(r.collision_participations
+                                     for r in reps),
+        virtual_slots=sum(r.virtual_slots for r in reps),
     )

@@ -131,6 +131,16 @@ class TestSweep:
         assert row["s_sim_mbps"] != ""
         assert float(row["s_sim_mbps"]) > 0
 
+    def test_one_replication_leaves_ci_empty(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n", "2", "--lambda-grid", "40",
+                     "--with-sim", "--replications", "1",
+                     "--duration-us", "100000", "--warmup-us", "0",
+                     "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert float(row["s_sim_mbps"]) > 0
+        assert row["sim_ci95_mbps"] == ""
+
     def test_no_flag_leaks_into_the_next_call(self, tmp_path, monkeypatch):
         # main reuses one parser per process; a second call must see none
         # of the first call's flags and must not rebuild it.
@@ -169,6 +179,16 @@ class TestCompare:
         assert row["inside_band"] == "yes"
         assert "PASS" in capsys.readouterr().out
 
+    def test_one_replication_band_is_five_percent(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--n", "2", "--lambda-grid", "40",
+                     "--replications", "1", "--duration-us", "100000",
+                     "--warmup-us", "0", "--out", str(out)]) in (0, 3)
+        row = read_csv(out)[0]
+        assert row["sim_ci95_mbps"] == ""
+        assert float(row["band_mbps"]) == pytest.approx(
+            0.05 * float(row["s_sim_mbps"]), rel=1e-9)
+
     def test_config_refusing_simulation_exits_1(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"with_simulation": False}))
@@ -186,6 +206,14 @@ class TestSimCommand:
         rows = read_csv(out)
         assert len(rows) == 2
         assert "throughput" in capsys.readouterr().out
+
+    def test_one_replication_prints_no_ci(self, capsys):
+        assert main(["sim", "--n", "2", "--lambda", "40",
+                     "--replications", "1", "--duration-us", "100000",
+                     "--warmup-us", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "(one replication: no CI)" in out
+        assert "nan" not in out
 
     def test_trace_directory(self, tmp_path):
         trace = tmp_path / "traces"

@@ -64,7 +64,7 @@ steps = {"import": heavy_modules()}
 assert main(["sweep", "--n", "5", "--lambda-grid", "auto",
              "--out", sys.argv[1]]) == 0
 steps["sweep"] = heavy_modules()
-for reps in (1, 2):
+for reps in (1, 2, 3):
     run_simulation(SimConfig(n_stations=2, lambda_per_station=4e-5,
                              params=get_profile("dot11g-54"),
                              sim_duration=1e5, warmup=0.0,
@@ -74,22 +74,43 @@ print(json.dumps(steps))
 """
 
 
-def test_import_footprint(tmp_path):
-    # scipy costs about a second to import and numpy about a tenth. The
-    # model, a sweep and a single replication need neither; only the
-    # confidence interval of two or more replications loads scipy.special
-    # (and numpy with it), for one Student-t quantile.
+def _run_python(code, *args):
     src = str(Path(dcfkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, str(tmp_path / "sweep.csv")],
-        env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_import_footprint(tmp_path):
+    # scipy costs about a second to import and numpy about a tenth. The
+    # model, a sweep and a run of any size need neither: the confidence
+    # interval's Student-t quantile is computed in the package.
+    proc = _run_python(_FOOTPRINT, str(tmp_path / "sweep.csv"))
     steps = json.loads(proc.stdout.splitlines()[-1])
-    for step in ("import", "sweep", "run-1"):
-        assert steps[step] == [], step
-    loaded = steps["run-2"]
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded
-                if m.startswith(("scipy.stats", "scipy.optimize"))], loaded
+    assert list(steps) == ["import", "sweep", "run-1", "run-2", "run-3"]
+    for step, loaded in steps.items():
+        assert loaded == [], step
+
+
+_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None  # any import fails
+from dcfkit.cli import main
+codes = [main(["sim", "--n", "10", "--lambda", "30", "--replications", "3",
+               "--duration-us", "2e5", "--warmup-us", "0"]),
+         main(["compare", "--n", "5", "--lambda-grid", "30",
+               "--replications", "2", "--duration-us", "2e5",
+               "--warmup-us", "0"])]
+print(json.dumps(codes))
+"""
+
+
+def test_cli_runs_without_numpy_or_scipy():
+    # An installation without the test extra has neither package.
+    proc = _run_python(_BLOCKED)
+    assert "ImportError" not in proc.stderr
+    sim_code, compare_code = json.loads(proc.stdout.splitlines()[-1])
+    assert sim_code == 0
+    assert compare_code in (0, 3)

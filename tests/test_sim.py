@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import stdtrit
 
 import oracles
 from dcfkit import (ParameterError, SimConfig, critical_lambda,
                     derive_times, linear_throughput, solve_saturated)
 from dcfkit.cli import main
-from dcfkit.sim import _ci95_halfwidth, _station_rng, run, run_replication
+from dcfkit.sim import (_ci95_halfwidth, _station_rng, _t975, _t_tail, run,
+                        run_replication)
 
 
 def cfg_for(params, n, lam, duration=2e6, warmup=1e5, reps=2, seed=977):
@@ -241,8 +243,35 @@ class TestAggregation:
             values = [1.0 + 0.37 * ((7 * i) % 11) for i in range(n)]
             mean = fmean(values)
             var = sum((v - mean) ** 2 for v in values) / (n - 1)
-            want = stats.t.ppf(0.975, n - 1) * math.sqrt(var / n)
+            want = _t975(n - 1) * math.sqrt(var / n)
             assert _ci95_halfwidth(values) == want, n
+
+    def test_t975_against_scipy(self):
+        # scipy's own quantile is not exact (19 ulps off at df = 6), so
+        # the in-package one is held to a relative tolerance of it.
+        for df in range(1, 1001):
+            want = stdtrit(df, 0.975)
+            assert _t975(df) == pytest.approx(want, rel=1e-14, abs=0), df
+        assert _t975(10_000) == pytest.approx(stdtrit(10_000, 0.975),
+                                              rel=1e-12, abs=0)
+        # Closed forms at df = 1 (Cauchy) and df = 2.
+        assert _t975(1) == pytest.approx(math.tan(0.475 * math.pi),
+                                         rel=1e-14, abs=0)
+        assert _t975(2) == pytest.approx(0.95 * math.sqrt(2 / 0.0975),
+                                         rel=1e-14, abs=0)
+        # The root lies inside the bracket at both ends of the df range.
+        for df in (1, 10_000):
+            assert _t_tail(1.9, df) > 0.025 > _t_tail(13.0, df), df
+
+    def test_run_sums_replication_counters(self, params):
+        cfg = cfg_for(params, 6, 2e-4, duration=1e6, warmup=1e5, reps=3)
+        result = run(cfg)
+        reps = [run_replication(cfg, cfg.base_seed + i) for i in range(3)]
+        for field in ("successes", "collisions", "collision_participations",
+                      "drops", "arrivals", "virtual_slots"):
+            assert getattr(result, field) == sum(
+                getattr(r, field) for r in reps), field
+        assert result.collision_participations >= 2 * result.collisions > 0
 
     def test_throughput_matches_counters(self, params):
         cfg = cfg_for(params, 5, 8e-5, duration=1e6, warmup=2e5)
