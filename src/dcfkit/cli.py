@@ -22,11 +22,11 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError
-from .model import solve_fixed_point
+from .model import FixedPointSolution, solve_fixed_point
 from .params import (PROFILES, PhyMacParams, _check_number_fields,
                      get_profile, load_params)
 from .regime import RegimeReport, critical_lambda, linear_throughput
-from .sim import SimConfig, run
+from .sim import SimConfig, SimResult, run
 
 _PKT_S_TO_PKT_US = 1e-6
 _AUTO_GRID_POINTS = 25
@@ -64,26 +64,13 @@ def _sim_config(params, n, lam, sim: SimSettings,
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Resolved settings for sweep and compare runs."""
-
-    params: PhyMacParams
-    n_list: tuple[int, ...]
-    lambda_grid: tuple[float, ...] | None  # pkt/s; None means auto per N
-    with_simulation: bool
-    sim: SimSettings
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     n: int
     lambda_pkt_s: float
-    s_model: float | None  # Mbps
-    s_linear: float
-    s_max: float
-    regime: str
-    s_sim: float | None = None
-    sim_ci95: float | None = None
+    report: RegimeReport
+    s_linear: float  # Mbps
+    fixed_point: FixedPointSolution | None  # None: the solve failed, see error
+    sim: SimResult | None  # None: simulation off
     error: str = ""
 
 
@@ -102,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sim_flags(p):
         p.add_argument("--replications", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int,
+                       default=None)
         p.add_argument("--duration-us", type=float, default=None)
         p.add_argument("--warmup-us", type=float, default=None)
 
@@ -187,9 +175,8 @@ def _resolve_params(profile_flag, config) -> PhyMacParams:
 
 def _resolve_sim(args, config) -> SimSettings:
     merged = dict(_config_section(config, "sim", SimSettings))
-    for flag, key in (("replications", "replications"), ("seed", "base_seed"),
-                      ("duration_us", "duration_us"), ("warmup_us", "warmup_us")):
-        value = getattr(args, flag, None)
+    for key in SimSettings.__dataclass_fields__:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return SimSettings(**merged)
@@ -212,18 +199,19 @@ def _parse_grid(text, config):
         if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
                for v in text):
             raise UsageError(f"lambda grid entries must be numbers: {text!r}")
-        values = tuple(float(v) for v in text)
+        parts = text
     elif str(text).strip() == "auto":
         return None
     else:
-        try:
-            values = tuple(float(p) for p in str(text).split(",") if p.strip())
-        except ValueError as exc:
-            raise UsageError(f"bad lambda grid: {text!r}") from exc
+        parts = [p for p in str(text).split(",") if p.strip()]
+    try:  # OverflowError: a JSON integer past the float range
+        values = tuple(float(p) for p in parts)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"bad lambda grid: {text!r}") from exc
     if not values:
         raise UsageError("lambda grid must not be empty")
-    if any(v < 0 for v in values):
-        raise UsageError("lambda grid entries must be >= 0")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise UsageError("lambda grid entries must be finite and >= 0")
     return values
 
 
@@ -272,92 +260,105 @@ def cmd_table1(params, n_list, out=None) -> int:
     return 0
 
 
-def _sweep_points(spec: SweepSpec) -> list[CurvePoint]:
+def _sweep_points(params, n_list, grid, sim) -> list[CurvePoint]:
+    """grid None means each N's auto grid; sim None means no simulation."""
     points = []
-    index = 0
-    for n in spec.n_list:
-        report = critical_lambda(n, spec.params)
-        grid = spec.lambda_grid or _auto_grid(report)
-        for lam_pkt_s in grid:
+    for n in n_list:
+        report = critical_lambda(n, params)
+        for lam_pkt_s in grid or _auto_grid(report):
             lam = lam_pkt_s * _PKT_S_TO_PKT_US
-            s_linear = linear_throughput(lam, n, spec.params)
-            regime = report.regime_of(lam)
-            s_model = None
-            s_sim = None
-            ci = None
-            error = ""
+            fixed_point, error = None, ""
             try:
-                s_model = solve_fixed_point(lam, n, spec.params).throughput
+                fixed_point = solve_fixed_point(lam, n, params)
             except ConvergenceError as exc:
                 error = f"no convergence: {exc}"
-            if spec.with_simulation:
-                result = run(_sim_config(spec.params, n, lam, spec.sim,
-                                         spec.sim.base_seed + 10_000 * index))
-                s_sim = result.mean_throughput
-                if spec.sim.replications > 1:  # one replication has no CI
-                    ci = result.ci95_halfwidth
+            result = None if sim is None else run(_sim_config(
+                params, n, lam, sim, sim.base_seed + 10_000 * len(points)))
             points.append(CurvePoint(
-                n=n, lambda_pkt_s=lam_pkt_s, s_model=s_model,
-                s_linear=s_linear, s_max=report.s_max, regime=regime,
-                s_sim=s_sim, sim_ci95=ci, error=error))
-            index += 1
+                n=n, lambda_pkt_s=lam_pkt_s, report=report,
+                s_linear=linear_throughput(lam, n, params),
+                fixed_point=fixed_point, sim=result, error=error))
     return points
 
+
+def _ci95(result: SimResult | None) -> float | None:
+    """The 95% CI half width; None with no sim or one replication (NaN)."""
+    if result is None or math.isnan(result.ci95_halfwidth):
+        return None
+    return result.ci95_halfwidth
+
+
+def _band(p: CurvePoint) -> float:
+    """compare's tolerance: the sim CI widened by 5 percent of the sim mean."""
+    return (_ci95(p.sim) or 0.0) + 0.05 * p.sim.mean_throughput
+
+
+def _verdict(p: CurvePoint) -> str:
+    """compare's verdict: the model inside the band (yes/no), or error."""
+    if p.error:
+        return "error"
+    inside = abs(p.fixed_point.throughput - p.sim.mean_throughput) <= _band(p)
+    return "yes" if inside else "no"
+
+
+# CSV column getters; each header picks its columns by name. New columns go
+# at the end: perfbench/checks.py reads the sweep columns by position.
+_COLUMNS = {
+    "n": lambda p: p.n,
+    "lambda_pkt_s": lambda p: _fmt(p.lambda_pkt_s),
+    "s_model_mbps": lambda p: _fmt(getattr(p.fixed_point, "throughput", None)),
+    "s_linear_mbps": lambda p: _fmt(p.s_linear),
+    "s_max_mbps": lambda p: _fmt(p.report.s_max),
+    "regime": lambda p: p.report.regime_of(p.lambda_pkt_s * _PKT_S_TO_PKT_US),
+    "s_sim_mbps": lambda p: _fmt(getattr(p.sim, "mean_throughput", None)),
+    "sim_ci95_mbps": lambda p: _fmt(_ci95(p.sim)),
+    "error": lambda p: p.error,
+    "band_mbps": lambda p: _fmt(None if p.error else _band(p)),
+    "inside_band": _verdict,
+}
 
 _SWEEP_HEADER = ("n", "lambda_pkt_s", "s_model_mbps", "s_linear_mbps",
                  "s_max_mbps", "regime", "s_sim_mbps", "sim_ci95_mbps",
                  "error")
-
-
-def cmd_sweep(spec: SweepSpec, out=None) -> int:
-    points = _sweep_points(spec)
-    rows = [(p.n, _fmt(p.lambda_pkt_s), _fmt(p.s_model), _fmt(p.s_linear),
-             _fmt(p.s_max), p.regime, _fmt(p.s_sim), _fmt(p.sim_ci95),
-             p.error) for p in points]
-    _write_csv(out, _SWEEP_HEADER, rows)
-    return 2 if any(p.error for p in points) else 0
-
-
 _COMPARE_HEADER = ("n", "lambda_pkt_s", "regime", "s_model_mbps",
                    "s_sim_mbps", "sim_ci95_mbps", "band_mbps", "inside_band")
 
 
-def cmd_compare(spec: SweepSpec, out=None) -> int:
-    """Model point inside sim CI widened by 5 percent of the sim mean."""
-    points = _sweep_points(spec)
-    rows = []
-    failures = 0
-    solver_failures = 0
-    for p in points:
-        if p.error or p.s_model is None:
-            solver_failures += 1
-            rows.append((p.n, _fmt(p.lambda_pkt_s), p.regime, "",
-                         _fmt(p.s_sim), _fmt(p.sim_ci95), "", "error"))
+def _write_points(path, header, points):
+    _write_csv(path, header,
+               [[_COLUMNS[name](p) for name in header] for p in points])
+
+
+def cmd_sweep(points: list[CurvePoint], out=None) -> int:
+    _write_points(out, _SWEEP_HEADER, points)
+    return 2 if any(p.error for p in points) else 0
+
+
+def cmd_compare(points: list[CurvePoint], out=None) -> int:
+    """Check each model point against its simulated band (see _band)."""
+    verdicts = [_verdict(p) for p in points]
+    for p, verdict in zip(points, verdicts):
+        if verdict == "error":
+            print(f"ERROR n={p.n} lambda={p.lambda_pkt_s:g} pkt/s: {p.error}")
             continue
-        band = (p.sim_ci95 or 0.0) + 0.05 * p.s_sim
-        inside = abs(p.s_model - p.s_sim) <= band
-        if not inside:
-            failures += 1
-        rows.append((p.n, _fmt(p.lambda_pkt_s), p.regime, _fmt(p.s_model),
-                     _fmt(p.s_sim), _fmt(p.sim_ci95), _fmt(band),
-                     "yes" if inside else "no"))
-        verdict = "PASS" if inside else "FAIL"
-        print(f"{verdict} n={p.n} lambda={p.lambda_pkt_s:g} pkt/s "
-              f"model={p.s_model:.4f} sim={p.s_sim:.4f} "
-              f"band=+/-{band:.4f} Mbps")
+        print(f"{'PASS' if verdict == 'yes' else 'FAIL'} n={p.n} "
+              f"lambda={p.lambda_pkt_s:g} pkt/s "
+              f"model={p.fixed_point.throughput:.4f} "
+              f"sim={p.sim.mean_throughput:.4f} "
+              f"band=+/-{_band(p):.4f} Mbps")
     if out is not None:
-        _write_csv(out, _COMPARE_HEADER, rows)
-    if solver_failures:
+        _write_points(out, _COMPARE_HEADER, points)
+    if "error" in verdicts:
         return 2
-    return 3 if failures else 0
+    return 3 if "no" in verdicts else 0
 
 
 def cmd_sim(params, n, lam_pkt_s, sim: SimSettings, out=None,
             trace=None) -> int:
     result = run(_sim_config(params, n, lam_pkt_s * _PKT_S_TO_PKT_US, sim,
                              sim.base_seed), trace_dir=trace)
-    ci = (f"95% CI +/- {result.ci95_halfwidth:.4f}"
-          if sim.replications > 1 else "one replication: no CI")
+    ci = _ci95(result)
+    ci = "one replication: no CI" if ci is None else f"95% CI +/- {ci:.4f}"
     print(f"throughput {result.mean_throughput:.4f} Mbps ({ci}), "
           f"{result.successes} successes, {result.collisions} collisions, "
           f"{result.drops} drops")
@@ -395,11 +396,11 @@ def main(argv=None) -> int:
             with_sim, cmd = args.with_sim, cmd_sweep
             if with_sim is None:
                 with_sim = config.get("with_simulation", False)
-        spec = SweepSpec(params=params, n_list=_parse_n_list(args.n),
-                         lambda_grid=_parse_grid(args.lambda_grid, config),
-                         with_simulation=with_sim,
-                         sim=_resolve_sim(args, config))
-        return cmd(spec, out=args.out)
+        n_list = _parse_n_list(args.n)
+        grid = _parse_grid(args.lambda_grid, config)
+        sim = _resolve_sim(args, config)  # bad sections exit 1 even when off
+        return cmd(_sweep_points(params, n_list, grid,
+                                 sim if with_sim else None), out=args.out)
     # ParameterError is a ValueError; OSError covers the paths the user gave.
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,8 +53,9 @@ def _slot_kernel(tau, n, times, params):
     # Collision probability, the mean transmission and backoff slot
     # durations seen by one station (a backoff slot is sigma when nobody
     # else transmits), and the stage sums gamma, epsilon, theta, alpha at
-    # tau. Written with operators only so numpy arrays flow through for
-    # grid evaluation.
+    # tau. Written with operators only, so the numpy arrays of tau that
+    # tests/test_regime.py and tests/test_properties.py pass flow through;
+    # the package itself passes floats.
     p = 1.0 - (1.0 - tau) ** (n - 1)
     t_tx = (1.0 - p) * times.t_s + p * times.t_c
     t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
@@ -99,7 +100,8 @@ def queue_empty_probability(rho: float, k: int) -> float:
 
 
 def _s_of_tau(tau, n, times, params):
-    # Closed throughput form in tau alone; numpy arrays flow through.
+    # Closed throughput form in tau alone; the numpy arrays of tau that
+    # tests/test_regime.py and tests/test_properties.py pass flow through.
     _, t_tx, t_bo, gamma, epsilon, theta, alpha = _slot_kernel(tau, n, times,
                                                                params)
     t_i = _access_and_idle_times(t_tx, t_bo, gamma, epsilon, theta, alpha,

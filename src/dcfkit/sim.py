@@ -24,8 +24,7 @@ just before its next backoff draw and at the end of the run.
 
 Each station draws from its own stdlib random.Random, seeded by the text
 "seed/sid" of the replication seed and its station id: expovariate for
-inter-arrival times and randrange for backoff counters. The stream needs
-no numpy, and a scalar draw costs a fraction of numpy's. A station draws
+inter-arrival times and randrange for backoff counters. A station draws
 in the order of the plain slot-by-slot walk, so results are bit-identical
 to that walk.
 
@@ -107,6 +106,7 @@ class SimResult:
     arrivals: int
     collision_participations: int  # station-transmissions inside collisions
     virtual_slots: int  # idle, success and collision slots
+    sim_time: float  # us, summed end_time; over virtual_slots: the mean slot
 
 
 class _Station:
@@ -348,4 +348,5 @@ def run(cfg: SimConfig, trace_dir=None) -> SimResult:
         collision_participations=sum(r.collision_participations
                                      for r in reps),
         virtual_slots=sum(r.virtual_slots for r in reps),
+        sim_time=math.fsum(r.end_time for r in reps),
     )

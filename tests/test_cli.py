@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -22,6 +23,78 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+_SWEEP_SIM = ("--n", "5", "--lambda-grid", "20,60,400", "--with-sim",
+              "--duration-us", "3e5", "--warmup-us", "0", "--seed", "4")
+_SIM = ("--n", "10", "--lambda", "50", "--duration-us", "3e5",
+        "--warmup-us", "0", "--seed", "3")
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+
+_PINNED = {
+    # name: (argv without --out, exit code, sha256 of stdout, of the CSV)
+    "table1": (
+        ["table1", "--n", "1,10,20,30"], 0,
+        "21cf4b99dbe0afae0b2afcb03a37be66"
+        "0fee083e1e147c8931321d12f645f742",
+        "0ac92b956f2f7fee1914312b1fc7b2e4"
+        "895fa519d24a8fcf04d72a47b39cccd7"),
+    "sweep-auto": (
+        ["sweep", "--n", "1,10,50", "--lambda-grid", "auto"], 0,
+        _EMPTY,
+        "62d1308d6cb10464caca783dc9919239"
+        "09eda8af26095624e3eb46e1d7a8c36a"),
+    "sweep-sim-3": (
+        ["sweep", *_SWEEP_SIM, "--replications", "3"], 0,
+        _EMPTY,
+        "d121fc238e9456a6467bc72360d74b41"
+        "76eb1e37eb18b93c6b93108a82f7ccf9"),
+    "sweep-sim-1": (
+        ["sweep", *_SWEEP_SIM, "--replications", "1"], 0,
+        _EMPTY,
+        "9c6c5c386fb535cf0cae0201f6fca7b0"
+        "cd7c16469b45c380e48d1b1097544f14"),
+    "compare-3": (
+        ["compare", "--n", "5,10", "--lambda-grid", "30,70,400",
+         "--replications", "3", "--duration-us", "3e5",
+         "--warmup-us", "0", "--seed", "7"], 0,
+        "5ceb85deb0720f1ffc863797c7c8305f"
+        "08f5e63d55dfef56c2b9c7ee7b3c4316",
+        "c63454748465e3ad99992c0faf081b19"
+        "8426e02a82d59d3d9acd0a4d2955f5ac"),
+    "compare-1": (
+        ["compare", "--n", "2", "--lambda-grid", "40",
+         "--replications", "1", "--duration-us", "1e5",
+         "--warmup-us", "0"], 3,
+        "c440109b43be56ae963ee86af0f01983"
+        "db8ae7cb5c500a38588f3cad6495ef26",
+        "eb769b297ca16d681bcbe782dd6d8a17"
+        "724015314bf73c908ac693bbf359abd0"),
+    "sim-3": (
+        ["sim", *_SIM, "--replications", "3"], 0,
+        "9f1da4d3c1cd8a991b5119c8d14fca3a"
+        "91c02ae4f66fad3eb4358004b271d78d",
+        "69dd70e1f87c87924389677d920fb09a"
+        "8a2241d23420b91f55fca204610d6736"),
+    "sim-1": (
+        ["sim", *_SIM, "--replications", "1"], 0,
+        "f0a5b36797b71ff4eaf39a13bc952c0c"
+        "719bb195aaceefe5787951356a254003",
+        "98019fa3baedb3e9e80f17ff7940c153"
+        "4e8acb97321b07585f609afa1cb96050"),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_output_matches_recorded_digest(self, tmp_path, capsys, name):
+        argv, code, stdout_sha, csv_sha = _PINNED[name]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == code
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == stdout_sha
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
 
 class TestTable1:
@@ -103,8 +176,22 @@ class TestSweep:
     def test_empty_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", ","]) == 1
 
-    def test_negative_rate_exits_1(self, capsys):
-        assert main(["sweep", "--n", "10", "--lambda-grid", "-5"]) == 1
+    def test_negative_rate_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A rate that is negative or not finite is refused before any solve.
+        def no_solve(lam, n, params):
+            raise AssertionError("solved a refused grid")
+
+        monkeypatch.setattr("dcfkit.cli.solve_fixed_point", no_solve)
+        for grid in ("-5", "inf", "nan", "1e400", "20,-inf"):
+            assert main(["sweep", "--n", "10", "--lambda-grid", grid]) == 1
+            assert_one_line_error(capsys)
+        # Python's json writes and reads these as Infinity, and a long
+        # integer literal as an exact int past the float range.
+        config = tmp_path / "cfg.json"
+        for grid in ([math.inf], [10**400]):
+            config.write_text(json.dumps({"lambda_grid": grid}))
+            assert main(["sweep", "--n", "10", "--config", str(config)]) == 1
+            assert_one_line_error(capsys)
 
     def test_solver_failure_exits_2_and_records_error(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -119,6 +206,23 @@ class TestSweep:
         row = read_csv(out)[0]
         assert row["error"] != ""
         assert row["s_model_mbps"] == ""
+
+    def test_compare_solver_failure_prints_reason(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def fail(lam, n, params):
+            raise ConvergenceError("no sign change")
+
+        monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--n", "2", "--lambda-grid", "40",
+                     "--replications", "1", "--duration-us", "1e5",
+                     "--warmup-us", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            "ERROR n=2 lambda=40 pkt/s: no convergence: no sign change\n")
+        row = read_csv(out)[0]
+        assert (row["s_model_mbps"], row["band_mbps"],
+                row["inside_band"]) == ("", "", "error")
+        assert float(row["s_sim_mbps"]) > 0
 
     def test_with_sim_fills_columns(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -272,6 +272,9 @@ class TestAggregation:
             assert getattr(result, field) == sum(
                 getattr(r, field) for r in reps), field
         assert result.collision_participations >= 2 * result.collisions > 0
+        # sim_time / virtual_slots is then the exact mean virtual slot.
+        assert result.sim_time == math.fsum(r.end_time for r in reps)
+        assert result.sim_time >= 3 * cfg.sim_duration
 
     def test_throughput_matches_counters(self, params):
         cfg = cfg_for(params, 5, 8e-5, duration=1e6, warmup=2e5)
