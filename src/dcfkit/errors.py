@@ -9,11 +9,10 @@ class ConvergenceError(RuntimeError):
     """Raised when the bracketed solve for tau fails.
 
     That is, tau - map(tau) does not change sign on the bracket, is NaN,
-    or the root finder stops short of convergence; in the latter case the error
-    carries the last iterate and its residual.
+    or the root finder stops short of convergence; in the latter case
+    .solution holds the last iterate, and .solution.residual its residual.
     """
 
-    def __init__(self, message, solution=None, residual=None):
+    def __init__(self, message, solution=None):
         super().__init__(message)
         self.solution = solution
-        self.residual = residual

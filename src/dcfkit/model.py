@@ -16,15 +16,16 @@ import sys
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, ParameterError
-from .params import PhyMacParams, _geom_sums, derive_times
+from .params import PhyMacParams, derive_times
 
-# Root bracket for tau. Brent's tolerance is relative only, so the small
-# tau of light load keeps full precision: rtol is 4 eps, the floor scipy's
-# brentq sets for a relative tolerance, and xtol sits far below the
-# bracket's lower end.
-_BRACKET = (1e-15, 1.0 - 1e-12)
+# Root bracket for tau. For any lam > 0 the map is positive at 0, so the
+# residual is negative there. Brent's tolerance is relative only, so the
+# small tau of light load keeps full precision: rtol is 4 eps, the floor
+# scipy's brentq sets for a relative tolerance, and xtol is a subnormal, so
+# a root near 1e-305 is not rounded to 0.
+_BRACKET = (0.0, 1.0 - 1e-12)
 _RTOL = 4.0 * sys.float_info.epsilon
-_XTOL = 1e-300
+_XTOL = 1e-320
 
 
 @dataclass(frozen=True)
@@ -49,28 +50,43 @@ class FixedPointSolution:
     converged: bool
 
 
+def _geom_sums(p, w0, m):
+    """The stage sums gamma = sum (2p)^i and epsilon = sum p^i over stages
+    0..m, and the slot weights theta, alpha = (gamma * w0 -/+ epsilon) / 2.
+    """
+    # Term-by-term summation: no ratio form, so p = 1/2 and p = 1 need no
+    # special-casing and alpha - theta == epsilon holds by construction.
+    gamma = 1.0
+    epsilon = 1.0
+    term_g = 1.0
+    term_e = 1.0
+    for _ in range(m):
+        term_g = term_g * (2.0 * p)
+        term_e = term_e * p
+        gamma = gamma + term_g
+        epsilon = epsilon + term_e
+    half_w = 0.5 * (w0 * gamma)
+    half_e = 0.5 * epsilon
+    return gamma, epsilon, half_w - half_e, half_w + half_e
+
+
 def _slot_kernel(tau, n, times, params):
-    # Collision probability, the mean transmission and backoff slot
-    # durations seen by one station (a backoff slot is sigma when nobody
-    # else transmits), and the stage sums gamma, epsilon, theta, alpha at
-    # tau. Written with operators only, so the numpy arrays of tau that
-    # tests/test_regime.py and tests/test_properties.py pass flow through;
-    # the package itself passes floats.
+    # The backoff chain at tau: the collision probability p, the mean
+    # transmission and backoff slot durations seen by one station (a
+    # backoff slot is sigma when nobody else transmits), the stage sums
+    # epsilon and alpha, the mean access delay t_a (the backoff countdown
+    # averaged over the stage-visit distribution) and the mean duration t_i
+    # of a slot spent parked in the idle state. Written with operators
+    # only, so the numpy arrays of tau that tests/test_regime.py and
+    # tests/test_properties.py pass flow through; the package itself
+    # passes floats.
     p = 1.0 - (1.0 - tau) ** (n - 1)
     t_tx = (1.0 - p) * times.t_s + p * times.t_c
     t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
     gamma, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
-    return p, t_tx, t_bo, gamma, epsilon, theta, alpha
-
-
-def _access_and_idle_times(t_tx, t_bo, gamma, epsilon, theta, alpha, w0):
-    # The mean access delay t_a, the backoff countdown averaged over the
-    # stage-visit distribution, and the mean duration t_i of a slot spent
-    # parked in the idle state, from the stage sums at p. The sums come one
-    # by one because packing them made the map 15-25% slower.
-    t_a = (w0 / (2.0 * epsilon)) * gamma * t_bo
+    t_a = (params.w0 / (2.0 * epsilon)) * gamma * t_bo
     t_i = (epsilon * t_tx + theta * t_bo) / alpha
-    return t_a, t_i
+    return p, t_tx, t_bo, epsilon, alpha, t_a, t_i
 
 
 def queue_empty_probability(rho: float, k: int) -> float:
@@ -102,10 +118,7 @@ def queue_empty_probability(rho: float, k: int) -> float:
 def _s_of_tau(tau, n, times, params):
     # Closed throughput form in tau alone; the numpy arrays of tau that
     # tests/test_regime.py and tests/test_properties.py pass flow through.
-    _, t_tx, t_bo, gamma, epsilon, theta, alpha = _slot_kernel(tau, n, times,
-                                                               params)
-    t_i = _access_and_idle_times(t_tx, t_bo, gamma, epsilon, theta, alpha,
-                                 params.w0)[1]
+    t_i = _slot_kernel(tau, n, times, params)[-1]
     return n * tau * (1.0 - tau) ** (n - 1) * params.payload_bits / t_i
 
 
@@ -121,10 +134,8 @@ def throughput_tau_form(tau: float, n: int, params: PhyMacParams) -> float:
 def _state_at(tau, lam, n, times, params):
     """One application of the fixed-point map; returns tau_next and the
     intermediate quantities at the input tau."""
-    p, t_tx, t_bo, gamma, epsilon, theta, alpha = _slot_kernel(tau, n, times,
-                                                               params)
-    t_a, t_i = _access_and_idle_times(t_tx, t_bo, gamma, epsilon, theta,
-                                      alpha, params.w0)
+    p, t_tx, t_bo, epsilon, alpha, t_a, t_i = _slot_kernel(tau, n, times,
+                                                           params)
     t_service = t_a + t_tx
     rho = lam * t_service
     q = 1.0 - queue_empty_probability(rho, params.queue_capacity_k)
@@ -138,31 +149,33 @@ def _assemble(tau, lam, n, times, params, iterations):
     tau_next, st = _state_at(tau, lam, n, times, params)
     p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00 = st
     # b00 normalises the chain, so b_idle + alpha * b00 = 1, and the chain's
-    # slots sum to alpha * t_i: the average slot is just t_i.
+    # slots sum to alpha * t_i: the average slot is just t_i. A root of 0
+    # (rates below about 1e-304 pkt/s, where 1 / p_i0 overflows and map(0)
+    # is 0) has no relative residual, so it gets the absolute one.
     return FixedPointSolution(
         tau=tau, p=p, b00=b00, b_idle=(1.0 - q) * b00 / p_i0, t_tx=t_tx,
         t_bo=t_bo, t_i=t_i, t_a=t_a, t_service=t_service, rho=rho, q=q,
         p_i0=p_i0, throughput=_s_of_tau(tau, n, times, params),
-        residual=abs(tau_next - tau) / tau, iterations=iterations,
-        converged=True)
+        residual=abs(tau_next - tau) / tau if tau else tau_next,
+        iterations=iterations, converged=True)
 
 
 def _zero_load_solution(n, params, times):
     # lam = 0 pins the station in the idle state: tau = 0 and S = 0.
-    p, t_tx, t_bo, *sums = _slot_kernel(0.0, n, times, params)
-    t_a, t_i = _access_and_idle_times(t_tx, t_bo, *sums, params.w0)
+    p, t_tx, t_bo, _, _, t_a, t_i = _slot_kernel(0.0, n, times, params)
     return FixedPointSolution(
         tau=0.0, p=p, b00=0.0, b_idle=1.0, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
         t_a=t_a, t_service=t_a + t_tx, rho=0.0, q=0.0, p_i0=0.0,
         throughput=0.0, residual=0.0, iterations=0, converged=True)
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+def _brentq(f, xa, xb, maxiter=100):
     """Brent's root finder, step for step the one in scipy's brentq.c.
 
-    Returns (root, calls, converged): calls counts the evaluations of f,
-    and converged is False when maxiter steps ran out. Raises
-    ConvergenceError when f is NaN or has one sign on [xa, xb].
+    The tolerances are _XTOL and _RTOL. Returns (root, calls, converged):
+    calls counts the evaluations of f, and converged is False when maxiter
+    steps ran out. Raises ConvergenceError when f is NaN or has one sign on
+    [xa, xb].
     """
     def call(x):
         fx = f(x)
@@ -188,7 +201,7 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, calls, True
@@ -235,13 +248,13 @@ def solve_fixed_point(lam: float, n: int,
     def g(t):
         return t - _state_at(t, lam, n, times, params)[0]
 
-    tau, calls, converged = _brentq(g, *_BRACKET, xtol=_XTOL, rtol=_RTOL)
+    tau, calls, converged = _brentq(g, *_BRACKET)
     sol = _assemble(tau, lam, n, times, params, calls)
     if not converged:
         raise ConvergenceError(
             f"fixed point not reached in {calls} map calls "
             f"(residual {sol.residual:.3e})",
-            solution=replace(sol, converged=False), residual=sol.residual)
+            solution=replace(sol, converged=False))
     return sol
 
 

@@ -156,8 +156,6 @@ class DerivedTimes:
 
     t_s: float
     t_c: float
-    t_plcp: float
-    t_ack: float
 
 
 def derive_times(params: PhyMacParams) -> DerivedTimes:
@@ -173,24 +171,5 @@ def derive_times(params: PhyMacParams) -> DerivedTimes:
     t_s = (t_plcp + t_frame + params.sifs + params.prop_delta + t_ack
            + params.difs + params.prop_delta)
     t_c = t_plcp + t_frame + params.prop_delta + params.eifs
-    return DerivedTimes(t_s=t_s, t_c=t_c, t_plcp=t_plcp, t_ack=t_ack)
+    return DerivedTimes(t_s=t_s, t_c=t_c)
 
-
-def _geom_sums(p, w0, m):
-    """The stage sums gamma = sum (2p)^i and epsilon = sum p^i over stages
-    0..m, and the slot weights theta, alpha = (gamma * w0 -/+ epsilon) / 2.
-    """
-    # Term-by-term summation: no ratio form, so p = 1/2 and p = 1 need no
-    # special-casing and alpha - theta == epsilon holds by construction.
-    gamma = 1.0
-    epsilon = 1.0
-    term_g = 1.0
-    term_e = 1.0
-    for _ in range(m):
-        term_g = term_g * (2.0 * p)
-        term_e = term_e * p
-        gamma = gamma + term_g
-        epsilon = epsilon + term_e
-    half_w = 0.5 * (w0 * gamma)
-    half_e = 0.5 * epsilon
-    return gamma, epsilon, half_w - half_e, half_w + half_e

