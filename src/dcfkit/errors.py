@@ -9,7 +9,8 @@ class ConvergenceError(RuntimeError):
     """Raised when the bracketed solve for tau fails.
 
     That is, tau - map(tau) does not change sign on the bracket, is NaN,
-    or the root finder stops short of convergence; in the latter case
+    or the root finder stops short of convergence. This error is the only
+    sign of the last case: every solution returned has converged. Then
     .solution holds the last iterate, and .solution.residual its residual.
     """
 

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConvergenceError, ParameterError
 from .params import PhyMacParams, derive_times
 
 # Root bracket for tau. For any lam > 0 the map is positive at 0, so the
-# residual is negative there. Brent's tolerance is relative only, so the
-# small tau of light load keeps full precision: rtol is 4 eps, the floor
-# scipy's brentq sets for a relative tolerance, and xtol is a subnormal, so
-# a root near 1e-305 is not rounded to 0.
+# residual is negative there; at lam = 0 it is 0, a root at the bracket's
+# end. Brent's tolerance is relative only, so the small tau of light load
+# keeps full precision: rtol is 4 eps, the floor scipy's brentq sets for a
+# relative tolerance, and xtol is a subnormal, so a root near 1e-305 is not
+# rounded to 0.
 _BRACKET = (0.0, 1.0 - 1e-12)
 _RTOL = 4.0 * sys.float_info.epsilon
 _XTOL = 1e-320
@@ -47,7 +48,6 @@ class FixedPointSolution:
     throughput: float
     residual: float
     iterations: int
-    converged: bool
 
 
 def _geom_sums(p, w0, m):
@@ -100,12 +100,8 @@ def queue_empty_probability(rho: float, k: int) -> float:
         raise ValueError(f"rho must be >= 0, got {rho}")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    if rho == 0.0:
-        return 1.0
     if rho == 1.0:
         return 1.0 / (k + 1)
-    if math.isinf(rho):
-        return 0.0
     x = rho - 1.0
     if x == -1.0:  # rho below double epsilon; higher powers are negligible
         return 1.0 - rho
@@ -140,33 +136,30 @@ def _state_at(tau, lam, n, times, params):
     rho = lam * t_service
     q = 1.0 - queue_empty_probability(rho, params.queue_capacity_k)
     p_i0 = -math.expm1(-lam * t_i)
-    b00 = 1.0 / (alpha + (1.0 - q) / p_i0)
+    # The chain's normalisation b_idle + alpha * b00 = 1, with
+    # p_i0 * b_idle = (1 - q) * b00, over one denominator: it stays positive
+    # where p_i0 is 0 (lam = 0, or lam * t_i underflowing), where q is 0.
+    d = alpha * p_i0 + (1.0 - q)
+    b00 = p_i0 / d
+    b_idle = (1.0 - q) / d
     tau_next = epsilon * b00
-    return tau_next, (p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00)
+    return tau_next, (p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00,
+                      b_idle)
 
 
 def _assemble(tau, lam, n, times, params, iterations):
     tau_next, st = _state_at(tau, lam, n, times, params)
-    p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00 = st
-    # b00 normalises the chain, so b_idle + alpha * b00 = 1, and the chain's
-    # slots sum to alpha * t_i: the average slot is just t_i. A root of 0
-    # (rates below about 1e-304 pkt/s, where 1 / p_i0 overflows and map(0)
-    # is 0) has no relative residual, so it gets the absolute one.
+    p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00, b_idle = st
+    # The chain's slots sum to alpha * t_i, so the average slot is just t_i.
+    # A root of 0 (lam = 0, or a rate so small, from about 1e-317 pkt/s,
+    # that the root falls below _XTOL) has no relative residual, so it gets
+    # the absolute one.
     return FixedPointSolution(
-        tau=tau, p=p, b00=b00, b_idle=(1.0 - q) * b00 / p_i0, t_tx=t_tx,
-        t_bo=t_bo, t_i=t_i, t_a=t_a, t_service=t_service, rho=rho, q=q,
-        p_i0=p_i0, throughput=_s_of_tau(tau, n, times, params),
+        tau=tau, p=p, b00=b00, b_idle=b_idle, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
+        t_a=t_a, t_service=t_service, rho=rho, q=q, p_i0=p_i0,
+        throughput=_s_of_tau(tau, n, times, params),
         residual=abs(tau_next - tau) / tau if tau else tau_next,
-        iterations=iterations, converged=True)
-
-
-def _zero_load_solution(n, params, times):
-    # lam = 0 pins the station in the idle state: tau = 0 and S = 0.
-    p, t_tx, t_bo, _, _, t_a, t_i = _slot_kernel(0.0, n, times, params)
-    return FixedPointSolution(
-        tau=0.0, p=p, b00=0.0, b_idle=1.0, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
-        t_a=t_a, t_service=t_a + t_tx, rho=0.0, q=0.0, p_i0=0.0,
-        throughput=0.0, residual=0.0, iterations=0, converged=True)
+        iterations=iterations)
 
 
 def _brentq(f, xa, xb, maxiter=100):
@@ -230,20 +223,19 @@ def solve_fixed_point(lam: float, n: int,
                       params: PhyMacParams) -> FixedPointSolution:
     """Solve the coupled tau equation at per-station arrival rate lam.
 
-    lam is in packets per microsecond. lam = 0 returns the exact idle
-    solution; lam = inf is the saturated operating point. Otherwise the
-    root of g(tau) = tau - map(tau), negative near 0 and positive near 1,
-    is found by Brent's method on that bracket; iterations counts the map
-    evaluations. Raises ConvergenceError when g does not change sign on
-    the bracket, is NaN, or the solve does not converge.
+    lam is in packets per microsecond; lam = inf is the saturated operating
+    point. For every lam the root of g(tau) = tau - map(tau) is found by
+    Brent's method on the bracket (0, 1): g is positive near 1 and negative
+    near 0, or 0 at tau = 0 when lam = 0, so the idle solution comes back
+    after 2 map calls. iterations counts the map evaluations. Raises
+    ConvergenceError when g does not change sign on the bracket, is NaN,
+    or the solve does not converge.
     """
     if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
     if n < 1:
         raise ParameterError("n must be >= 1")
     times = derive_times(params)
-    if lam == 0.0:
-        return _zero_load_solution(n, params, times)
 
     def g(t):
         return t - _state_at(t, lam, n, times, params)[0]
@@ -253,8 +245,7 @@ def solve_fixed_point(lam: float, n: int,
     if not converged:
         raise ConvergenceError(
             f"fixed point not reached in {calls} map calls "
-            f"(residual {sol.residual:.3e})",
-            solution=replace(sol, converged=False))
+            f"(residual {sol.residual:.3e})", solution=sol)
     return sol
 
 

@@ -175,10 +175,10 @@ class TestSweep:
 
     def test_tiny_rates_solve_on_the_linear_law(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--n", "10", "--lambda-grid", "0,1e-300,1e-12",
-                     "--out", str(out)]) == 0
+        assert main(["sweep", "--n", "10", "--lambda-grid",
+                     "0,1e-300,1e-306,1e-12", "--out", str(out)]) == 0
         rows = read_csv(out)
-        assert len(rows) == 3
+        assert len(rows) == 4
         for row in rows:
             assert row["error"] == ""
             assert row["s_model_mbps"] == row["s_linear_mbps"]

@@ -132,7 +132,9 @@ class TestSolveFixedPoint:
         assert sol.b_idle == 1.0
         assert sol.q == 0.0
         assert sol.residual == 0.0
-        assert sol.converged
+        # lam = 0 takes the shared Brent solve: g(0) = 0 ends it at the
+        # bracket's lower end after its first two map calls.
+        assert sol.iterations == 2
 
     def test_light_load_reference_point(self, params):
         # 50 pkt/s per station, 10 stations: the model sits on the linear
@@ -143,7 +145,7 @@ class TestSolveFixedPoint:
         assert sol.rho < 0.1
 
     def test_solution_identities(self, params):
-        for lam_pkt_s in (10.0, 50.0, 90.0, 200.0):
+        for lam_pkt_s in (0.0, 1e-306, 10.0, 50.0, 90.0, 200.0):
             for n in (5, 10, 20):
                 sol = solve_fixed_point(lam_pkt_s * 1e-6, n, params)
                 _, epsilon, _, alpha = _geom_sums(sol.p, params.w0, params.m)
@@ -234,13 +236,13 @@ class TestSolveFixedPoint:
                            match="not reached in 102 map calls") as info:
             solve_fixed_point(90e-6, 10, params)
         sol = info.value.solution
-        assert sol is not None and not sol.converged
+        assert sol is not None
         assert sol.iterations == 102
         assert sol.residual > 0.0
         assert sol.tau == pytest.approx(1e-9, rel=0.1)
 
     @pytest.mark.parametrize("n", [1, 10, 100])
-    @pytest.mark.parametrize("lam_pkt_s", [1e-12, 1e-100, 1e-300])
+    @pytest.mark.parametrize("lam_pkt_s", [1e-12, 1e-100, 1e-300, 1e-306])
     def test_tiny_rates_follow_the_linear_law(self, params, n, lam_pkt_s):
         # tau falls far below 1e-15 here; the bracket starts at 0 and the
         # absolute tolerance is a subnormal, so the root keeps its digits.
@@ -250,12 +252,26 @@ class TestSolveFixedPoint:
         linear = linear_throughput(lam, n, params)
         assert abs(sol.throughput - linear) <= 1e-12 * linear
 
-    def test_rate_below_the_float_range_reads_zero(self, params):
-        # 1/p_i0 overflows below about 1e-304 pkt/s, so map(0) is 0 and
-        # so is the root; its residual is the absolute one.
-        sol = solve_fixed_point(1e-306 * 1e-6, 10, params)
-        assert (sol.tau, sol.throughput, sol.residual) == (0.0, 0.0, 0.0)
-        assert sol.converged
+    def test_root_below_xtol_reads_zero_in_a_normalised_chain(self, params):
+        # At 1e-317 pkt/s the root lies below _XTOL, so Brent stops at 0;
+        # the chain there is all idle and its residual is the absolute one.
+        sol = solve_fixed_point(1e-317 * 1e-6, 10, params)
+        alpha = _geom_sums(sol.p, params.w0, params.m)[3]
+        assert (sol.tau, sol.throughput) == (0.0, 0.0)
+        assert sol.b_idle == 1.0
+        assert alpha * sol.b00 + sol.b_idle == 1.0
+        assert sol.residual <= _XTOL
+
+    def test_underflowing_idle_exit_probability_solves(self, params):
+        # Durations so short that lam * t_i underflows and p_i0 is 0 at a
+        # rate far above the float floor: the chain stays normalised.
+        tiny = dataclasses.replace(
+            params, data_rate=1e300, basic_rate=1e300, sifs=1e-300,
+            difs=1e-300, eifs=1e-300, slot_sigma=1e-300, prop_delta=0.0)
+        sol = solve_fixed_point(1e-30, 10, tiny)
+        assert sol.p_i0 == 0.0
+        assert sol.b_idle == 1.0
+        assert (sol.tau, sol.throughput) == (0.0, 0.0)
 
     def test_domain(self, params):
         with pytest.raises(ValueError):

@@ -73,8 +73,8 @@ def networks(draw):
     return draw(st.integers(min_value=1, max_value=200)), params
 
 
-# Per-station arrival rates from 1e-294 to 100 000 pkt/s, plus saturation.
-rates = st.one_of(st.floats(min_value=-300.0, max_value=-1.0).map(
+# Per-station arrival rates from 1e-317 to 100 000 pkt/s, plus saturation.
+rates = st.one_of(st.floats(min_value=-323.0, max_value=-1.0).map(
     lambda e: 10.0 ** e), st.just(math.inf))
 
 # Brent's bracket, sampled geometrically from 1e-15 where light load puts
