@@ -27,6 +27,7 @@ from .params import PhyMacParams, derive_times
 _BRACKET = (0.0, 1.0 - 1e-12)
 _RTOL = 4.0 * sys.float_info.epsilon
 _XTOL = 1e-320
+_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,13 @@ def _assemble(tau, lam, n, times, params, iterations):
         iterations=iterations)
 
 
-def _brentq(f, xa, xb, maxiter=100):
+def _brentq(f, xa, xb):
     """Brent's root finder, step for step the one in scipy's brentq.c.
 
     The tolerances are _XTOL and _RTOL. Returns (root, calls, converged):
-    calls counts the evaluations of f, and converged is False when maxiter
-    steps ran out. Raises ConvergenceError when f is NaN or has one sign on
-    [xa, xb].
+    calls counts the evaluations of f, and converged is False when
+    _MAXITER steps ran out. Raises ConvergenceError when f is NaN or has
+    one sign on [xa, xb].
     """
     def call(x):
         fx = f(x)
@@ -187,7 +188,7 @@ def _brentq(f, xa, xb, maxiter=100):
         raise ConvergenceError(
             f"tau - map(tau) does not change sign on {(xa, xb)}")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre

@@ -7,9 +7,10 @@ decrement once per virtual slot regardless of its duration, matching the
 abstraction used by the analytic model. Arrivals are continuous-time
 Poisson per station but take effect at slot boundaries. A packet reaching
 an idle station always draws a fresh stage-0 backoff; there is no
-immediate-access shortcut. After a collision the window doubles up to
-stage m and then stays at w0 * 2**m until the packet finally gets through
-(packets are never dropped for retry count, only for a full queue).
+immediate-access shortcut. One rule follows every transmission: a success
+resets the stage to 0, a collision doubles the window up to stage m
+(packets are never dropped for retry count, only for a full queue), and
+a station with a backlog then draws a backoff from its stage's window.
 
 The loop is event-driven, so its work per channel event follows the
 transmitters, not the number of stations. One global index counts
@@ -18,9 +19,11 @@ counter c drawn by a fresh arrival at slot vs expires at vs + c, one
 drawn after a transmission at vs + 1 + c. A heap of expiry slots yields
 the transmitters of a slot; a second heap holds the next arrival of each
 idle station. An idle stretch is one jump to the earliest of the next
-expiry, the next idle arrival and the end of the run. A contending
-station's arrivals only change its backlog and drops, so they are taken
-just before its next backoff draw and at the end of the run.
+expiry, the next idle arrival and the end of the run, so every run, one
+at lambda = 0 too, ends at the first virtual-slot boundary at or past
+sim_duration. A contending station's arrivals only change its backlog
+and drops, so they are taken just before its next backoff draw and at
+the end of the run.
 
 Each station draws from its own stdlib random.Random, seeded by the text
 "seed/sid" of the replication seed and its station id: expovariate for
@@ -90,7 +93,7 @@ class ReplicationResult:
     per_station_successes: tuple[int, ...]
     per_station_drops: tuple[int, ...]
     final_queue_lengths: tuple[int, ...]
-    virtual_slots: int  # idle, success and collision slots; 0 if lambda is 0
+    virtual_slots: int  # idle, success and collision slots
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,8 @@ def run_replication(cfg: SimConfig, seed: int,
 
     def admit(st, now, vs):
         # Takes the station's arrivals up to now, in its own draw order. A
-        # packet reaching an empty queue draws a fresh stage-0 backoff.
+        # packet reaching an empty queue draws a fresh stage-0 backoff; the
+        # stage is already 0, since a queue only empties on a success.
         na, rng = st.next_arrival, st.rng
         while na <= now:
             st.arrivals += 1
@@ -178,12 +182,10 @@ def run_replication(cfg: SimConfig, seed: int,
                 if events is not None:
                     events.append((na, "arrival", st.sid, st.backlog))
                 if st.backlog == 1:
-                    st.stage = 0
                     heappush(expiry, (vs + rng.randrange(w0), st.sid))
             na += rng.expovariate(lam)
         st.next_arrival = na
 
-    successes = 0
     measured = 0
     collisions = 0
     participations = 0
@@ -198,49 +200,42 @@ def run_replication(cfg: SimConfig, seed: int,
         txs = []
         while expiry and expiry[0][0] == vs:
             txs.append(stations[heappop(expiry)[1]])
-        if len(txs) == 1:
-            st = txs[0]
-            admit(st, now, vs)
-            if now >= warmup:
-                measured += 1
-            successes += 1
-            st.successes += 1
-            st.backlog -= 1
-            if events is not None:
-                events.append((now, "success", st.sid, st.backlog))
-            if st.backlog:
-                st.stage = 0
-                heappush(expiry, (vs + 1 + st.rng.randrange(w0), st.sid))
-            else:
-                heappush(idle, (st.next_arrival, st.sid))
-            now += t_s
-            vs += 1
-        elif txs:
-            collisions += 1
-            participations += len(txs)
+        if txs:
+            success = len(txs) == 1
+            kind = "success" if success else "collision"
             for st in txs:
                 admit(st, now, vs)
-                if st.stage < m_stages:
+                if success:
+                    st.successes += 1
+                    st.backlog -= 1
+                    st.stage = 0
+                elif st.stage < m_stages:
                     st.stage += 1
-                heappush(expiry, (
-                    vs + 1 + st.rng.randrange(w0 << st.stage), st.sid))
                 if events is not None:
-                    events.append((now, "collision", st.sid, st.backlog))
-            now += t_c
+                    events.append((now, kind, st.sid, st.backlog))
+                if st.backlog:
+                    heappush(expiry, (
+                        vs + 1 + st.rng.randrange(w0 << st.stage), st.sid))
+                else:
+                    heappush(idle, (st.next_arrival, st.sid))
+            if success:
+                if now >= warmup:
+                    measured += 1
+                now += t_s
+            else:
+                collisions += 1
+                participations += len(txs)
+                now += t_c
             vs += 1
         else:
             # Idle stretch: jump to the next slot where a backoff expires,
             # an idle station can receive its next packet, or the run ends.
-            # Both ceilings are >= 1: idle arrivals and the end lie past now.
-            jump = expiry[0][0] - vs if expiry else -1
+            # Each ceiling is >= 1: idle arrivals and the end lie past now.
+            jump = math.ceil((duration - now) / sigma)
+            if expiry:
+                jump = min(jump, expiry[0][0] - vs)
             if idle:
-                j_arr = int(math.ceil((idle[0][0] - now) / sigma))
-                if jump < 0 or j_arr < jump:
-                    jump = j_arr
-            if jump < 0:
-                now = duration  # nothing pending and no arrivals ever
-                break
-            jump = min(jump, int(math.ceil((duration - now) / sigma)))
+                jump = min(jump, math.ceil((idle[0][0] - now) / sigma))
             now += jump * sigma
             vs += jump
 
@@ -253,7 +248,7 @@ def run_replication(cfg: SimConfig, seed: int,
     return ReplicationResult(
         throughput=throughput,
         end_time=now,
-        successes=successes,
+        successes=sum(st.successes for st in stations),
         measured_successes=measured,
         collisions=collisions,
         collision_participations=participations,

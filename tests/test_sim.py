@@ -308,11 +308,20 @@ class TestProperties:
         assert rep.drops == sum(rep.per_station_drops)
         assert rep.measured_successes <= rep.successes
         assert rep.collision_participations >= 2 * rep.collisions
+        # Every run, lambda = 0 too, is a whole number of virtual slots
+        # ending at the first slot boundary at or past sim_duration.
+        t = derive_times(p)
+        idle = rep.virtual_slots - rep.successes - rep.collisions
+        assert rep.end_time == pytest.approx(
+            idle * p.slot_sigma + rep.successes * t.t_s
+            + rep.collisions * t.t_c, rel=1e-12)
+        assert (cfg.sim_duration <= rep.end_time
+                < cfg.sim_duration + max(p.slot_sigma, t.t_s, t.t_c))
         assert run_replication(cfg, seed) == rep
 
 
 class TestVirtualSlots:
-    @pytest.mark.parametrize("name", sorted(set(_PINNED) - {"zero-rate"}))
+    @pytest.mark.parametrize("name", sorted(_PINNED))
     def test_end_time_from_slot_counts(self, params, name):
         n, lam, duration, warmup, seed, tiny, _ = _PINNED[name]
         p = tiny_window(params) if tiny else params
@@ -324,10 +333,6 @@ class TestVirtualSlots:
         want = (idle * p.slot_sigma + rep.successes * t.t_s
                 + rep.collisions * t.t_c)
         assert rep.end_time == pytest.approx(want, rel=1e-12)
-
-    def test_zero_rate_has_no_slots(self, params):
-        cfg = cfg_for(params, 5, 0.0, duration=1e6, warmup=0.0)
-        assert run_replication(cfg, 3).virtual_slots == 0
 
 
 class TestTrace:
@@ -346,6 +351,8 @@ class TestTrace:
                    for r in rows)
         n_success = sum(1 for r in rows if r["event"] == "success")
         assert n_success == rep.successes
+        n_collision = sum(1 for r in rows if r["event"] == "collision")
+        assert n_collision == rep.collision_participations
 
     def test_collision_ties_in_station_order(self, params, tmp_path):
         # Rows sharing a timestamp (the stations of one collision) come out
