@@ -7,7 +7,7 @@ slot-accurate simulator for validation.
 
 from .errors import ConvergenceError, ParameterError
 from .model import (FixedPointSolution, queue_empty_probability,
-                    solve_fixed_point, solve_saturated, throughput_tau_form)
+                    solve_fixed_point, throughput_tau_form)
 from .params import (PROFILES, DerivedTimes, PhyMacParams, derive_times,
                      get_profile, load_params)
 from .regime import (RegimeReport, critical_lambda, linear_throughput,
@@ -21,8 +21,8 @@ __all__ = [
     "ConvergenceError", "ParameterError",
     "PhyMacParams", "DerivedTimes", "PROFILES",
     "derive_times", "get_profile", "load_params",
-    "FixedPointSolution", "solve_fixed_point", "solve_saturated",
-    "throughput_tau_form", "queue_empty_probability",
+    "FixedPointSolution", "solve_fixed_point", "throughput_tau_form",
+    "queue_empty_probability",
     "RegimeReport", "max_throughput", "linear_throughput", "critical_lambda",
     "SimConfig", "SimResult", "ReplicationResult", "run_replication",
     "run_simulation",

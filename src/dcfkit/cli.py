@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError
 from .model import FixedPointSolution, solve_fixed_point
-from .params import (PROFILES, PhyMacParams, _check_number_fields,
-                     get_profile, load_params)
+from .params import PROFILES, PhyMacParams, get_profile, load_params
 from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import SimConfig, SimResult, run
 
@@ -32,6 +30,10 @@ _PKT_S_TO_PKT_US = 1e-6
 _AUTO_GRID_POINTS = 25
 _AUTO_GRID_SPAN = (0.01, 5.0)  # multiples of lambda_c
 _CONFIG_KEYS = {"profile", "params", "lambda_grid", "with_simulation", "sim"}
+# The config's sim keys, which are also the flags' dests, and the SimConfig
+# field each one sets.
+_SIM_FIELDS = {"replications": "replications", "base_seed": "base_seed",
+               "duration_us": "sim_duration", "warmup_us": "warmup"}
 
 
 class UsageError(Exception):
@@ -41,26 +43,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    replications: int = 5
-    base_seed: int = 12345
-    duration_us: float = 5e6
-    warmup_us: float = 5e5
-
-    def __post_init__(self):
-        # A sweep offsets base_seed per point before SimConfig sees it, and
-        # True + 0 is the integer 1, so config values are checked here.
-        _check_number_fields(self)
-
-
-def _sim_config(params, n, lam, sim: SimSettings,
-                base_seed: int) -> SimConfig:
-    return SimConfig(n_stations=n, lambda_per_station=lam, params=params,
-                     sim_duration=sim.duration_us, warmup=sim.warmup_us,
-                     replications=sim.replications, base_seed=base_seed)
 
 
 @dataclass(frozen=True)
@@ -151,11 +133,11 @@ def _load_config(path) -> dict:
     return data
 
 
-def _config_section(config, name, cls) -> dict:
+def _config_section(config, name, keys) -> dict:
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise UsageError(f"config {name!r} must be an object")
-    bad = set(section) - set(cls.__dataclass_fields__)
+    bad = set(section) - set(keys)
     if bad:
         raise UsageError(f"unknown keys in config {name!r}: {sorted(bad)}")
     return section
@@ -169,17 +151,23 @@ def _resolve_params(profile_flag, config) -> PhyMacParams:
         base = load_params(name)
     else:
         raise UsageError(f"unknown profile or missing file: {name!r}")
-    return dataclasses.replace(base,
-                               **_config_section(config, "params", PhyMacParams))
+    return replace(base, **_config_section(
+        config, "params", PhyMacParams.__dataclass_fields__))
 
 
-def _resolve_sim(args, config) -> SimSettings:
-    merged = dict(_config_section(config, "sim", SimSettings))
-    for key in SimSettings.__dataclass_fields__:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return SimSettings(**merged)
+def _resolve_sim(args, config, params) -> SimConfig:
+    """Flags over the config's sim section over SimConfig's defaults.
+
+    The point (n 1, lambda 0) is a placeholder each run replaces. SimConfig
+    checks the raw values here, before a sweep offsets base_seed per point,
+    where True + 0 would become the integer 1.
+    """
+    merged = dict(_config_section(config, "sim", _SIM_FIELDS))
+    for key in _SIM_FIELDS:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    return SimConfig(n_stations=1, lambda_per_station=0.0, params=params,
+                     **{_SIM_FIELDS[key]: v for key, v in merged.items()})
 
 
 def _parse_n_list(text) -> tuple[int, ...]:
@@ -272,8 +260,9 @@ def _sweep_points(params, n_list, grid, sim) -> list[CurvePoint]:
                 fixed_point = solve_fixed_point(lam, n, params)
             except ConvergenceError as exc:
                 error = f"no convergence: {exc}"
-            result = None if sim is None else run(_sim_config(
-                params, n, lam, sim, sim.base_seed + 10_000 * len(points)))
+            result = None if sim is None else run(replace(
+                sim, n_stations=n, lambda_per_station=lam,
+                base_seed=sim.base_seed + 10_000 * len(points)))
             points.append(CurvePoint(
                 n=n, lambda_pkt_s=lam_pkt_s, report=report,
                 s_linear=linear_throughput(lam, n, params),
@@ -353,10 +342,8 @@ def cmd_compare(points: list[CurvePoint], out=None) -> int:
     return 3 if "no" in verdicts else 0
 
 
-def cmd_sim(params, n, lam_pkt_s, sim: SimSettings, out=None,
-            trace=None) -> int:
-    result = run(_sim_config(params, n, lam_pkt_s * _PKT_S_TO_PKT_US, sim,
-                             sim.base_seed), trace_dir=trace)
+def cmd_sim(sim: SimConfig, out=None, trace=None) -> int:
+    result = run(sim, trace_dir=trace)
     ci = _ci95(result)
     ci = "one replication: no CI" if ci is None else f"95% CI +/- {ci:.4f}"
     print(f"throughput {result.mean_throughput:.4f} Mbps ({ci}), "
@@ -378,13 +365,10 @@ def main(argv=None) -> int:
             return cmd_table1(params, _parse_n_list(args.n), out=args.out)
 
         if args.command == "sim":
-            if args.n < 1:
-                raise UsageError("--n must be >= 1")
-            if args.lam < 0:
-                raise UsageError("--lambda must be >= 0")
-            return cmd_sim(params, args.n, args.lam,
-                           _resolve_sim(args, config), out=args.out,
-                           trace=args.trace)
+            sim = replace(_resolve_sim(args, config, params),
+                          n_stations=args.n,
+                          lambda_per_station=args.lam * _PKT_S_TO_PKT_US)
+            return cmd_sim(sim, out=args.out, trace=args.trace)
 
         if args.command == "compare":
             if config.get("with_simulation") is False:
@@ -398,7 +382,8 @@ def main(argv=None) -> int:
                 with_sim = config.get("with_simulation", False)
         n_list = _parse_n_list(args.n)
         grid = _parse_grid(args.lambda_grid, config)
-        sim = _resolve_sim(args, config)  # bad sections exit 1 even when off
+        # A bad sim section exits 1 even when no simulation runs.
+        sim = _resolve_sim(args, config, params)
         return cmd(_sweep_points(params, n_list, grid,
                                  sim if with_sim else None), out=args.out)
     # ParameterError is a ValueError; OSError covers the paths the user gave.

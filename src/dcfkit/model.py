@@ -225,10 +225,11 @@ def solve_fixed_point(lam: float, n: int,
     """Solve the coupled tau equation at per-station arrival rate lam.
 
     lam is in packets per microsecond; lam = inf is the saturated operating
-    point. For every lam the root of g(tau) = tau - map(tau) is found by
-    Brent's method on the bracket (0, 1): g is positive near 1 and negative
-    near 0, or 0 at tau = 0 when lam = 0, so the idle solution comes back
-    after 2 map calls. iterations counts the map evaluations. Raises
+    point, where every queue is nonempty: q = 1, p_i0 = 1, b_idle = 0, and
+    the map reduces to tau = epsilon(p) / alpha(p). For every lam the root
+    of g(tau) = tau - map(tau) is found by Brent's method on the bracket
+    (0, 1): g is positive near 1 and negative near 0, or 0 at tau = 0 when
+    lam = 0, so the idle solution comes back after 2 map calls. iterations counts the map evaluations. Raises
     ConvergenceError when g does not change sign on the bracket, is NaN,
     or the solve does not converge.
     """
@@ -248,12 +249,3 @@ def solve_fixed_point(lam: float, n: int,
             f"fixed point not reached in {calls} map calls "
             f"(residual {sol.residual:.3e})", solution=sol)
     return sol
-
-
-def solve_saturated(n: int, params: PhyMacParams) -> FixedPointSolution:
-    """Solve the always-backlogged limit where every queue is nonempty.
-
-    This is solve_fixed_point at lam = inf: q = 1, p_i0 = 1, b_idle = 0,
-    and the map reduces to tau = epsilon(p) / alpha(p).
-    """
-    return solve_fixed_point(math.inf, n, params)

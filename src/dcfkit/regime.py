@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .model import _s_of_tau, solve_saturated
+from .model import _s_of_tau, solve_fixed_point
 from .params import PhyMacParams, derive_times
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -65,7 +65,7 @@ def max_throughput(n: int, params: PhyMacParams) -> tuple[float, float]:
     if n < 1:
         raise ParameterError("n must be >= 1")
     times = derive_times(params)
-    sat = solve_saturated(n, params)
+    sat = solve_fixed_point(math.inf, n, params)
     tau, s = _golden_section(lambda t: _s_of_tau(t, n, times, params),
                              0.0, sat.tau, _GSS_TOL)
     if sat.throughput >= s:

@@ -42,7 +42,6 @@ import os
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from statistics import fmean
 
 from .errors import ParameterError
 from .model import _brentq
@@ -51,14 +50,14 @@ from .params import PhyMacParams, _check_number_fields, derive_times
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation scenario."""
+    """One simulation scenario; the CLI's settings default to these."""
 
     n_stations: int
     lambda_per_station: float  # packets/us
     params: PhyMacParams
-    sim_duration: float = 5e7  # us
-    warmup: float = 1e6  # us, excluded from throughput measurement
-    replications: int = 10
+    sim_duration: float = 5e6  # us
+    warmup: float = 5e5  # us, excluded from throughput measurement
+    replications: int = 5
     base_seed: int = 12345
 
     def __post_init__(self):
@@ -309,7 +308,7 @@ def _ci95_halfwidth(values) -> float:
     n = len(values)
     if n < 2:
         return math.nan
-    mean = fmean(values)
+    mean = math.fsum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     # The Student-t quantile is computed in the package, so a run of any
     # size needs only the standard library.
@@ -332,7 +331,7 @@ def run(cfg: SimConfig, trace_dir=None) -> SimResult:
 
     throughputs = [r.throughput for r in reps]
     return SimResult(
-        mean_throughput=fmean(throughputs),
+        mean_throughput=math.fsum(throughputs) / len(throughputs),
         ci95_halfwidth=_ci95_halfwidth(throughputs),
         per_replication=tuple(throughputs),
         successes=sum(r.successes for r in reps),

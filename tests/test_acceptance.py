@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines;
 each prints CRITERION <n>: PASS/FAIL with the measured numbers either way.
 """
+import math
 import time
 
 import numpy as np
@@ -10,8 +11,7 @@ import pytest
 
 import oracles
 from dcfkit import (SimConfig, critical_lambda, derive_times, get_profile,
-                    queue_empty_probability, solve_fixed_point,
-                    solve_saturated)
+                    queue_empty_probability, solve_fixed_point)
 from dcfkit.cli import main
 from dcfkit.model import _geom_sums, _slot_kernel
 from dcfkit.sim import run
@@ -90,7 +90,7 @@ def test_criterion_04_saturation_tail(p, reports):
     rows = []
     ok = True
     for n in (10, 20, 30):
-        sat = solve_saturated(n, p).throughput
+        sat = solve_fixed_point(math.inf, n, p).throughput
         for factor in (2.0, 3.0, 5.0):
             lam = factor * reports[n].lambda_c
             s = solve_fixed_point(lam, n, p).throughput
@@ -208,7 +208,7 @@ def test_criterion_09_model_inside_simulation_band(p, reports):
 
 def test_criterion_10_single_station_closed_form(p):
     want = oracles.single_station_saturated_throughput()
-    sat = solve_saturated(1, p).throughput
+    sat = solve_fixed_point(math.inf, 1, p).throughput
     unsat = solve_fixed_point(1e-2, 1, p).throughput  # rho approx 10
     cfg = SimConfig(n_stations=1, lambda_per_station=1e-2, params=p,
                     sim_duration=1e7, warmup=1e6, replications=5,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dcfkit
-from dcfkit import ConvergenceError, critical_lambda, solve_saturated
+from dcfkit import ConvergenceError, critical_lambda, solve_fixed_point
 from dcfkit.cli import _parser, build_parser, main
 
 
@@ -83,6 +83,18 @@ _PINNED = {
         "719bb195aaceefe5787951356a254003",
         "98019fa3baedb3e9e80f17ff7940c153"
         "4e8acb97321b07585f609afa1cb96050"),
+    # No settings flags: every setting is SimConfig's default.
+    "sim-defaults": (
+        ["sim", "--n", "2", "--lambda", "40"], 0,
+        "6279e903e459e82e323c8462e7e22fde"
+        "cec0fb22b4bafd3243e1d45c87108f83",
+        "5f4c539080b02cd7856cc6388da4b69d"
+        "e2d60ab8d3715e5553bd07475f0bf1f8"),
+    "sweep-sim-defaults": (
+        ["sweep", "--n", "2", "--lambda-grid", "40", "--with-sim"], 0,
+        _EMPTY,
+        "88ea3e778e2913bcd4fb4830f6579406"
+        "e4078df6373131da890afe2c1b051dfa"),
 }
 
 
@@ -163,7 +175,7 @@ class TestSweep:
         assert main(["sweep", "--n", "30", "--lambda-grid", f"{lam!r}",
                      "--out", str(out)]) == 0
         row = read_csv(out)[0]
-        sat = solve_saturated(30, params).throughput
+        sat = solve_fixed_point(math.inf, 30, params).throughput
         assert float(row["s_model_mbps"]) == pytest.approx(sat, rel=0.02)
         assert row["regime"] == "saturated"
 
@@ -341,6 +353,11 @@ class TestSimCommand:
 
     def test_negative_lambda_exits_1(self, capsys):
         assert main(["sim", "--n", "2", "--lambda", "-4"]) == 1
+        assert "lambda_per_station" in assert_one_line_error(capsys)
+
+    def test_no_station_exits_1(self, capsys):
+        assert main(["sim", "--n", "0", "--lambda", "4"]) == 1
+        assert "n_stations must be >= 1" in assert_one_line_error(capsys)
 
     def test_infinite_duration_exits_1(self, capsys):
         assert main(["sim", "--n", "2", "--lambda", "40",
@@ -391,6 +408,31 @@ class TestConfigHandling:
         assert main(["sweep", "--n", "10", "--lambda-grid", "50",
                      "--config", str(config)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replications, flags", [
+        pytest.param(3, [], id="config-only"),
+        pytest.param(1, ["--replications", "3"], id="flag-wins"),
+    ])
+    def test_sim_section_sets_each_field(self, tmp_path, capsys,
+                                         replications, flags):
+        # The config's sim keys in place of sim-3's flags print sim-3.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sim": {
+            "replications": replications, "duration_us": 3e5,
+            "warmup_us": 0, "base_seed": 3}}))
+        assert main(["sim", "--n", "10", "--lambda", "50", *flags,
+                     "--config", str(config)]) == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == _PINNED["sim-3"][2]
+
+    def test_bad_sim_section_exits_1_without_simulation(self, tmp_path,
+                                                        capsys):
+        # The warm-up passes the 5e6-us default duration.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sim": {"warmup_us": 6e6}}))
+        assert main(["sweep", "--n", "2", "--lambda-grid", "4",
+                     "--config", str(config)]) == 1
+        assert "warmup" in assert_one_line_error(capsys)
 
     def test_flag_overrides_config_grid(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from scipy import optimize
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
                     get_profile, linear_throughput, queue_empty_probability,
-                    solve_fixed_point, solve_saturated, throughput_tau_form)
+                    solve_fixed_point, throughput_tau_form)
 from dcfkit.model import (_BRACKET, _RTOL, _XTOL, _brentq, _geom_sums,
                           _slot_kernel, _state_at)
 
@@ -167,15 +167,9 @@ class TestSolveFixedPoint:
             assert sol.t_i == pytest.approx(ratio, rel=1e-10)
 
     def test_infinite_rate_matches_saturated(self, params):
-        sat = solve_saturated(10, params)
         inf = solve_fixed_point(math.inf, 10, params)
-        assert inf.tau == pytest.approx(sat.tau, rel=1e-9)
-        assert inf.throughput == pytest.approx(sat.throughput, rel=1e-9)
         assert inf.q == 1.0
         assert inf.p_i0 == 1.0
-        for n in range(1, 51):
-            assert solve_saturated(n, params) == solve_fixed_point(
-                math.inf, n, params)
 
     def test_throughput_consistency(self, params):
         for lam_pkt_s in (5.0, 60.0, 150.0):
@@ -185,7 +179,7 @@ class TestSolveFixedPoint:
             assert throughput_tau_form(sol.tau, 10, params) == sol.throughput
 
     def test_monotone_saturation_tail(self, params):
-        sat = solve_saturated(10, params).throughput
+        sat = solve_fixed_point(math.inf, 10, params).throughput
         for factor in (2.0, 3.0, 5.0):
             lam = factor * 110.59e-6
             sol = solve_fixed_point(lam, 10, params)
@@ -302,7 +296,7 @@ class TestBrentAgainstScipy:
 
 class TestSolveSaturated:
     def test_single_station_closed_form(self, params):
-        sol = solve_saturated(1, params)
+        sol = solve_fixed_point(math.inf, 1, params)
         assert sol.p == 0.0
         assert sol.tau == pytest.approx(2.0 / 33.0, rel=1e-12)
         assert sol.throughput == pytest.approx(
@@ -310,7 +304,7 @@ class TestSolveSaturated:
         assert sol.throughput == pytest.approx(8.0078125, rel=1e-12)
 
     def test_reference_network(self, params):
-        sol = solve_saturated(10, params)
+        sol = solve_fixed_point(math.inf, 10, params)
         assert sol.tau == pytest.approx(0.0375542, abs=1e-6)
         assert sol.q == 1.0
         assert sol.b_idle == 0.0
@@ -319,7 +313,7 @@ class TestSolveSaturated:
 
     def test_small_chain_against_stationary_distribution(self, params):
         small = small_chain_params()
-        sol = solve_saturated(3, small)
+        sol = solve_fixed_point(math.inf, 3, small)
         pi = oracles.chain_stationary(sol.p, small.w0, small.m)
         alpha = _geom_sums(sol.p, small.w0, small.m)[3]
         assert pi[(0, 0)] == pytest.approx(1.0 / alpha, abs=1e-8)

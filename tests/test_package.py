@@ -21,8 +21,7 @@ def test_public_names():
         "SimConfig", "SimResult", "__version__", "critical_lambda",
         "derive_times", "get_profile", "linear_throughput", "load_params",
         "max_throughput", "queue_empty_probability", "run_replication",
-        "run_simulation", "solve_fixed_point", "solve_saturated",
-        "throughput_tau_form",
+        "run_simulation", "solve_fixed_point", "throughput_tau_form",
     ]
     for name in dcfkit.__all__:
         assert hasattr(dcfkit, name), name
@@ -58,7 +57,7 @@ from dcfkit.cli import main
 
 def heavy_modules():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("numpy", "scipy"))
+                  if m.split(".")[0] in ("numpy", "scipy", "statistics"))
 
 steps = {"import": heavy_modules()}
 assert main(["sweep", "--n", "5", "--lambda-grid", "auto",
@@ -86,7 +85,8 @@ def _run_python(code, *args):
 def test_import_footprint(tmp_path):
     # scipy costs about a second to import and numpy about a tenth. The
     # model, a sweep and a run of any size need neither: the confidence
-    # interval's Student-t quantile is computed in the package.
+    # interval's Student-t quantile is computed in the package. statistics
+    # brings fractions and decimal along for a mean that is fsum / len.
     proc = _run_python(_FOOTPRINT, str(tmp_path / "sweep.csv"))
     steps = json.loads(proc.stdout.splitlines()[-1])
     assert list(steps) == ["import", "sweep", "run-1", "run-2", "run-3"]

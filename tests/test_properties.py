@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dcfkit import (derive_times, get_profile, max_throughput,
-                    queue_empty_probability, solve_fixed_point,
-                    solve_saturated)
+                    queue_empty_probability, solve_fixed_point)
 from dcfkit.model import (_BRACKET, _geom_sums, _s_of_tau, _slot_kernel,
                           _state_at)
 
@@ -85,7 +84,7 @@ BRACKET_GRID = np.concatenate(([_BRACKET[0]], np.geomspace(1e-15, 1e-3, 150),
 
 def reachable_grid(n, params, points=2000):
     """tau_sat and S on an even grid of the reachable branch (0, tau_sat]."""
-    tau_sat = solve_saturated(n, params).tau
+    tau_sat = solve_fixed_point(math.inf, n, params).tau
     grid = np.linspace(tau_sat / points, tau_sat, points)
     return tau_sat, _s_of_tau(grid, n, derive_times(params), params)
 
@@ -108,7 +107,7 @@ def test_residual_changes_sign_once_on_the_bracket(net, lam):
 def test_tau_rises_with_load_up_to_saturation(net):
     # Brent's roots are exact to a few ulps, so ties may differ by that.
     n, params = net
-    tau_sat = solve_saturated(n, params).tau
+    tau_sat = solve_fixed_point(math.inf, n, params).tau
     taus = [solve_fixed_point(lam, n, params).tau
             for lam in np.geomspace(1e-8, 1e-1, 30)]
     slack = 1.0 + 1e-13

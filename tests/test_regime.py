@@ -1,11 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from dcfkit import (critical_lambda, derive_times, linear_throughput,
-                    max_throughput, solve_fixed_point, solve_saturated,
-                    throughput_tau_form)
+                    max_throughput, solve_fixed_point, throughput_tau_form)
 from dcfkit.model import _s_of_tau
 
 # Reference operating points for the dot11g-54 profile; the model is
@@ -30,7 +30,7 @@ class TestMaxThroughput:
         times = derive_times(params)
         for n in (2, 10, 30):
             s_max, _ = max_throughput(n, params)
-            tau_sat = solve_saturated(n, params).tau
+            tau_sat = solve_fixed_point(math.inf, n, params).tau
             grid = np.linspace(tau_sat / 10_000, tau_sat, 10_000)
             assert s_max >= float(np.max(_s_of_tau(grid, n, times, params)))
 
@@ -39,7 +39,7 @@ class TestMaxThroughput:
         # at least the saturated throughput.
         for n in (5, 10, 20):
             s_max, tau_max = max_throughput(n, params)
-            sat = solve_saturated(n, params)
+            sat = solve_fixed_point(math.inf, n, params)
             assert s_max >= sat.throughput
             assert s_max == pytest.approx(
                 throughput_tau_form(tau_max, n, params), rel=1e-12)
@@ -75,12 +75,12 @@ class TestCriticalLambda:
         # reachable throughput is the saturated one; beyond, it peaks inside.
         for n in range(1, 11):
             report = critical_lambda(n, params)
-            sat = solve_saturated(n, params)
+            sat = solve_fixed_point(math.inf, n, params)
             assert report.tau_max == sat.tau
             assert report.s_max == sat.throughput
         for n in range(11, 101):
-            assert critical_lambda(n, params).tau_max < solve_saturated(
-                n, params).tau
+            assert critical_lambda(n, params).tau_max < solve_fixed_point(
+                math.inf, n, params).tau
 
     def test_regime_classification(self, params):
         report = critical_lambda(10, params)

@@ -13,7 +13,7 @@ from scipy.special import stdtrit
 
 import oracles
 from dcfkit import (ParameterError, SimConfig, critical_lambda,
-                    derive_times, linear_throughput, solve_saturated)
+                    derive_times, linear_throughput, solve_fixed_point)
 from dcfkit.cli import main
 from dcfkit.sim import (_ci95_halfwidth, _station_rng, _t975, _t_tail, run,
                         run_replication)
@@ -207,7 +207,7 @@ class TestAgainstClosedForms:
         # approaches the saturated fixed point's p. Stock windows keep the
         # mean-field decoupling assumption accurate; tiny w0/m configs
         # correlate the stations too strongly for this comparison.
-        sat = solve_saturated(4, params)
+        sat = solve_fixed_point(math.inf, 4, params)
         cfg = cfg_for(params, 4, 1e-3, duration=4e7, warmup=1e5)
         rep = run_replication(cfg, 21)
         attempts = rep.collision_participations + rep.successes
