@@ -16,9 +16,10 @@ The loop is event-driven, so its work per channel event follows the
 transmitters, not the number of stations. One global index counts
 virtual slots, and a backoff is stored as the slot it expires in: a
 counter c drawn by a fresh arrival at slot vs expires at vs + c, one
-drawn after a transmission at vs + 1 + c. A heap of expiry slots yields
-the transmitters of a slot; a second heap holds the next arrival of each
-idle station. An idle stretch is one jump to the earliest of the next
+drawn after a transmission at vs + 1 + c. A heap of keys slot * n + sid,
+ordered as (slot, sid) since sid < n, yields the transmitters of slot
+vs, the keys below (vs + 1) * n; a second heap holds the next arrival of
+each idle station. An idle stretch is one jump to the earliest of the next
 expiry, the next idle arrival and the end of the run, so every run, one
 at lambda = 0 too, ends at the first virtual-slot boundary at or past
 sim_duration. A contending station's arrivals only change its backlog
@@ -26,10 +27,13 @@ and drops, so they are taken just before its next backoff draw and at
 the end of the run.
 
 Each station draws from its own stdlib random.Random, seeded by the text
-"seed/sid" of the replication seed and its station id: expovariate for
-inter-arrival times and randrange for backoff counters. A station draws
-in the order of the plain slot-by-slot walk, so results are bit-identical
-to that walk.
+"seed/sid" of the replication seed and its station id, with CPython's
+expovariate and randrange written out over random() and getrandbits():
+-log(1 - random()) / lambda for inter-arrival times and, for a backoff
+counter in window w, getrandbits(w.bit_length()) drawn again while >= w.
+So the streams depend only on the C-level Mersenne Twister. A station
+draws in the order of the plain slot-by-slot walk, so results are
+bit-identical to that walk.
 
 Trace rows are ordered by time and then station id; the stations of one
 collision share a timestamp.
@@ -42,6 +46,7 @@ import os
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import log
 
 from .errors import ParameterError
 from .model import _brentq
@@ -114,12 +119,13 @@ class SimResult:
 class _Station:
     # backlog counts queued packets; a station contends exactly when it is
     # nonzero and is idle otherwise.
-    __slots__ = ("sid", "rng", "backlog", "stage", "next_arrival",
-                 "arrivals", "successes", "drops")
+    __slots__ = ("sid", "random", "getrandbits", "backlog", "stage",
+                 "next_arrival", "arrivals", "successes", "drops")
 
     def __init__(self, sid, rng):
         self.sid = sid
-        self.rng = rng
+        self.random = rng.random
+        self.getrandbits = rng.getrandbits
         self.backlog = 0
         self.stage = 0
         self.next_arrival = math.inf
@@ -153,23 +159,25 @@ def run_replication(cfg: SimConfig, seed: int,
     cap = params.queue_capacity_k
     lam = cfg.lambda_per_station
     duration, warmup = cfg.sim_duration, cfg.warmup
+    n = cfg.n_stations
+    # (window, getrandbits width) of each stage's randrange(window)
+    windows = [(w0 << i, (w0 << i).bit_length()) for i in range(m_stages + 1)]
 
-    stations = [_Station(i, _station_rng(seed, i))
-                for i in range(cfg.n_stations)]
+    stations = [_Station(i, _station_rng(seed, i)) for i in range(n)]
     idle = []  # (next arrival, sid) of stations with no backlog
     if lam > 0:
-        for st in stations:
-            st.next_arrival = st.rng.expovariate(lam)
+        for st in stations:  # expovariate(lam)
+            st.next_arrival = -log(1.0 - st.random()) / lam
         idle = [(st.next_arrival, st.sid) for st in stations]
         heapify(idle)
-    expiry = []  # (virtual slot of the next transmission, sid) of contenders
+    expiry = []  # slot * n + sid of each contender's next transmission
     events = [] if trace is not None else None
 
     def admit(st, now, vs):
         # Takes the station's arrivals up to now, in its own draw order. A
         # packet reaching an empty queue draws a fresh stage-0 backoff; the
         # stage is already 0, since a queue only empties on a success.
-        na, rng = st.next_arrival, st.rng
+        na, random = st.next_arrival, st.random
         while na <= now:
             st.arrivals += 1
             if st.backlog >= cap:
@@ -181,8 +189,12 @@ def run_replication(cfg: SimConfig, seed: int,
                 if events is not None:
                     events.append((na, "arrival", st.sid, st.backlog))
                 if st.backlog == 1:
-                    heappush(expiry, (vs + rng.randrange(w0), st.sid))
-            na += rng.expovariate(lam)
+                    w, k = windows[0]
+                    r = st.getrandbits(k)
+                    while r >= w:
+                        r = st.getrandbits(k)
+                    heappush(expiry, (vs + r) * n + st.sid)
+            na += -log(1.0 - random()) / lam
         st.next_arrival = na
 
     measured = 0
@@ -197,13 +209,15 @@ def run_replication(cfg: SimConfig, seed: int,
             admit(stations[heappop(idle)[1]], now, vs)
 
         txs = []
-        while expiry and expiry[0][0] == vs:
-            txs.append(stations[heappop(expiry)[1]])
+        top = (vs + 1) * n  # the keys of slot vs lie below it
+        while expiry and expiry[0] < top:
+            txs.append(stations[heappop(expiry) % n])
         if txs:
             success = len(txs) == 1
             kind = "success" if success else "collision"
             for st in txs:
-                admit(st, now, vs)
+                if st.next_arrival <= now:
+                    admit(st, now, vs)
                 if success:
                     st.successes += 1
                     st.backlog -= 1
@@ -213,8 +227,11 @@ def run_replication(cfg: SimConfig, seed: int,
                 if events is not None:
                     events.append((now, kind, st.sid, st.backlog))
                 if st.backlog:
-                    heappush(expiry, (
-                        vs + 1 + st.rng.randrange(w0 << st.stage), st.sid))
+                    w, k = windows[st.stage]
+                    r = st.getrandbits(k)
+                    while r >= w:
+                        r = st.getrandbits(k)
+                    heappush(expiry, (vs + 1 + r) * n + st.sid)
                 else:
                     heappush(idle, (st.next_arrival, st.sid))
             if success:
@@ -232,14 +249,14 @@ def run_replication(cfg: SimConfig, seed: int,
             # Each ceiling is >= 1: idle arrivals and the end lie past now.
             jump = math.ceil((duration - now) / sigma)
             if expiry:
-                jump = min(jump, expiry[0][0] - vs)
+                jump = min(jump, expiry[0] // n - vs)
             if idle:
                 jump = min(jump, math.ceil((idle[0][0] - now) / sigma))
             now += jump * sigma
             vs += jump
 
-    for _, sid in expiry:  # arrivals contenders have not taken, up to last
-        admit(stations[sid], last, vs)
+    for key in expiry:  # arrivals contenders have not taken, up to last
+        admit(stations[key % n], last, vs)
     span = now - warmup
     throughput = measured * params.payload_bits / span
     if trace is not None:

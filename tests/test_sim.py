@@ -90,6 +90,22 @@ class TestStreams:
             first = next(r for r in rows if r["station_id"] == str(sid))
             want = _station_rng(seed, sid).expovariate(lam)
             assert first["time_us"] == format(want, ".10g")
+        # A lone station's first packet wakes it at the first slot boundary
+        # at or past the arrival and draws randrange(w0) right after the
+        # arrival's expovariate; only idle slots come before its success.
+        # Windows 3 and 17 reject some first draws in these ten seeds.
+        for w0 in (3, 17, 32):
+            p = dataclasses.replace(params, w0=w0)
+            cfg = cfg_for(p, 1, lam, duration=1e5, warmup=0.0)
+            for seed in range(29, 39):
+                run_replication(cfg, seed, trace=path)
+                with open(path, newline="") as fh:
+                    done = next(r for r in csv.DictReader(fh)
+                                if r["event"] == "success")
+                rng = _station_rng(seed, 0)
+                woken = math.ceil(rng.expovariate(lam) / p.slot_sigma)
+                slots = round(float(done["time_us"]) / p.slot_sigma) - woken
+                assert slots == rng.randrange(w0), (w0, seed)
 
     @pytest.mark.parametrize("a, b", [
         # the same stream under (seed << 20) | sid
@@ -108,49 +124,58 @@ class TestStreams:
 
 
 # sha256 of repr() of these fields, recorded with each station drawing from
-# random.Random(f"{seed}/{sid}") (expovariate, randrange) and checked equal
-# to the per-station slot scan on those streams; any change to a simulated
-# value, a stream, a draw order or the float accumulation of end_time shows
-# here. zero-rate draws nothing, so its digest predates the stdlib streams.
+# random.Random(f"{seed}/{sid}") through its expovariate and randrange
+# methods and checked equal to the per-station slot scan on those streams.
+# The simulator writes those two formulas out over random() and
+# getrandbits(), so these digests also tie it to the stdlib methods. Any
+# change to a simulated value, a stream, a draw order or the float
+# accumulation of end_time shows here. zero-rate draws nothing, so its
+# digest predates the stdlib streams; w0-31-m-6 has a window that is not a
+# power of two at every stage, where randrange rejects some draws.
 _PINNED_FIELDS = (
     "throughput", "end_time", "successes", "measured_successes",
     "collisions", "collision_participations", "drops", "arrivals",
     "per_station_arrivals", "per_station_successes", "per_station_drops",
     "final_queue_lengths")
 
+_TINY = {"queue_capacity_k": 1, "w0": 2, "m": 1}
+
 _PINNED = {
-    # name: (n, lambda pkt/us, duration, warmup, seed, tiny K=1 window, sha)
-    "zero-rate": (5, 0.0, 1e6, 1e5, 3, False,
+    # name: (n, lambda pkt/us, duration, warmup, seed, params changes, sha)
+    "zero-rate": (5, 0.0, 1e6, 1e5, 3, {},
                   "8babe094e1a54e54f8e8df2431ae78df"
                   "8236bdc7cf87229888adff7c3d48fedc"),
-    "single-saturated": (1, 1e-2, 2e6, 1e5, 5, False,
+    "single-saturated": (1, 1e-2, 2e6, 1e5, 5, {},
                          "1d1c880a275247f8c492eb88b127ba69"
                          "2805bab03232a1e35604eb23fc6e82b6"),
-    "n10-0.3-lambda-c": (10, 0.3 * 110.594e-6, 2e6, 1e5, 7, False,
+    "n10-0.3-lambda-c": (10, 0.3 * 110.594e-6, 2e6, 1e5, 7, {},
                          "635f9a3fe24e163f29b87f8a80024f9b"
                          "4f97d1824a6f8857157240e306c4b48a"),
-    "n50-3-lambda-c": (50, 3 * 20.643e-6, 1e6, 2e5, 11, False,
+    "n50-3-lambda-c": (50, 3 * 20.643e-6, 1e6, 2e5, 11, {},
                        "713c620ed14b567fafdd412c8fba1a96"
                        "034a017a4d904dc5564266c1cafd3611"),
-    "k1-w0-2-m-1": (8, 5e-4, 1e6, 1e5, 13, True,
+    "k1-w0-2-m-1": (8, 5e-4, 1e6, 1e5, 13, _TINY,
                     "6b7ef64911e9a705a2e31a3b1e3316f7"
                     "79b0640ac038ae3df37dab6dd5570110"),
-    "no-warmup": (4, 1e-4, 1e6, 0.0, 17, False,
+    "no-warmup": (4, 1e-4, 1e6, 0.0, 17, {},
                   "e41dd1c33c0a9c165b1d1aa4b49b2391"
                   "20d14b4da33e2b240f7d03ec5a3bde49"),
+    "w0-31-m-6": (20, 2e-4, 1e6, 1e5, 23, {"w0": 31, "m": 6},
+                  "abda4347190a4db207b3574f92e49d9f"
+                  "7331083672dac23b92e6882c363afb17"),
 }
 
 
 def tiny_window(params):
     """K = 1, w0 = 2, m = 1: frequent collisions and drops."""
-    return dataclasses.replace(params, queue_capacity_k=1, w0=2, m=1)
+    return dataclasses.replace(params, **_TINY)
 
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(_PINNED))
     def test_replication_matches_recorded_digest(self, params, name):
-        n, lam, duration, warmup, seed, tiny, want = _PINNED[name]
-        p = tiny_window(params) if tiny else params
+        n, lam, duration, warmup, seed, changes, want = _PINNED[name]
+        p = dataclasses.replace(params, **changes)
         cfg = cfg_for(p, n, lam, duration=duration, warmup=warmup, reps=1)
         rep = run_replication(cfg, seed)
         values = tuple(getattr(rep, f) for f in _PINNED_FIELDS)
@@ -288,7 +313,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 30),
            lam=st.one_of(st.just(0.0), st.floats(1e-7, 5e-3)),
-           k=st.integers(1, 20), w0=st.sampled_from([2, 4, 16, 32]),
+           k=st.integers(1, 20), w0=st.sampled_from([2, 3, 4, 16, 31, 32]),
            m=st.integers(1, 6), duration=st.floats(1e4, 2e5),
            warmup_share=st.floats(0.0, 0.99), seed=st.integers(0, 2**32))
     def test_conserves_packets_and_repeats(self, params, n, lam, k, w0, m,
@@ -323,8 +348,8 @@ class TestProperties:
 class TestVirtualSlots:
     @pytest.mark.parametrize("name", sorted(_PINNED))
     def test_end_time_from_slot_counts(self, params, name):
-        n, lam, duration, warmup, seed, tiny, _ = _PINNED[name]
-        p = tiny_window(params) if tiny else params
+        n, lam, duration, warmup, seed, changes, _ = _PINNED[name]
+        p = dataclasses.replace(params, **changes)
         t = derive_times(p)
         cfg = cfg_for(p, n, lam, duration=duration, warmup=warmup, reps=1)
         rep = run_replication(cfg, seed)
