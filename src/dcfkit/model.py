@@ -7,7 +7,9 @@ probability p = 1 - (1 - tau)^(N-1) yields one nonlinear equation in the
 per-slot transmission probability tau. Its residual tau - map(tau) is
 negative near 0 and positive near 1, so the root is found by Brent's
 method (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4)
-on the (0, 1) bracket.
+on the (0, 1) bracket. A caller that has the saturated tau may cap the
+bracket there: the map at any arrival rate is at most the saturated map, so
+the residual is positive above the saturated root.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ _BRACKET = (0.0, 1.0 - 1e-12)
 _RTOL = 4.0 * sys.float_info.epsilon
 _XTOL = 1e-320
 _MAXITER = 100
+# A bracket capped at tau_sat ends this factor above it, past its rounding.
+_SAT_MARGIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,15 @@ def queue_empty_probability(rho: float, k: int) -> float:
     return x / math.expm1(ex)
 
 
+def _s_of_slot(tau, n, t_i, params):
+    # Aggregate throughput: the success share of a slot of mean length t_i.
+    return n * tau * (1.0 - tau) ** (n - 1) * params.payload_bits / t_i
+
+
 def _s_of_tau(tau, n, times, params):
     # Closed throughput form in tau alone; the numpy arrays of tau that
     # tests/test_regime.py and tests/test_properties.py pass flow through.
-    t_i = _slot_kernel(tau, n, times, params)[-1]
-    return n * tau * (1.0 - tau) ** (n - 1) * params.payload_bits / t_i
+    return _s_of_slot(tau, n, _slot_kernel(tau, n, times, params)[-1], params)
 
 
 def throughput_tau_form(tau: float, n: int, params: PhyMacParams) -> float:
@@ -158,7 +166,7 @@ def _assemble(tau, lam, n, times, params, iterations):
     return FixedPointSolution(
         tau=tau, p=p, b00=b00, b_idle=b_idle, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
         t_a=t_a, t_service=t_service, rho=rho, q=q, p_i0=p_i0,
-        throughput=_s_of_tau(tau, n, times, params),
+        throughput=_s_of_slot(tau, n, t_i, params),
         residual=abs(tau_next - tau) / tau if tau else tau_next,
         iterations=iterations)
 
@@ -171,15 +179,12 @@ def _brentq(f, xa, xb):
     _MAXITER steps ran out. Raises ConvergenceError when f is NaN or has
     one sign on [xa, xb].
     """
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ConvergenceError(f"tau - map(tau) is NaN at tau = {x!r}")
-        return fx
-
     xpre, xcur = xa, xb
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = f(xpre), f(xcur)
     calls = 2
+    if fpre != fpre or fcur != fcur:
+        x = xpre if fpre != fpre else xcur
+        raise ConvergenceError(f"tau - map(tau) is NaN at tau = {x!r}")
     if fpre == 0.0:
         return xpre, calls, True
     if fcur == 0.0:
@@ -215,13 +220,15 @@ def _brentq(f, xa, xb):
             spre = scur = sbis  # bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = f(xcur)
         calls += 1
+        if fcur != fcur:
+            raise ConvergenceError(f"tau - map(tau) is NaN at tau = {xcur!r}")
     return xcur, calls, False
 
 
-def solve_fixed_point(lam: float, n: int,
-                      params: PhyMacParams) -> FixedPointSolution:
+def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
+                      tau_sat: float | None = None) -> FixedPointSolution:
     """Solve the coupled tau equation at per-station arrival rate lam.
 
     lam is in packets per microsecond; lam = inf is the saturated operating
@@ -229,9 +236,12 @@ def solve_fixed_point(lam: float, n: int,
     the map reduces to tau = epsilon(p) / alpha(p). For every lam the root
     of g(tau) = tau - map(tau) is found by Brent's method on the bracket
     (0, 1): g is positive near 1 and negative near 0, or 0 at tau = 0 when
-    lam = 0, so the idle solution comes back after 2 map calls. iterations counts the map evaluations. Raises
-    ConvergenceError when g does not change sign on the bracket, is NaN,
-    or the solve does not converge.
+    lam = 0, so the idle solution comes back after 2 map calls. tau_sat,
+    the saturated tau for the same n and params, caps the bracket just
+    above it: no map exceeds the saturated one, so g is positive there
+    too. iterations counts the map evaluations. Raises ConvergenceError
+    when g does not change sign on the bracket, is NaN, or the solve does
+    not converge.
     """
     if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -242,7 +252,10 @@ def solve_fixed_point(lam: float, n: int,
     def g(t):
         return t - _state_at(t, lam, n, times, params)[0]
 
-    tau, calls, converged = _brentq(g, *_BRACKET)
+    lo, hi = _BRACKET
+    if tau_sat is not None:
+        hi = min(hi, tau_sat * _SAT_MARGIN)
+    tau, calls, converged = _brentq(g, lo, hi)
     sol = _assemble(tau, lam, n, times, params, calls)
     if not converged:
         raise ConvergenceError(

@@ -28,6 +28,7 @@ class RegimeReport:
     s_max: float  # bits/us
     tau_max: float
     lambda_c: float  # packets/us, per station
+    tau_sat: float  # the saturated operating point's tau
 
     def regime_of(self, lam: float) -> str:
         """Classify a per-station arrival rate (packets/us)."""
@@ -54,13 +55,14 @@ def _golden_section(f, a, b, tol):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def max_throughput(n: int, params: PhyMacParams) -> tuple[float, float]:
+def max_throughput(n: int,
+                   params: PhyMacParams) -> tuple[float, float, float]:
     """Locate the throughput maximum on the reachable branch (0, tau_sat].
 
     S(tau) is unimodal there, so one golden-section search of the closed
     throughput form finds the interior peak; the saturated operating point
     closes the branch and wins when S still rises at tau_sat (N <= 10 for
-    dot11g-54). Returns (s_max, tau_max).
+    dot11g-54). Returns (s_max, tau_max, tau_sat).
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -69,13 +71,13 @@ def max_throughput(n: int, params: PhyMacParams) -> tuple[float, float]:
     tau, s = _golden_section(lambda t: _s_of_tau(t, n, times, params),
                              0.0, sat.tau, _GSS_TOL)
     if sat.throughput >= s:
-        return sat.throughput, sat.tau
-    return s, tau
+        s, tau = sat.throughput, sat.tau
+    return s, tau, sat.tau
 
 
 def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
     """Unsaturated aggregate throughput N * E[PL] * lam, in bits/us."""
-    if lam < 0:
+    if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -89,7 +91,8 @@ def critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
     at the end of the branch, tau_max is the saturated tau and lam_c is
     S_sat / (N * E[PL]).
     """
-    s_max, tau_max = max_throughput(n, params)
+    s_max, tau_max, tau_sat = max_throughput(n, params)
     # The linear law at lam = 1 is its slope N * E[PL].
     return RegimeReport(n=n, s_max=s_max, tau_max=tau_max,
-                        lambda_c=s_max / linear_throughput(1.0, n, params))
+                        lambda_c=s_max / linear_throughput(1.0, n, params),
+                        tau_sat=tau_sat)

@@ -45,6 +45,13 @@ _PINNED = {
         _EMPTY,
         "62d1308d6cb10464caca783dc9919239"
         "09eda8af26095624e3eb46e1d7a8c36a"),
+    # Every N of the curve workload on its auto grid: 2500 solves.
+    "sweep-auto-1-100": (
+        ["sweep", "--n", ",".join(map(str, range(1, 101))),
+         "--lambda-grid", "auto"], 0,
+        _EMPTY,
+        "dd584258573446c5e809a7094830599c"
+        "8120a86b72aaceff87f4bda578d308e2"),
     "sweep-sim-3": (
         ["sweep", *_SWEEP_SIM, "--replications", "3"], 0,
         _EMPTY,
@@ -200,7 +207,7 @@ class TestSweep:
 
     def test_negative_rate_exits_1(self, tmp_path, capsys, monkeypatch):
         # A rate that is negative or not finite is refused before any solve.
-        def no_solve(lam, n, params):
+        def no_solve(lam, n, params, tau_sat=None):
             raise AssertionError("solved a refused grid")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", no_solve)
@@ -217,7 +224,7 @@ class TestSweep:
 
     def test_solver_failure_exits_2_and_records_error(self, tmp_path, capsys,
                                                       monkeypatch):
-        def fail(lam, n, params):
+        def fail(lam, n, params, tau_sat=None):
             raise ConvergenceError("no sign change")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)
@@ -231,7 +238,7 @@ class TestSweep:
 
     def test_compare_solver_failure_prints_reason(self, tmp_path, capsys,
                                                    monkeypatch):
-        def fail(lam, n, params):
+        def fail(lam, n, params, tau_sat=None):
             raise ConvergenceError("no sign change")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)

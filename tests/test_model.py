@@ -10,8 +10,8 @@ import oracles
 from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
                     get_profile, linear_throughput, queue_empty_probability,
                     solve_fixed_point, throughput_tau_form)
-from dcfkit.model import (_BRACKET, _RTOL, _XTOL, _brentq, _geom_sums,
-                          _slot_kernel, _state_at)
+from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
+                          _geom_sums, _slot_kernel, _state_at)
 
 
 def small_chain_params():
@@ -216,6 +216,15 @@ class TestSolveFixedPoint:
             solve_fixed_point(90e-6, 10, params)
         assert "change sign" not in str(info.value)
 
+    def test_nan_inside_the_bracket_raises_naming_it(self, params,
+                                                     monkeypatch):
+        # The ends change sign, and Brent's first step lands in the middle.
+        monkeypatch.setattr(
+            "dcfkit.model._state_at",
+            lambda tau, *args: (0.5 if tau in _BRACKET else math.nan, None))
+        with pytest.raises(ConvergenceError, match=r"NaN at tau = 0\.5"):
+            solve_fixed_point(90e-6, 10, params)
+
     def test_no_convergence_raises_with_last_iterate(self, params,
                                                      monkeypatch):
         # A residual that is a flat cubic, (tau - 1e-9)^3 scaled up so the
@@ -279,7 +288,9 @@ class TestBrentAgainstScipy:
     # must match scipy's bit for bit on the model's own residual.
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 100])
     def test_same_root_and_calls(self, params, times, n):
-        lam_c = critical_lambda(n, params).lambda_c
+        report = critical_lambda(n, params)
+        lam_c = report.lambda_c
+        cap = min(_BRACKET[1], report.tau_sat * _SAT_MARGIN)
         for lam in (0.01 * lam_c, 0.3 * lam_c, lam_c, 5.0 * lam_c,
                     math.inf):
             def g(t):
@@ -292,6 +303,12 @@ class TestBrentAgainstScipy:
                 want, info.function_calls, info.converged), (n, lam)
             sol = solve_fixed_point(lam, n, params)
             assert (sol.tau, sol.iterations) == (want, info.function_calls)
+            # The sweep's solve, on the bracket capped at tau_sat.
+            want, info = optimize.brentq(g, _BRACKET[0], cap, xtol=_XTOL,
+                                         rtol=_RTOL, full_output=True)
+            sol = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat)
+            assert (sol.tau, sol.iterations) == (
+                want, info.function_calls), (n, lam)
 
 
 class TestSolveSaturated:

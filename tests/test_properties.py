@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from dcfkit import (derive_times, get_profile, max_throughput,
                     queue_empty_probability, solve_fixed_point)
-from dcfkit.model import (_BRACKET, _geom_sums, _s_of_tau, _slot_kernel,
-                          _state_at)
+from dcfkit.model import (_BRACKET, _SAT_MARGIN, _XTOL, _geom_sums,
+                          _s_of_tau, _slot_kernel, _state_at)
 
 PARAMS = get_profile("dot11g-54")
 TIMES = derive_times(PARAMS)
@@ -73,8 +73,9 @@ def networks(draw):
 
 
 # Per-station arrival rates from 1e-317 to 100 000 pkt/s, plus saturation.
-rates = st.one_of(st.floats(min_value=-323.0, max_value=-1.0).map(
-    lambda e: 10.0 ** e), st.just(math.inf))
+finite_rates = st.floats(min_value=-323.0, max_value=-1.0).map(
+    lambda e: 10.0 ** e)
+rates = st.one_of(finite_rates, st.just(math.inf))
 
 # Brent's bracket, sampled geometrically from 1e-15 where light load puts
 # the root; tinier rates put it in the first cell.
@@ -101,6 +102,19 @@ def test_residual_changes_sign_once_on_the_bracket(net, lam):
     i = changes[0]
     tau = solve_fixed_point(lam, n, params).tau
     assert BRACKET_GRID[i] <= tau <= BRACKET_GRID[i + 1]
+
+
+@given(net=networks(), lam=finite_rates)
+def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
+    # No map exceeds the saturated one, so the residual is positive just
+    # above tau_sat and the capped solve finds the uncapped root.
+    n, params = net
+    tau_sat = solve_fixed_point(math.inf, n, params).tau
+    cap = min(_BRACKET[1], tau_sat * _SAT_MARGIN)
+    assert cap - _state_at(cap, lam, n, derive_times(params), params)[0] > 0
+    capped = solve_fixed_point(lam, n, params, tau_sat=tau_sat).tau
+    uncapped = solve_fixed_point(lam, n, params).tau
+    assert abs(capped - uncapped) <= 1e-12 * uncapped + _XTOL
 
 
 @given(net=networks())
@@ -133,6 +147,6 @@ def test_max_throughput_beats_the_reachable_grid(net):
     # ten digits the CSV prints.
     n, params = net
     tau_sat, s = reachable_grid(n, params)
-    s_max, tau_max = max_throughput(n, params)
+    s_max, tau_max, _ = max_throughput(n, params)
     assert s_max >= s.max() * (1.0 - 1e-13)
     assert 0.0 < tau_max <= tau_sat

@@ -21,15 +21,16 @@ class TestMaxThroughput:
     @pytest.mark.parametrize("n", [10, 20, 30])
     def test_reference_table(self, params, n):
         s_ref, _ = REFERENCE_TABLE[n]
-        s_max, tau_max = max_throughput(n, params)
+        s_max, tau_max, tau_sat = max_throughput(n, params)
         assert s_max == pytest.approx(s_ref, rel=0.05)
         assert 0.0 < tau_max < 0.1
+        assert tau_sat == solve_fixed_point(math.inf, n, params).tau
 
     def test_beats_dense_grid(self, params):
         # The grid covers the branch the fixed point reaches, (0, tau_sat].
         times = derive_times(params)
         for n in (2, 10, 30):
-            s_max, _ = max_throughput(n, params)
+            s_max, _, _ = max_throughput(n, params)
             tau_sat = solve_fixed_point(math.inf, n, params).tau
             grid = np.linspace(tau_sat / 10_000, tau_sat, 10_000)
             assert s_max >= float(np.max(_s_of_tau(grid, n, times, params)))
@@ -38,7 +39,7 @@ class TestMaxThroughput:
         # The saturated point ends the branch that is searched, so S_m is
         # at least the saturated throughput.
         for n in (5, 10, 20):
-            s_max, tau_max = max_throughput(n, params)
+            s_max, tau_max, _ = max_throughput(n, params)
             sat = solve_fixed_point(math.inf, n, params)
             assert s_max >= sat.throughput
             assert s_max == pytest.approx(
@@ -76,7 +77,7 @@ class TestCriticalLambda:
         for n in range(1, 11):
             report = critical_lambda(n, params)
             sat = solve_fixed_point(math.inf, n, params)
-            assert report.tau_max == sat.tau
+            assert report.tau_max == report.tau_sat == sat.tau
             assert report.s_max == sat.throughput
         for n in range(11, 101):
             assert critical_lambda(n, params).tau_max < solve_fixed_point(
@@ -103,6 +104,12 @@ class TestLinearThroughput:
     def test_domain(self, params):
         with pytest.raises(ValueError):
             linear_throughput(-1e-6, 10, params)
+
+    def test_nan_is_refused_like_the_solver(self, params):
+        # The same test and message as solve_fixed_point's.
+        for fn in (linear_throughput, solve_fixed_point):
+            with pytest.raises(ValueError, match="lam must be >= 0, got nan"):
+                fn(math.nan, 10, params)
 
 
 def linearity_error(lam, n, params):
