@@ -44,9 +44,10 @@ import csv
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heapify, heappop, heappush
 from math import log
+from operator import attrgetter
 
 from .errors import ParameterError
 from .model import _brentq
@@ -81,46 +82,57 @@ class SimConfig:
             raise ParameterError("base_seed must be >= 0")
 
 
+# The counters each station keeps, one per_station_ tuple each.
+_STATION_COUNTERS = ("arrivals", "successes", "drops")
+
+
 @dataclass(frozen=True)
 class ReplicationResult:
-    """Raw counters from a single replication."""
+    """Raw counters from a single replication. Its arrivals, successes
+    (warmup included) and drops are read-only sums of per_station_*."""
 
     throughput: float  # bits/us over the post-warmup window
     end_time: float
-    successes: int  # all successes, including warmup
     measured_successes: int
     collisions: int  # channel collision events
     collision_participations: int  # station-transmissions inside collisions
-    drops: int  # queue-full losses
-    arrivals: int
+    virtual_slots: int  # idle, success and collision slots
     per_station_arrivals: tuple[int, ...]
     per_station_successes: tuple[int, ...]
-    per_station_drops: tuple[int, ...]
+    per_station_drops: tuple[int, ...]  # queue-full losses
     final_queue_lengths: tuple[int, ...]
-    virtual_slots: int  # idle, success and collision slots
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Aggregate over replications."""
+    """Aggregate over replications. Each integer counter of
+    ReplicationResult, summed over them, is a read-only attribute, and so
+    are per_replication and sim_time (us, the fsum of end_time)."""
 
     mean_throughput: float
     ci95_halfwidth: float  # Student-t, nan for a single replication
-    per_replication: tuple[float, ...]
-    successes: int
-    collisions: int
-    drops: int
-    arrivals: int
-    collision_participations: int  # station-transmissions inside collisions
-    virtual_slots: int  # idle, success and collision slots
-    sim_time: float  # us, summed end_time; over virtual_slots: the mean slot
+    replications: tuple[ReplicationResult, ...]
+
+    per_replication = property(
+        lambda self: tuple(r.throughput for r in self.replications))
+    sim_time = property(
+        lambda self: math.fsum(r.end_time for r in self.replications))
+
+
+for _name in _STATION_COUNTERS:
+    setattr(ReplicationResult, _name, property(
+        lambda self, get=attrgetter("per_station_" + _name): sum(get(self))))
+for _name in [f.name for f in fields(ReplicationResult)
+              if f.type in (int, "int")] + list(_STATION_COUNTERS):
+    setattr(SimResult, _name, property(
+        lambda self, get=attrgetter(_name): sum(map(get, self.replications))))
 
 
 class _Station:
     # backlog counts queued packets; a station contends exactly when it is
     # nonzero and is idle otherwise.
     __slots__ = ("sid", "random", "getrandbits", "backlog", "stage",
-                 "next_arrival", "arrivals", "successes", "drops")
+                 "next_arrival") + _STATION_COUNTERS
 
     def __init__(self, sid, rng):
         self.sid = sid
@@ -129,9 +141,8 @@ class _Station:
         self.backlog = 0
         self.stage = 0
         self.next_arrival = math.inf
-        self.arrivals = 0
-        self.successes = 0
-        self.drops = 0
+        for name in _STATION_COUNTERS:
+            setattr(self, name, 0)
 
 
 def _station_rng(seed, sid):
@@ -264,17 +275,13 @@ def run_replication(cfg: SimConfig, seed: int,
     return ReplicationResult(
         throughput=throughput,
         end_time=now,
-        successes=sum(st.successes for st in stations),
         measured_successes=measured,
         collisions=collisions,
         collision_participations=participations,
-        drops=sum(st.drops for st in stations),
-        arrivals=sum(st.arrivals for st in stations),
-        per_station_arrivals=tuple(st.arrivals for st in stations),
-        per_station_successes=tuple(st.successes for st in stations),
-        per_station_drops=tuple(st.drops for st in stations),
-        final_queue_lengths=tuple(st.backlog for st in stations),
         virtual_slots=vs,
+        final_queue_lengths=tuple(st.backlog for st in stations),
+        **{f"per_station_{name}": tuple(getattr(st, name) for st in stations)
+           for name in _STATION_COUNTERS},
     )
 
 
@@ -333,7 +340,7 @@ def _ci95_halfwidth(values) -> float:
 
 
 def run(cfg: SimConfig, trace_dir=None) -> SimResult:
-    """Run all replications in turn and aggregate.
+    """Run all replications in turn; the SimResult keeps their records.
 
     Replication i uses seed base_seed + i, so results are reproducible.
     trace_dir, if given, receives one event CSV per replication.
@@ -350,13 +357,5 @@ def run(cfg: SimConfig, trace_dir=None) -> SimResult:
     return SimResult(
         mean_throughput=math.fsum(throughputs) / len(throughputs),
         ci95_halfwidth=_ci95_halfwidth(throughputs),
-        per_replication=tuple(throughputs),
-        successes=sum(r.successes for r in reps),
-        collisions=sum(r.collisions for r in reps),
-        drops=sum(r.drops for r in reps),
-        arrivals=sum(r.arrivals for r in reps),
-        collision_participations=sum(r.collision_participations
-                                     for r in reps),
-        virtual_slots=sum(r.virtual_slots for r in reps),
-        sim_time=math.fsum(r.end_time for r in reps),
+        replications=tuple(reps),
     )

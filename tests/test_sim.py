@@ -12,11 +12,12 @@ from scipy import stats
 from scipy.special import stdtrit
 
 import oracles
-from dcfkit import (ParameterError, SimConfig, critical_lambda,
-                    derive_times, linear_throughput, solve_fixed_point)
+from dcfkit import (ParameterError, ReplicationResult, SimConfig,
+                    critical_lambda, derive_times, linear_throughput,
+                    solve_fixed_point)
 from dcfkit.cli import main
-from dcfkit.sim import (_ci95_halfwidth, _station_rng, _t975, _t_tail, run,
-                        run_replication)
+from dcfkit.sim import (_STATION_COUNTERS, _ci95_halfwidth, _station_rng,
+                        _t975, _t_tail, run, run_replication)
 
 
 def cfg_for(params, n, lam, duration=2e6, warmup=1e5, reps=2, seed=977):
@@ -43,8 +44,9 @@ class TestDeterminism:
     def test_replication_seeds_are_sequential(self, params):
         cfg = cfg_for(params, 3, 5e-5, reps=3, seed=100)
         result = run(cfg)
-        singles = [run_replication(cfg, 100 + i).throughput for i in range(3)]
-        assert list(result.per_replication) == singles
+        singles = tuple(run_replication(cfg, 100 + i) for i in range(3))
+        assert result.replications == singles
+        assert result.per_replication == tuple(r.throughput for r in singles)
 
 
 def first_draws(seed, sid, k=8):
@@ -292,8 +294,12 @@ class TestAggregation:
         cfg = cfg_for(params, 6, 2e-4, duration=1e6, warmup=1e5, reps=3)
         result = run(cfg)
         reps = [run_replication(cfg, cfg.base_seed + i) for i in range(3)]
-        for field in ("successes", "collisions", "collision_participations",
-                      "drops", "arrivals", "virtual_slots"):
+        # Every integer counter and station total, so a new one is checked
+        # with no edit here.
+        counters = [f.name for f in dataclasses.fields(ReplicationResult)
+                    if f.type in (int, "int")]
+        assert "collisions" in counters
+        for field in counters + list(_STATION_COUNTERS):
             assert getattr(result, field) == sum(
                 getattr(r, field) for r in reps), field
         assert result.collision_participations >= 2 * result.collisions > 0
