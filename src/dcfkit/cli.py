@@ -271,16 +271,9 @@ def _sweep_points(params, n_list, grid, sim) -> list[CurvePoint]:
     return points
 
 
-def _ci95(result: SimResult | None) -> float | None:
-    """The 95% CI half width; None with no sim or one replication (NaN)."""
-    if result is None or math.isnan(result.ci95_halfwidth):
-        return None
-    return result.ci95_halfwidth
-
-
 def _band(p: CurvePoint) -> float:
     """compare's tolerance: the sim CI widened by 5 percent of the sim mean."""
-    return (_ci95(p.sim) or 0.0) + 0.05 * p.sim.mean_throughput
+    return (p.sim.ci95_halfwidth or 0.0) + 0.05 * p.sim.mean_throughput
 
 
 def _verdict(p: CurvePoint) -> str:
@@ -301,7 +294,7 @@ _COLUMNS = {
     "s_max_mbps": lambda p: _fmt(p.report.s_max),
     "regime": lambda p: p.report.regime_of(p.lambda_pkt_s * _PKT_S_TO_PKT_US),
     "s_sim_mbps": lambda p: _fmt(getattr(p.sim, "mean_throughput", None)),
-    "sim_ci95_mbps": lambda p: _fmt(_ci95(p.sim)),
+    "sim_ci95_mbps": lambda p: _fmt(getattr(p.sim, "ci95_halfwidth", None)),
     "error": lambda p: p.error,
     "band_mbps": lambda p: _fmt(None if p.error else _band(p)),
     "inside_band": _verdict,
@@ -345,7 +338,7 @@ def cmd_compare(points: list[CurvePoint], out=None) -> int:
 
 def cmd_sim(sim: SimConfig, out=None, trace=None) -> int:
     result = run(sim, trace_dir=trace)
-    ci = _ci95(result)
+    ci = result.ci95_halfwidth
     ci = "one replication: no CI" if ci is None else f"95% CI +/- {ci:.4f}"
     print(f"throughput {result.mean_throughput:.4f} Mbps ({ci}), "
           f"{result.successes} successes, {result.collisions} collisions, "

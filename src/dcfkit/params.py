@@ -67,8 +67,10 @@ class PhyMacParams:
                     f"{f.name} is too large for a float") from None
             if not finite:
                 raise ParameterError(f"{f.name} must be finite, got {value!r}")
-        for name in ("mac_header_bits", "phy_preamble_bits", "plcp_header_bits",
-                     "ack_bits", "payload_bits"):
+        if self.mac_header_bits < 0:  # 0: the payload is the whole frame
+            raise ParameterError("mac_header_bits must be >= 0")
+        for name in ("phy_preamble_bits", "plcp_header_bits", "ack_bits",
+                     "payload_bits"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be a positive bit count")
         if self.data_rate <= 0 or self.basic_rate <= 0:

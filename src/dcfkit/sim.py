@@ -105,16 +105,19 @@ class ReplicationResult:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Aggregate over replications. Each integer counter of
-    ReplicationResult, summed over them, is a read-only attribute, and so
-    are per_replication and sim_time (us, the fsum of end_time)."""
+    """The replications of one run. Everything else is a read-only view of
+    them: per_replication, mean_throughput, ci95_halfwidth (Student-t, None
+    for a single replication), sim_time (us, the fsum of end_time) and each
+    integer counter of ReplicationResult, summed."""
 
-    mean_throughput: float
-    ci95_halfwidth: float  # Student-t, nan for a single replication
     replications: tuple[ReplicationResult, ...]
 
     per_replication = property(
         lambda self: tuple(r.throughput for r in self.replications))
+    mean_throughput = property(
+        lambda self: math.fsum(self.per_replication) / len(self.replications))
+    ci95_halfwidth = property(
+        lambda self: _ci95_halfwidth(self.per_replication))
     sim_time = property(
         lambda self: math.fsum(r.end_time for r in self.replications))
 
@@ -257,12 +260,12 @@ def run_replication(cfg: SimConfig, seed: int,
         else:
             # Idle stretch: jump to the next slot where a backoff expires,
             # an idle station can receive its next packet, or the run ends.
-            # Each ceiling is >= 1: idle arrivals and the end lie past now.
-            jump = math.ceil((duration - now) / sigma)
+            # The wake time lies past now, so its ceiling is >= 1; an
+            # arrival time that overflowed to inf wakes at the end.
+            wake = min(duration, idle[0][0]) if idle else duration
+            jump = math.ceil((wake - now) / sigma)
             if expiry:
                 jump = min(jump, expiry[0] // n - vs)
-            if idle:
-                jump = min(jump, math.ceil((idle[0][0] - now) / sigma))
             now += jump * sigma
             vs += jump
 
@@ -328,10 +331,10 @@ def _t975(df):
     return t
 
 
-def _ci95_halfwidth(values) -> float:
+def _ci95_halfwidth(values) -> float | None:
     n = len(values)
     if n < 2:
-        return math.nan
+        return None
     mean = math.fsum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     # The Student-t quantile is computed in the package, so a run of any
@@ -350,12 +353,5 @@ def run(cfg: SimConfig, trace_dir=None) -> SimResult:
         os.makedirs(trace_dir, exist_ok=True)
         traces = [os.path.join(trace_dir, f"rep{i:03d}.csv")
                   for i in range(cfg.replications)]
-    reps = [run_replication(cfg, cfg.base_seed + i, trace=path)
-            for i, path in enumerate(traces)]
-
-    throughputs = [r.throughput for r in reps]
-    return SimResult(
-        mean_throughput=math.fsum(throughputs) / len(throughputs),
-        ci95_halfwidth=_ci95_halfwidth(throughputs),
-        replications=tuple(reps),
-    )
+    return SimResult(tuple(run_replication(cfg, cfg.base_seed + i, trace=path)
+                           for i, path in enumerate(traces)))

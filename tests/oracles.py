@@ -115,3 +115,15 @@ def chain_stationary(p, w0, m):
 def single_station_saturated_throughput():
     """N = 1 never collides: one packet per w0-mean backoff plus exchange."""
     return PAYLOAD_BITS / (T_S_US + (32 - 1) / 2.0 * 20.0)
+
+
+def wu_saturated_tau(p, w0, m):
+    """Saturated tau of Wu et al. (INFOCOM 2002) with retry limit m.
+
+    The window doubles at each of m retries and a packet is discarded
+    after m + 1 failed attempts. The closed form is 0/0 at p = 1/2 and
+    divides by 0 once 1 - p rounds to 0.
+    """
+    head = (1.0 - 2.0 * p) * (1.0 - p ** (m + 1))
+    return 2.0 * head / (
+        w0 * (1.0 - (2.0 * p) ** (m + 1)) * (1.0 - p) + head)

@@ -146,6 +146,13 @@ class TestTable1:
 
     def test_bad_n_exits_1(self, capsys):
         assert main(["table1", "--n", "ten"]) == 1
+        assert "bad station count list" in assert_one_line_error(capsys)
+        assert main(["table1", "--n", "0"]) == 1
+        assert "station counts must be positive" in assert_one_line_error(
+            capsys)
+        # argparse's own errors take the same exit code and one line.
+        assert main(["table1", "--n"]) == 1
+        assert "expected one argument" in assert_one_line_error(capsys)
 
 
 class TestSweep:
@@ -235,6 +242,13 @@ class TestSweep:
         row = read_csv(out)[0]
         assert row["error"] != ""
         assert row["s_model_mbps"] == ""
+        # A failed search has no row to record it in: the command stops.
+        def no_search(n, params):
+            raise ConvergenceError("no sign change")
+
+        monkeypatch.setattr("dcfkit.cli.critical_lambda", no_search)
+        assert main(["table1", "--n", "10"]) == 2
+        assert capsys.readouterr().err == "numeric error: no sign change\n"
 
     def test_compare_solver_failure_prints_reason(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -339,6 +353,15 @@ class TestSimCommand:
         rows = read_csv(out)
         assert len(rows) == 2
         assert "throughput" in capsys.readouterr().out
+
+    def test_arrival_time_past_the_float_range_exits_0(self, capsys):
+        # 1e-306 pkt/s draws an inf arrival time at every station.
+        assert main(["sim", "--n", "2", "--lambda", "1e-306",
+                     "--replications", "1", "--duration-us", "1e5",
+                     "--warmup-us", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "throughput 0.0000 Mbps (one replication: no CI), "
+            "0 successes, 0 collisions, 0 drops\n")
 
     def test_one_replication_prints_no_ci(self, capsys):
         assert main(["sim", "--n", "2", "--lambda", "40",
@@ -454,6 +477,10 @@ class TestConfigHandling:
         config = tmp_path / "cfg.json"
         config.write_text("{not json")
         assert main(["table1", "--config", str(config)]) == 1
+        assert "cannot read config" in assert_one_line_error(capsys)
+        config.write_text("[1, 2]")
+        assert main(["table1", "--config", str(config)]) == 1
+        assert "must contain a JSON object" in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("params_section", [
         pytest.param({"w0": 32.5}, id="float-w0"),

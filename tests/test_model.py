@@ -255,6 +255,18 @@ class TestSolveFixedPoint:
         linear = linear_throughput(lam, n, params)
         assert abs(sol.throughput - linear) <= 1e-12 * linear
 
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_capped_tiny_rates_follow_the_linear_law(self, params, n):
+        # The sweep's solve, its bracket capped at tau_sat. tau is subnormal
+        # below about 3.6e-304 pkt/s, and this bracket's last Brent steps
+        # leave up to 2.3e-11 of the law at 1e-307 pkt/s.
+        tau_sat = critical_lambda(n, params).tau_sat
+        for lam_pkt_s in (1e-12, 1e-100, 1e-300, 1e-305, 1e-306, 1e-307):
+            lam = lam_pkt_s * 1e-6
+            sol = solve_fixed_point(lam, n, params, tau_sat=tau_sat)
+            linear = linear_throughput(lam, n, params)
+            assert abs(sol.throughput - linear) <= 1e-10 * linear, lam_pkt_s
+
     def test_root_below_xtol_reads_zero_in_a_normalised_chain(self, params):
         # At 1e-317 pkt/s the root lies below _XTOL, so Brent stops at 0;
         # the chain there is all idle and its residual is the absolute one.

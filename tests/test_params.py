@@ -57,6 +57,15 @@ class TestParamValidation:
     @pytest.mark.parametrize("overrides, message", [
         ({"w0": 1}, "w0 must be >= 2"),
         ({"m": 0}, "m must be >= 1"),
+        ({"queue_capacity_k": 0}, "queue_capacity_k must be >= 1"),
+        ({"prop_delta": -1.0}, "prop_delta must be >= 0"),
+        ({"basic_rate": 0.0}, "rates must be positive"),
+        # A frame may carry no MAC header, but every other bit count is
+        # positive.
+        ({"mac_header_bits": -1}, "mac_header_bits must be >= 0"),
+        *(({name: 0}, f"{name} must be a positive bit count")
+          for name in ("phy_preamble_bits", "plcp_header_bits", "ack_bits",
+                       "payload_bits")),
     ])
     def test_window_limits(self, params, overrides, message):
         with pytest.raises(ParameterError, match=message):
@@ -118,6 +127,12 @@ class TestParamValidation:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ParameterError):
+            load_params(path)
+
+    def test_json_not_an_object(self, params, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps([params.as_dict()]))
+        with pytest.raises(ParameterError, match="must contain a JSON object"):
             load_params(path)
 
     def test_json_missing_key(self, params, tmp_path):

@@ -4,8 +4,9 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import oracles
 from dcfkit import (derive_times, get_profile, max_throughput,
@@ -150,3 +151,27 @@ def test_max_throughput_beats_the_reachable_grid(net):
     s_max, tau_max, _ = max_throughput(n, params)
     assert s_max >= s.max() * (1.0 - 1e-13)
     assert 0.0 < tau_max <= tau_sat
+
+
+@given(w0=st.integers(min_value=2, max_value=1024),
+       m=st.integers(min_value=1, max_value=8),
+       n=st.integers(min_value=1, max_value=200))
+def test_saturated_tau_is_the_wu_finite_retry_root(w0, m, n):
+    # The model discards a packet after m + 1 failed attempts, so its
+    # saturated tau solves tau = wu(1 - (1 - tau)^(n - 1)). The map at
+    # p = 0 bounds the root, and is the root itself for n = 1.
+    params = dataclasses.replace(PARAMS, w0=w0, m=m)
+    tau = solve_fixed_point(math.inf, n, params).tau
+    top = 2.0 / (w0 + 1)
+
+    def p_of(t):
+        return 1.0 - (1.0 - t) ** (n - 1)
+
+    # The closed form is 0/0 at p = 1/2 and p = 1 and loses digits next
+    # to both, so skip a root there and a bracket end on either.
+    assume(min(abs(1.0 - 2.0 * p_of(tau)), 1.0 - p_of(tau)) >= 1e-6)
+    assume(p_of(top) not in (0.5, 1.0))
+    root = optimize.brentq(
+        lambda t: t - oracles.wu_saturated_tau(p_of(t), w0, m), 0.0, top,
+        xtol=1e-300)
+    assert math.isclose(tau, root, rel_tol=1e-9)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from dcfkit import (critical_lambda, derive_times, linear_throughput,
-                    max_throughput, solve_fixed_point, throughput_tau_form)
+from dcfkit import (ParameterError, critical_lambda, derive_times,
+                    linear_throughput, max_throughput, solve_fixed_point,
+                    throughput_tau_form)
 from dcfkit.model import _s_of_tau
 
 # Reference operating points for the dot11g-54 profile; the model is
@@ -59,6 +60,16 @@ class TestCriticalLambda:
         report = critical_lambda(n, params)
         assert report.lambda_c / 1e-6 == pytest.approx(lam_ref, rel=0.05)
 
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    def test_reference_table_to_its_printed_digits(self, params, n):
+        # With no MAC header bits on the frame the model gives the table's
+        # printed digits; the profile's 28-byte header stays within 5%.
+        bare = dataclasses.replace(params, mac_header_bits=0)
+        s_ref, lam_ref = REFERENCE_TABLE[n]
+        report = critical_lambda(n, bare)
+        assert report.s_max == pytest.approx(s_ref, rel=3e-4)
+        assert report.lambda_c / 1e-6 == pytest.approx(lam_ref, rel=3e-4)
+
     def test_identity_is_exact(self, params):
         for n in (1, 2, 7, 10, 25, 50):
             report = critical_lambda(n, params)
@@ -104,6 +115,9 @@ class TestLinearThroughput:
     def test_domain(self, params):
         with pytest.raises(ValueError):
             linear_throughput(-1e-6, 10, params)
+        for fn, args in ((linear_throughput, (1e-6,)), (max_throughput, ())):
+            with pytest.raises(ParameterError, match="^n must be >= 1$"):
+                fn(*args, 0, params)
 
     def test_nan_is_refused_like_the_solver(self, params):
         # The same test and message as solve_fixed_point's.

@@ -210,6 +210,16 @@ class TestConservation:
         assert rep.successes == 0
         assert rep.throughput == 0.0
 
+    def test_arrival_time_past_the_float_range(self, params):
+        # At 1e-312 pkt/us every station's first arrival time overflows to
+        # inf: the run is one idle jump to the first slot boundary at or
+        # past sim_duration.
+        cfg = cfg_for(params, 5, 1e-312, duration=1e6 + 7, warmup=0.0)
+        rep = run_replication(cfg, 3)
+        assert rep.arrivals == 0
+        assert rep.virtual_slots == 50_001
+        assert rep.end_time == 50_001 * params.slot_sigma
+
 
 class TestAgainstClosedForms:
     def test_single_station_saturated(self, params):
@@ -253,10 +263,10 @@ class TestAgainstClosedForms:
 
 
 class TestAggregation:
-    def test_single_replication_ci_is_nan(self, params):
+    def test_single_replication_ci_is_none(self, params):
         cfg = cfg_for(params, 3, 5e-5, reps=1)
         result = run(cfg)
-        assert math.isnan(result.ci95_halfwidth)
+        assert result.ci95_halfwidth is None
         assert result.mean_throughput == result.per_replication[0]
 
     def test_ci_positive_with_replications(self, params):
@@ -431,6 +441,16 @@ class TestConfigValidation:
     def test_rejects_zero_stations(self, params):
         with pytest.raises(ParameterError):
             SimConfig(n_stations=0, lambda_per_station=1e-5, params=params)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("replications", 0, "replications must be >= 1"),
+        ("base_seed", -1, "base_seed must be >= 0"),
+    ])
+    def test_rejects_counts_out_of_range(self, params, field, value,
+                                         message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SimConfig(n_stations=2, lambda_per_station=1e-5, params=params,
+                      **{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("n_stations", 2.0), ("n_stations", True), ("replications", 1.5),
