@@ -212,7 +212,8 @@ def _brentq(f, xa, xb):
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = (-fcur * (fblk * dblk - fpre * dpre)
                         / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            step = 2 * abs(stry)
+            if step < abs(spre) and step < 3 * abs(sbis) - delta:
                 spre, scur = scur, stry  # good short step
             else:
                 spre = scur = sbis  # bisect
@@ -253,8 +254,8 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
         return t - _state_at(t, lam, n, times, params)[0]
 
     lo, hi = _BRACKET
-    if tau_sat is not None:
-        hi = min(hi, tau_sat * _SAT_MARGIN)
+    if tau_sat is not None and tau_sat * _SAT_MARGIN < hi:
+        hi = tau_sat * _SAT_MARGIN
     tau, calls, converged = _brentq(g, lo, hi)
     sol = _assemble(tau, lam, n, times, params, calls)
     if not converged:

@@ -11,8 +11,8 @@ from scipy import optimize
 import oracles
 from dcfkit import (derive_times, get_profile, max_throughput,
                     queue_empty_probability, solve_fixed_point)
-from dcfkit.model import (_BRACKET, _SAT_MARGIN, _XTOL, _geom_sums,
-                          _s_of_tau, _slot_kernel, _state_at)
+from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
+                          _geom_sums, _s_of_tau, _slot_kernel, _state_at)
 
 PARAMS = get_profile("dot11g-54")
 TIMES = derive_times(PARAMS)
@@ -116,6 +116,25 @@ def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
     capped = solve_fixed_point(lam, n, params, tau_sat=tau_sat).tau
     uncapped = solve_fixed_point(lam, n, params).tau
     assert abs(capped - uncapped) <= 1e-12 * uncapped + _XTOL
+
+
+@given(net=networks(), lam=rates)
+def test_brentq_matches_scipy_on_full_and_capped_bracket(net, lam):
+    # _brentq transliterates scipy's brentq.c, so root, call count and
+    # convergence flag agree exactly on both brackets a solve uses.
+    n, params = net
+    times = derive_times(params)
+
+    def g(t):
+        return t - _state_at(t, lam, n, times, params)[0]
+
+    tau_sat = solve_fixed_point(math.inf, n, params).tau
+    cap = min(_BRACKET[1], tau_sat * _SAT_MARGIN)
+    for hi in (_BRACKET[1], cap):
+        want, info = optimize.brentq(g, _BRACKET[0], hi, xtol=_XTOL,
+                                     rtol=_RTOL, full_output=True)
+        assert _brentq(g, _BRACKET[0], hi) == (
+            want, info.function_calls, info.converged), hi
 
 
 @given(net=networks())
