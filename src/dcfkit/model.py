@@ -136,9 +136,9 @@ def throughput_tau_form(tau: float, n: int, params: PhyMacParams) -> float:
     return float(_s_of_tau(tau, n, derive_times(params), params))
 
 
-def _state_at(tau, lam, n, times, params):
-    """One application of the fixed-point map; returns tau_next and the
-    intermediate quantities at the input tau."""
+def _state_at(tau, lam, n, times, params, iterations=None):
+    """One application of the fixed-point map at tau: map(tau), or, given
+    the solve's count of map calls, the FixedPointSolution at tau."""
     p, t_tx, t_bo, epsilon, alpha, t_a, t_i = _slot_kernel(tau, n, times,
                                                            params)
     t_service = t_a + t_tx
@@ -150,22 +150,16 @@ def _state_at(tau, lam, n, times, params):
     # where p_i0 is 0 (lam = 0, or lam * t_i underflowing), where q is 0.
     d = alpha * p_i0 + (1.0 - q)
     b00 = p_i0 / d
-    b_idle = (1.0 - q) / d
     tau_next = epsilon * b00
-    return tau_next, (p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00,
-                      b_idle)
-
-
-def _assemble(tau, lam, n, times, params, iterations):
-    tau_next, st = _state_at(tau, lam, n, times, params)
-    p, t_tx, t_bo, t_a, t_service, rho, q, t_i, p_i0, b00, b_idle = st
+    if iterations is None:
+        return tau_next
     # The chain's slots sum to alpha * t_i, so the average slot is just t_i.
     # A root of 0 (lam = 0, or a rate so small, from about 1e-317 pkt/s,
     # that the root falls below _XTOL) has no relative residual, so it gets
     # the absolute one.
     return FixedPointSolution(
-        tau=tau, p=p, b00=b00, b_idle=b_idle, t_tx=t_tx, t_bo=t_bo, t_i=t_i,
-        t_a=t_a, t_service=t_service, rho=rho, q=q, p_i0=p_i0,
+        tau=tau, p=p, b00=b00, b_idle=(1.0 - q) / d, t_tx=t_tx, t_bo=t_bo,
+        t_i=t_i, t_a=t_a, t_service=t_service, rho=rho, q=q, p_i0=p_i0,
         throughput=_s_of_slot(tau, n, t_i, params),
         residual=abs(tau_next - tau) / tau if tau else tau_next,
         iterations=iterations)
@@ -251,13 +245,13 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
     times = derive_times(params)
 
     def g(t):
-        return t - _state_at(t, lam, n, times, params)[0]
+        return t - _state_at(t, lam, n, times, params)
 
     lo, hi = _BRACKET
     if tau_sat is not None and tau_sat * _SAT_MARGIN < hi:
         hi = tau_sat * _SAT_MARGIN
     tau, calls, converged = _brentq(g, lo, hi)
-    sol = _assemble(tau, lam, n, times, params, calls)
+    sol = _state_at(tau, lam, n, times, params, calls)
     if not converged:
         raise ConvergenceError(
             f"fixed point not reached in {calls} map calls "

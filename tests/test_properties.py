@@ -95,7 +95,7 @@ def reachable_grid(n, params, points=2000):
 def test_residual_changes_sign_once_on_the_bracket(net, lam):
     n, params = net
     times = derive_times(params)
-    g = np.array([t - _state_at(float(t), lam, n, times, params)[0]
+    g = np.array([t - _state_at(float(t), lam, n, times, params)
                   for t in BRACKET_GRID])
     assert g[0] < 0.0 < g[-1]
     changes = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
@@ -112,7 +112,7 @@ def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
     n, params = net
     tau_sat = solve_fixed_point(math.inf, n, params).tau
     cap = min(_BRACKET[1], tau_sat * _SAT_MARGIN)
-    assert cap - _state_at(cap, lam, n, derive_times(params), params)[0] > 0
+    assert cap - _state_at(cap, lam, n, derive_times(params), params) > 0
     capped = solve_fixed_point(lam, n, params, tau_sat=tau_sat).tau
     uncapped = solve_fixed_point(lam, n, params).tau
     assert abs(capped - uncapped) <= 1e-12 * uncapped + _XTOL
@@ -126,7 +126,7 @@ def test_brentq_matches_scipy_on_full_and_capped_bracket(net, lam):
     times = derive_times(params)
 
     def g(t):
-        return t - _state_at(t, lam, n, times, params)[0]
+        return t - _state_at(t, lam, n, times, params)
 
     tau_sat = solve_fixed_point(math.inf, n, params).tau
     cap = min(_BRACKET[1], tau_sat * _SAT_MARGIN)
