@@ -8,9 +8,11 @@ abstraction used by the analytic model. Arrivals are continuous-time
 Poisson per station but take effect at slot boundaries. A packet reaching
 an idle station always draws a fresh stage-0 backoff; there is no
 immediate-access shortcut. One rule follows every transmission: a success
-resets the stage to 0, a collision doubles the window up to stage m
-(packets are never dropped for retry count, only for a full queue), and
-a station with a backlog then draws a backoff from its stage's window.
+resets the stage to 0, and a collision doubles the window up to stage m.
+A collision at stage m was the packet's last attempt, so the packet is
+dropped and the stage returns to 0, as in the model, whose chain has
+stages 0..m only: the finite-retry rule of Wu et al. (INFOCOM 2002). A
+station with a backlog then draws a backoff from its stage's window.
 
 The loop is event-driven, so its work per channel event follows the
 transmitters, not the number of stations. One global index counts
@@ -83,13 +85,14 @@ class SimConfig:
 
 
 # The counters each station keeps, one per_station_ tuple each.
-_STATION_COUNTERS = ("arrivals", "successes", "drops")
+_STATION_COUNTERS = ("arrivals", "successes", "drops", "retry_drops")
 
 
 @dataclass(frozen=True)
 class ReplicationResult:
     """Raw counters from a single replication. Its arrivals, successes
-    (warmup included) and drops are read-only sums of per_station_*."""
+    (warmup included), drops and retry_drops are read-only sums of
+    per_station_*."""
 
     throughput: float  # bits/us over the post-warmup window
     end_time: float
@@ -99,7 +102,8 @@ class ReplicationResult:
     virtual_slots: int  # idle, success and collision slots
     per_station_arrivals: tuple[int, ...]
     per_station_successes: tuple[int, ...]
-    per_station_drops: tuple[int, ...]  # queue-full losses
+    per_station_drops: tuple[int, ...]  # queue-full and retry-limit losses
+    per_station_retry_drops: tuple[int, ...]  # retry-limit losses
     final_queue_lengths: tuple[int, ...]
 
 
@@ -163,7 +167,9 @@ def run_replication(cfg: SimConfig, seed: int,
 
     trace, if given, is a path that receives the event log as CSV with
     columns time_us, event, station_id, queue_len (events: arrival,
-    success, collision, drop), ordered by time and then station_id.
+    success, collision, drop, retry_drop), ordered by time and then
+    station_id. A retry_drop row follows its station's collision row, and
+    both give the queue after the drop.
     """
     params = cfg.params
     times = derive_times(params)
@@ -190,7 +196,8 @@ def run_replication(cfg: SimConfig, seed: int,
     def admit(st, now, vs):
         # Takes the station's arrivals up to now, in its own draw order. A
         # packet reaching an empty queue draws a fresh stage-0 backoff; the
-        # stage is already 0, since a queue only empties on a success.
+        # stage is already 0, since a queue only empties on a success or a
+        # retry drop.
         na, random = st.next_arrival, st.random
         while na <= now:
             st.arrivals += 1
@@ -238,8 +245,15 @@ def run_replication(cfg: SimConfig, seed: int,
                     st.stage = 0
                 elif st.stage < m_stages:
                     st.stage += 1
+                else:  # the packet's last attempt failed
+                    st.retry_drops += 1
+                    st.drops += 1
+                    st.backlog -= 1
+                    st.stage = 0
                 if events is not None:
                     events.append((now, kind, st.sid, st.backlog))
+                    if not (success or st.stage):  # stage 0 after a collision
+                        events.append((now, "retry_drop", st.sid, st.backlog))
                 if st.backlog:
                     w, k = windows[st.stage]
                     r = st.getrandbits(k)

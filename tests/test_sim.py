@@ -154,17 +154,17 @@ _PINNED = {
                          "635f9a3fe24e163f29b87f8a80024f9b"
                          "4f97d1824a6f8857157240e306c4b48a"),
     "n50-3-lambda-c": (50, 3 * 20.643e-6, 1e6, 2e5, 11, {},
-                       "713c620ed14b567fafdd412c8fba1a96"
-                       "034a017a4d904dc5564266c1cafd3611"),
+                       "8fc7e0484182041226c2cfdd59a42022"
+                       "5f59b0dfdf7217be5b9092654e433477"),
     "k1-w0-2-m-1": (8, 5e-4, 1e6, 1e5, 13, _TINY,
-                    "6b7ef64911e9a705a2e31a3b1e3316f7"
-                    "79b0640ac038ae3df37dab6dd5570110"),
+                    "7406990bf8aa3149b85ef081b1b629e1"
+                    "c3fd0a109082dd1761ebcd9e20bc3d99"),
     "no-warmup": (4, 1e-4, 1e6, 0.0, 17, {},
                   "e41dd1c33c0a9c165b1d1aa4b49b2391"
                   "20d14b4da33e2b240f7d03ec5a3bde49"),
     "w0-31-m-6": (20, 2e-4, 1e6, 1e5, 23, {"w0": 31, "m": 6},
-                  "abda4347190a4db207b3574f92e49d9f"
-                  "7331083672dac23b92e6882c363afb17"),
+                  "d9fdcf5ade3b4721615b629e4a9192dc"
+                  "fc187f13a2d55aaa831510a417a3d926"),
 }
 
 
@@ -250,6 +250,29 @@ class TestAgainstClosedForms:
         attempts = rep.collision_participations + rep.successes
         assert rep.collision_participations / attempts == pytest.approx(
             sat.p, rel=0.05)
+
+    def test_retry_rule_matches_the_model_past_saturation(self, params):
+        # Both views drop a packet after m + 1 failed attempts, so at
+        # N = 50, 3 lambda_c the attempts per virtual slot and per station
+        # and the share of attempts that collide are the model's tau and
+        # p. A 65-s run and a 5-s run of one seed share their first 5 s,
+        # so their counter differences drop the warm-up. Retrying at stage
+        # m for ever reads -7.95% and -5.75% here.
+        n = 50
+        lam = 3 * critical_lambda(n, params).lambda_c
+        sol = solve_fixed_point(lam, n, params)
+        attempts = collided = slots = 0
+        for seed in range(7, 12):
+            short, long = (run_replication(
+                cfg_for(params, n, lam, duration=d, warmup=0.0), seed)
+                for d in (5e6, 65e6))
+            attempts += (long.successes + long.collision_participations
+                         - short.successes - short.collision_participations)
+            collided += (long.collision_participations
+                         - short.collision_participations)
+            slots += long.virtual_slots - short.virtual_slots
+        assert attempts / (n * slots) == pytest.approx(sol.tau, rel=0.01)
+        assert collided / attempts == pytest.approx(sol.p, rel=0.01)
 
     def test_saturated_throughput_insensitive_to_lambda(self, params):
         report = critical_lambda(5, params)
@@ -338,11 +361,13 @@ class TestProperties:
         cfg = cfg_for(p, n, lam, duration=duration,
                       warmup=warmup_share * duration, reps=1)
         rep = run_replication(cfg, seed)
-        for a, s, d, q in zip(rep.per_station_arrivals,
-                              rep.per_station_successes,
-                              rep.per_station_drops,
-                              rep.final_queue_lengths):
+        for a, s, d, r, q in zip(rep.per_station_arrivals,
+                                 rep.per_station_successes,
+                                 rep.per_station_drops,
+                                 rep.per_station_retry_drops,
+                                 rep.final_queue_lengths):
             assert a == s + d + q
+            assert 0 <= r <= d
             assert 0 <= q <= k
         assert rep.arrivals == sum(rep.per_station_arrivals)
         assert rep.successes == sum(rep.per_station_successes)
@@ -398,21 +423,29 @@ class TestTrace:
     def test_collision_ties_in_station_order(self, params, tmp_path):
         # Rows sharing a timestamp (the stations of one collision) come out
         # in ascending station_id; the bytes are the recorded rows sorted
-        # on (time_us, station_id).
+        # on (time_us, station_id). A retry_drop row comes right after its
+        # station's collision row, with the same time_us.
         path = tmp_path / "trace.csv"
         cfg = cfg_for(tiny_window(params), 6, 5e-4, duration=5e4,
                       warmup=0.0)
-        run_replication(cfg, 19, trace=path)
+        rep = run_replication(cfg, 19, trace=path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
+        dropped = [(a, b) for a, b in zip(rows, rows[1:])
+                   if b["event"] == "retry_drop"]
+        assert len(dropped) == rep.retry_drops > 0
+        assert all((a["event"], a["time_us"], a["station_id"])
+                   == ("collision", b["time_us"], b["station_id"])
+                   for a, b in dropped)
         ties = [(a, b) for a, b in zip(rows, rows[1:])
-                if a["time_us"] == b["time_us"]]
+                if a["time_us"] == b["time_us"]
+                and b["event"] != "retry_drop"]
         assert len(ties) > 30
         assert all(int(a["station_id"]) < int(b["station_id"])
                    for a, b in ties)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == ("4e0f3c109fc7e43e62b968f2daf6cc7c"
-                          "5de3dddf36c9b436fb307646f245e499")
+        assert digest == ("225947107f9abfce0b70572516789ac2"
+                          "c077d7c35ec69720ef1adc4438a982f5")
 
     def test_run_writes_one_trace_per_replication(self, params, tmp_path):
         cfg = cfg_for(params, 2, 1e-4, duration=1e5, warmup=0.0, reps=3)
