@@ -46,7 +46,8 @@ class FixedPointSolution:
     t_bo: float
     t_i: float
     t_a: float
-    t_service: float
+    t_service: float  # the queue's service time: one attempt
+    t_packet: float  # one packet's service over its attempts, alpha * t_i
     rho: float
     q: float
     p_i0: float
@@ -159,7 +160,8 @@ def _state_at(tau, lam, n, times, params, iterations=None):
     # the absolute one.
     return FixedPointSolution(
         tau=tau, p=p, b00=b00, b_idle=(1.0 - q) / d, t_tx=t_tx, t_bo=t_bo,
-        t_i=t_i, t_a=t_a, t_service=t_service, rho=rho, q=q, p_i0=p_i0,
+        t_i=t_i, t_a=t_a, t_service=t_service, t_packet=alpha * t_i,
+        rho=rho, q=q, p_i0=p_i0,
         throughput=_s_of_slot(tau, n, t_i, params),
         residual=abs(tau_next - tau) / tau if tau else tau_next,
         iterations=iterations)

@@ -69,6 +69,23 @@ class TestAccessAndService:
         t_a, _ = access_and_idle(0.25, 700.0, 25.0, params)
         assert t_a == pytest.approx(590.769230769231, abs=1e-9)
 
+    @pytest.mark.parametrize("n, ratio", [
+        (1, 1.0098), (2, 0.9595), (10, 0.7213), (50, 0.4559),
+        (100, 0.3526)])
+    def test_queue_service_is_one_attempt_not_one_packet(self, params, n,
+                                                          ratio):
+        # At saturation a packet leaves the chain every t_packet = alpha *
+        # t_i on average, a success with probability 1 - p^(m+1), and the
+        # chain's successes per us are tau (1 - p) / t_i. The queue's
+        # rho = lam * t_service serves a packet in one attempt's time, so
+        # it and the chain disagree by t_service / t_packet.
+        sat = solve_fixed_point(math.inf, n, params)
+        delivered = sat.tau * (1.0 - sat.p) / sat.t_i * sat.t_packet
+        assert delivered == pytest.approx(1.0 - sat.p ** (params.m + 1),
+                                          rel=0, abs=1e-12)
+        assert sat.t_service / sat.t_packet == pytest.approx(ratio,
+                                                             abs=5e-5)
+
 
 class TestIdleSlotTime:
     def test_no_contention(self, params, times):
