@@ -256,8 +256,9 @@ class TestAgainstClosedForms:
         # N = 50, 3 lambda_c the attempts per virtual slot and per station
         # and the share of attempts that collide are the model's tau and
         # p. A 65-s run and a 5-s run of one seed share their first 5 s,
-        # so their counter differences drop the warm-up. Retrying at stage
-        # m for ever reads -7.95% and -5.75% here.
+        # so their counter differences drop the warm-up. Bianchi's rule,
+        # retrying at stage m for ever, reads -7.95% and -5.75% here, so
+        # the 1% bound tells the two rules apart.
         n = 50
         lam = 3 * critical_lambda(n, params).lambda_c
         sol = solve_fixed_point(lam, n, params)
