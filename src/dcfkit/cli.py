@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -29,15 +27,10 @@ from .sim import SimConfig, SimResult, run
 _PKT_S_TO_PKT_US = 1e-6
 _AUTO_GRID_POINTS = 25
 _AUTO_GRID_SPAN = (0.01, 5.0)  # multiples of lambda_c
-_CONFIG_KEYS = {"profile", "params", "lambda_grid", "with_simulation", "sim"}
-# The config's sim keys, which are also the flags' dests, and the SimConfig
-# field each one sets.
-_SIM_FIELDS = {"replications": "replications", "base_seed": "base_seed",
-               "duration_us": "sim_duration", "warmup_us": "warmup"}
 
 
 class UsageError(Exception):
-    """Bad flags, bad config file, or an inconsistent request."""
+    """Bad flags or flag values."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,19 +55,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--profile", default=None,
+        p.add_argument("--profile", default="dot11g-54",
                        help="built-in profile name or JSON parameter file "
                             "(default dot11g-54)")
-        p.add_argument("--config", default=None,
-                       help="JSON config file; flags override its values")
         p.add_argument("--out", default=None, help="write CSV here")
 
     def add_sim_flags(p):
-        p.add_argument("--replications", type=int, default=None)
+        # Each dest is a SimConfig field; a flag left out is absent from the
+        # parsed namespace, so the field keeps SimConfig's default.
+        unset = argparse.SUPPRESS
+        p.add_argument("--replications", type=int, default=unset)
         p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int,
-                       default=None)
-        p.add_argument("--duration-us", type=float, default=None)
-        p.add_argument("--warmup-us", type=float, default=None)
+                       default=unset)
+        p.add_argument("--duration-us", dest="sim_duration",
+                       metavar="DURATION_US", type=float, default=unset)
+        p.add_argument("--warmup-us", dest="warmup", metavar="WARMUP_US",
+                       type=float, default=unset)
 
     p_table = sub.add_parser("table1", help="S_m and lambda_c per network size")
     add_common(p_table)
@@ -84,16 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="throughput curve over arrival rate")
     add_common(p_sweep)
     p_sweep.add_argument("--n", default="10,20,30")
-    p_sweep.add_argument("--lambda-grid", default=None,
+    p_sweep.add_argument("--lambda-grid", default="auto",
                          help="'auto' or comma-separated rates in pkt/s")
-    p_sweep.add_argument("--with-sim", action="store_true", default=None)
+    p_sweep.add_argument("--with-sim", action="store_true")
     add_sim_flags(p_sweep)
 
     p_cmp = sub.add_parser("compare",
                            help="check the model against the simulator")
     add_common(p_cmp)
     p_cmp.add_argument("--n", default="10")
-    p_cmp.add_argument("--lambda-grid", default=None)
+    p_cmp.add_argument("--lambda-grid", default="auto")
     add_sim_flags(p_cmp)
 
     p_sim = sub.add_parser("sim", help="run the simulator at one point")
@@ -115,59 +111,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("config file must contain a JSON object")
-    bad = set(data) - _CONFIG_KEYS
-    if bad:
-        raise UsageError(f"unknown keys in config: {sorted(bad)}")
-    if not isinstance(data.get("profile", ""), str):
-        raise UsageError("config 'profile' must be a string")
-    if not isinstance(data.get("with_simulation", False), bool):
-        raise UsageError("config 'with_simulation' must be true or false")
-    return data
-
-
-def _config_section(config, name, keys) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise UsageError(f"config {name!r} must be an object")
-    bad = set(section) - set(keys)
-    if bad:
-        raise UsageError(f"unknown keys in config {name!r}: {sorted(bad)}")
-    return section
-
-
-def _resolve_params(profile_flag, config) -> PhyMacParams:
-    name = profile_flag or config.get("profile") or "dot11g-54"
+def _resolve_params(name) -> PhyMacParams:
     if name in PROFILES:
-        base = get_profile(name)
-    elif os.path.exists(name):
-        base = load_params(name)
-    else:
-        raise UsageError(f"unknown profile or missing file: {name!r}")
-    return replace(base, **_config_section(
-        config, "params", PhyMacParams.__dataclass_fields__))
+        return get_profile(name)
+    if os.path.exists(name):
+        return load_params(name)
+    raise UsageError(f"unknown profile or missing file: {name!r}")
 
 
-def _resolve_sim(args, config, params) -> SimConfig:
-    """Flags over the config's sim section over SimConfig's defaults.
+def _resolve_sim(args, params) -> SimConfig:
+    """The sim flags over SimConfig's defaults.
 
     The point (n 1, lambda 0) is a placeholder each run replaces. SimConfig
-    checks the raw values here, before a sweep offsets base_seed per point,
-    where True + 0 would become the integer 1.
+    checks the settings here, before any point runs.
     """
-    merged = dict(_config_section(config, "sim", _SIM_FIELDS))
-    for key in _SIM_FIELDS:
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
+    fields = SimConfig.__dataclass_fields__
     return SimConfig(n_stations=1, lambda_per_station=0.0, params=params,
-                     **{_SIM_FIELDS[key]: v for key, v in merged.items()})
+                     **{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _parse_n_list(text) -> tuple[int, ...]:
@@ -180,21 +140,12 @@ def _parse_n_list(text) -> tuple[int, ...]:
     return values
 
 
-def _parse_grid(text, config):
-    if text is None:
-        text = config.get("lambda_grid", "auto")
-    if isinstance(text, (list, tuple)):
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-               for v in text):
-            raise UsageError(f"lambda grid entries must be numbers: {text!r}")
-        parts = text
-    elif str(text).strip() == "auto":
+def _parse_grid(text):
+    if text.strip() == "auto":
         return None
-    else:
-        parts = [p for p in str(text).split(",") if p.strip()]
-    try:  # OverflowError: a JSON integer past the float range
-        values = tuple(float(p) for p in parts)
-    except (ValueError, OverflowError) as exc:
+    try:
+        values = tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError as exc:
         raise UsageError(f"bad lambda grid: {text!r}") from exc
     if not values:
         raise UsageError("lambda grid must not be empty")
@@ -352,32 +303,25 @@ def cmd_sim(sim: SimConfig, out=None, trace=None) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        config = _load_config(args.config) if args.config else {}
-        params = _resolve_params(args.profile, config)
+        params = _resolve_params(args.profile)
 
         if args.command == "table1":
             return cmd_table1(params, _parse_n_list(args.n), out=args.out)
 
         if args.command == "sim":
-            sim = replace(_resolve_sim(args, config, params),
+            sim = replace(_resolve_sim(args, params),
                           n_stations=args.n,
                           lambda_per_station=args.lam * _PKT_S_TO_PKT_US)
             return cmd_sim(sim, out=args.out, trace=args.trace)
 
         if args.command == "compare":
-            if config.get("with_simulation") is False:
-                raise UsageError(
-                    "compare requires simulation; config sets "
-                    "with_simulation=false")
             with_sim, cmd = True, cmd_compare
         else:
             with_sim, cmd = args.with_sim, cmd_sweep
-            if with_sim is None:
-                with_sim = config.get("with_simulation", False)
         n_list = _parse_n_list(args.n)
-        grid = _parse_grid(args.lambda_grid, config)
-        # A bad sim section exits 1 even when no simulation runs.
-        sim = _resolve_sim(args, config, params)
+        grid = _parse_grid(args.lambda_grid)
+        # A bad sim flag exits 1 even when no simulation runs.
+        sim = _resolve_sim(args, params)
         return cmd(_sweep_points(params, n_list, grid,
                                  sim if with_sim else None), out=args.out)
     # ParameterError is a ValueError; OSError covers the paths the user gave.

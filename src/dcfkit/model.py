@@ -236,12 +236,14 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
     lam = 0, so the idle solution comes back after 2 map calls. tau_sat,
     the saturated tau for the same n and params, caps the bracket just
     above it: no map exceeds the saturated one, so g is positive there
-    too. iterations counts the map evaluations. Raises ConvergenceError
-    when g does not change sign on the bracket, is NaN, or the solve does
-    not converge.
+    too; a tau_sat outside (0, 1] raises ValueError. iterations counts
+    the map evaluations. Raises ConvergenceError when g does not change
+    sign on the bracket, is NaN, or the solve does not converge.
     """
     if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
+    if tau_sat is not None and not 0 < tau_sat <= 1:  # also rejects nan
+        raise ValueError(f"tau_sat must be in (0, 1], got {tau_sat}")
     if n < 1:
         raise ParameterError("n must be >= 1")
     times = derive_times(params)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError
 
@@ -95,9 +95,6 @@ class PhyMacParams:
             finite = False
         if not finite:
             raise ParameterError("t_s or t_c is too large for a float")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhyMacParams":

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,6 +24,15 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+def write_params(path, params, overrides):
+    """A parameter file for --profile: a dict is merged into every field of
+    params, anything else is the file's whole JSON content."""
+    if isinstance(overrides, dict):
+        overrides = {**dataclasses.asdict(params), **overrides}
+    path.write_text(json.dumps(overrides))
+    return str(path)
 
 
 _SWEEP_SIM = ("--n", "5", "--lambda-grid", "20,60,400", "--with-sim",
@@ -212,7 +222,7 @@ class TestSweep:
     def test_empty_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", ","]) == 1
 
-    def test_negative_rate_exits_1(self, tmp_path, capsys, monkeypatch):
+    def test_negative_rate_exits_1(self, capsys, monkeypatch):
         # A rate that is negative or not finite is refused before any solve.
         def no_solve(lam, n, params, tau_sat=None):
             raise AssertionError("solved a refused grid")
@@ -220,13 +230,6 @@ class TestSweep:
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", no_solve)
         for grid in ("-5", "inf", "nan", "1e400", "20,-inf"):
             assert main(["sweep", "--n", "10", "--lambda-grid", grid]) == 1
-            assert_one_line_error(capsys)
-        # Python's json writes and reads these as Infinity, and a long
-        # integer literal as an exact int past the float range.
-        config = tmp_path / "cfg.json"
-        for grid in ([math.inf], [10**400]):
-            config.write_text(json.dumps({"lambda_grid": grid}))
-            assert main(["sweep", "--n", "10", "--config", str(config)]) == 1
             assert_one_line_error(capsys)
 
     def test_solver_failure_exits_2_and_records_error(self, tmp_path, capsys,
@@ -336,11 +339,6 @@ class TestCompare:
         assert float(row["band_mbps"]) == pytest.approx(
             0.05 * float(row["s_sim_mbps"]), rel=1e-9)
 
-    def test_config_refusing_simulation_exits_1(self, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"with_simulation": False}))
-        assert main(["compare", "--n", "5", "--config", str(config)]) == 1
-
 
 class TestSimCommand:
     def test_runs_and_writes_csv(self, tmp_path, capsys):
@@ -396,13 +394,14 @@ class TestSimCommand:
 
 
 class TestConfigHandling:
+    """Parameters come from --profile, a profile name or a parameter file;
+    every other setting is a flag."""
+
     def test_profile_and_overrides_from_config(self, params, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(
-            {"profile": "dot11g-54",
-             "params": {"payload_bits": 4096, "queue_capacity_k": 10}}))
+        pfile = write_params(tmp_path / "params.json", params,
+                             {"payload_bits": 4096, "queue_capacity_k": 10})
         out = tmp_path / "table.csv"
-        assert main(["table1", "--n", "10", "--config", str(config),
+        assert main(["table1", "--n", "10", "--profile", pfile,
                      "--out", str(out)]) == 0
         row = read_csv(out)[0]
         lam_c = float(row["lambda_c_pkt_s"]) * 1e-6
@@ -411,7 +410,7 @@ class TestConfigHandling:
 
     def test_params_file_as_profile(self, params, tmp_path):
         pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps(params.as_dict()))
+        pfile.write_text(json.dumps(dataclasses.asdict(params)))
         out = tmp_path / "table.csv"
         assert main(["table1", "--n", "10", "--profile", str(pfile),
                      "--out", str(out)]) == 0
@@ -420,135 +419,126 @@ class TestConfigHandling:
         assert float(row["s_max_mbps"]) == pytest.approx(report.s_max,
                                                          rel=1e-9)
 
-    @pytest.mark.parametrize("config_data", [
-        pytest.param({"params": {"retry_limit": 4}}, id="params-unknown-key"),
-        pytest.param({"sim": {"workers": 4}}, id="sim-unknown-key"),
-        pytest.param({"lamda_grid": [10.0]}, id="top-level-unknown-key"),
-        pytest.param({"params": [4]}, id="params-not-object"),
-        pytest.param({"sim": 4}, id="sim-not-object"),
-        pytest.param({"solver": {"damping": 0.5}}, id="removed-solver-section"),
-        pytest.param({"params": {"ack_timeout": 364.0}},
-                     id="removed-ack-timeout"),
-        pytest.param({"params": {"w_max": 1024}}, id="removed-w-max"),
-    ])
-    def test_unknown_override_key_exits_1(self, tmp_path, capsys,
-                                          config_data):
+    def test_config_flag_is_refused(self, tmp_path, capsys):
+        # Flags are the only settings: --config is an unknown flag, even
+        # with a valid file.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(config_data))
+        config.write_text(json.dumps(
+            {"profile": "dot11g-54", "params": {"mac_header_bits": 0}}))
+        assert main(["table1", "--n", "10", "--config", str(config)]) == 1
+        assert "--config" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flags, file_data", [
+        pytest.param([], {"retry_limit": 4}, id="params-unknown-key"),
+        pytest.param(["--workers", "4"], None, id="sim-unknown-key"),
+        pytest.param(["--lamda-grid", "10"], None, id="top-level-unknown-key"),
+        pytest.param([], [4], id="params-not-object"),
+        pytest.param(["--damping", "0.5"], None, id="removed-solver-section"),
+        pytest.param([], {"ack_timeout": 364.0}, id="removed-ack-timeout"),
+        pytest.param([], {"w_max": 1024}, id="removed-w-max"),
+    ])
+    def test_unknown_override_key_exits_1(self, params, tmp_path, capsys,
+                                          flags, file_data):
+        # An unknown flag, or an unknown key in a parameter file.
+        if file_data is not None:
+            flags = ["--profile", write_params(tmp_path / "params.json",
+                                               params, file_data)]
         assert main(["sweep", "--n", "10", "--lambda-grid", "50",
-                     "--config", str(config)]) == 1
-        assert "error" in capsys.readouterr().err
+                     *flags]) == 1
+        assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("replications, flags", [
-        pytest.param(3, [], id="config-only"),
-        pytest.param(1, ["--replications", "3"], id="flag-wins"),
-    ])
-    def test_sim_section_sets_each_field(self, tmp_path, capsys,
-                                         replications, flags):
-        # The config's sim keys in place of sim-3's flags print sim-3.
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"sim": {
-            "replications": replications, "duration_us": 3e5,
-            "warmup_us": 0, "base_seed": 3}}))
-        assert main(["sim", "--n", "10", "--lambda", "50", *flags,
-                     "--config", str(config)]) == 0
-        printed = capsys.readouterr().out.encode()
-        assert hashlib.sha256(printed).hexdigest() == _PINNED["sim-3"][2]
-
-    def test_bad_sim_section_exits_1_without_simulation(self, tmp_path,
-                                                        capsys):
+    def test_bad_sim_section_exits_1_without_simulation(self, capsys):
         # The warm-up passes the 5e6-us default duration.
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"sim": {"warmup_us": 6e6}}))
         assert main(["sweep", "--n", "2", "--lambda-grid", "4",
-                     "--config", str(config)]) == 1
+                     "--warmup-us", "6e6"]) == 1
         assert "warmup" in assert_one_line_error(capsys)
 
     def test_flag_overrides_config_grid(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"lambda_grid": [10.0]}))
+        # The flag replaces the default auto grid point for point.
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--n", "10", "--lambda-grid", "20,30",
-                     "--config", str(config), "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         rows = read_csv(out)
         assert [r["lambda_pkt_s"] for r in rows] == ["20", "30"]
 
-    def test_malformed_config_exits_1(self, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text("{not json")
-        assert main(["table1", "--config", str(config)]) == 1
-        assert "cannot read config" in assert_one_line_error(capsys)
-        config.write_text("[1, 2]")
-        assert main(["table1", "--config", str(config)]) == 1
+    def test_malformed_config_exits_1(self, params, tmp_path, capsys):
+        pfile = tmp_path / "params.json"
+        pfile.write_text("{not json")
+        assert main(["table1", "--profile", str(pfile)]) == 1
+        assert_one_line_error(capsys)
+        write_params(pfile, params, [dataclasses.asdict(params)])
+        assert main(["table1", "--profile", str(pfile)]) == 1
         assert "must contain a JSON object" in assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("params_section", [
+    @pytest.mark.parametrize("overrides", [
         pytest.param({"w0": 32.5}, id="float-w0"),
         pytest.param({"queue_capacity_k": 2.5}, id="float-capacity"),
     ])
-    def test_non_integer_param_exits_1(self, tmp_path, capsys,
-                                       params_section):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"params": params_section}))
-        assert main(["table1", "--n", "10", "--config", str(config)]) == 1
-        field = next(iter(params_section))
+    def test_non_integer_param_exits_1(self, params, tmp_path, capsys,
+                                       overrides):
+        pfile = write_params(tmp_path / "params.json", params, overrides)
+        assert main(["table1", "--n", "10", "--profile", pfile]) == 1
+        field = next(iter(overrides))
         assert f"{field} must be an integer" in assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("params_section", [
+    @pytest.mark.parametrize("overrides", [
         pytest.param({"sifs": math.nan}, id="nan-duration"),
         pytest.param({"data_rate": math.inf}, id="infinite-rate"),
     ])
-    def test_non_finite_param_exits_1(self, tmp_path, capsys,
-                                      params_section):
+    def test_non_finite_param_exits_1(self, params, tmp_path, capsys,
+                                      overrides):
         # Python's json writes and reads these as NaN and Infinity.
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"params": params_section}))
+        pfile = write_params(tmp_path / "params.json", params, overrides)
         assert main(["sweep", "--n", "2", "--lambda-grid", "40",
-                     "--config", str(config)]) == 1
+                     "--profile", pfile]) == 1
         assert_one_line_error(capsys)
 
-    def test_param_past_float_range_exits_1(self, tmp_path, capsys):
+    def test_param_past_float_range_exits_1(self, params, tmp_path, capsys):
         # json reads a long integer literal as an exact int.
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"params": {"payload_bits": 10**400}}))
+        pfile = write_params(tmp_path / "params.json", params,
+                             {"payload_bits": 10**400})
         assert main(["sweep", "--n", "2", "--lambda-grid", "40",
-                     "--config", str(config)]) == 1
+                     "--profile", pfile]) == 1
         assert_one_line_error(capsys)
 
-    def test_infinite_occupancy_time_exits_1(self, tmp_path, capsys):
+    def test_infinite_occupancy_time_exits_1(self, params, tmp_path, capsys):
         # Every field is finite, but t_s is not: the sweep would print S 0.
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(
-            {"params": {"phy_preamble_bits": 10**308}}))
+        pfile = write_params(tmp_path / "params.json", params,
+                             {"phy_preamble_bits": 10**308})
         assert main(["sweep", "--n", "2", "--lambda-grid", "40",
-                     "--config", str(config)]) == 1
+                     "--profile", pfile]) == 1
         assert "t_s or t_c" in assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("argv, config_data", [
-        pytest.param(["table1", "--n", "10"], {"params": {"sifs": "10"}},
+    @pytest.mark.parametrize("argv, overrides", [
+        pytest.param(["table1", "--n", "10"], {"sifs": "10"},
                      id="params-float-as-string"),
-        pytest.param(["table1", "--n", "10"], {"params": {"data_rate": True}},
+        pytest.param(["table1", "--n", "10"], {"data_rate": True},
                      id="params-float-as-bool"),
-        pytest.param(["sim", "--n", "2", "--lambda", "40"],
-                     {"sim": {"duration_us": "1e5"}},
+        pytest.param(["sim", "--n", "2", "--lambda", "40",
+                      "--duration-us", "1e5us"], None,
                      id="sim-float-as-string"),
-        pytest.param(["sim", "--n", "2", "--lambda", "40"],
-                     {"sim": {"warmup_us": False}}, id="sim-float-as-bool"),
-        pytest.param(["sweep", "--n", "2", "--lambda-grid", "40"],
-                     {"with_simulation": "false"},
+        pytest.param(["sim", "--n", "2", "--lambda", "40",
+                      "--warmup-us", "false"], None, id="sim-float-as-bool"),
+        pytest.param(["sweep", "--n", "2", "--lambda-grid", "40",
+                      "--with-sim", "false"], None,
                      id="with-simulation-as-string"),
-        pytest.param(["sweep", "--n", "2"], {"lambda_grid": [True]},
+        pytest.param(["sweep", "--n", "2", "--lambda-grid", "true"], None,
                      id="lambda-grid-bool-entry"),
-        pytest.param(["sweep", "--n", "2"], {"lambda_grid": ["40"]},
+        pytest.param(["sweep", "--n", "2", "--lambda-grid", "forty"], None,
                      id="lambda-grid-string-entry"),
-        pytest.param(["table1", "--n", "10"], {"profile": 0},
+        pytest.param(["table1", "--n", "10", "--profile", "0"], None,
                      id="profile-as-number"),
     ])
-    def test_value_of_the_wrong_json_type_exits_1(self, tmp_path, capsys,
-                                                  argv, config_data):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(config_data))
-        assert main([*argv, "--config", str(config)]) == 1
+    def test_value_of_the_wrong_json_type_exits_1(self, params, tmp_path,
+                                                  capsys, monkeypatch, argv,
+                                                  overrides):
+        # A value of the wrong type in a parameter file, or a flag value
+        # that is not of the flag's type.
+        monkeypatch.chdir(tmp_path)  # no file named like a bad profile
+        if overrides is not None:
+            argv = [*argv, "--profile",
+                    write_params(tmp_path / "params.json", params, overrides)]
+        assert main(argv) == 1
         assert_one_line_error(capsys)
 
 

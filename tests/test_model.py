@@ -312,6 +312,11 @@ class TestSolveFixedPoint:
         with pytest.raises(ParameterError):
             solve_fixed_point(1e-5, 0, params)
 
+    @pytest.mark.parametrize("tau_sat", [math.nan, -0.5, 0.0, 1.5, math.inf])
+    def test_refuses_a_cap_outside_the_unit_interval(self, params, tau_sat):
+        with pytest.raises(ValueError, match="^tau_sat must be in"):
+            solve_fixed_point(1e-5, 10, params, tau_sat=tau_sat)
+
 
 class TestBrentAgainstScipy:
     # _brentq transliterates scipy's brentq.c, so roots and call counts

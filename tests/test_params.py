@@ -81,7 +81,7 @@ class TestParamValidation:
     def test_integer_fields_reject_non_integers(self, params, overrides):
         field = next(iter(overrides))
         with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
-            PhyMacParams.from_dict({**params.as_dict(), **overrides})
+            PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
 
     @pytest.mark.parametrize("overrides", [
         {"sifs": "10"},
@@ -91,7 +91,7 @@ class TestParamValidation:
     def test_float_fields_reject_non_numbers(self, params, overrides):
         field = next(iter(overrides))
         with pytest.raises(ParameterError, match=f"^{field} must be a number"):
-            PhyMacParams.from_dict({**params.as_dict(), **overrides})
+            PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
 
     @pytest.mark.parametrize("overrides", [
         {"payload_bits": 10**400},
@@ -102,7 +102,7 @@ class TestParamValidation:
         # raise OverflowError converting it.
         field = next(iter(overrides))
         with pytest.raises(ParameterError, match=f"^{field} is too large"):
-            PhyMacParams.from_dict({**params.as_dict(), **overrides})
+            PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({"phy_preamble_bits": 10**308}, id="t_s-infinite"),
@@ -114,15 +114,15 @@ class TestParamValidation:
     def test_occupancy_times_must_be_finite(self, params, overrides):
         # Each field is a finite float; their sum in derive_times is not.
         with pytest.raises(ParameterError, match="^t_s or t_c is too large"):
-            PhyMacParams.from_dict({**params.as_dict(), **overrides})
+            PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
 
     def test_json_round_trip(self, params, tmp_path):
         path = tmp_path / "params.json"
-        path.write_text(json.dumps(params.as_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(params)))
         assert load_params(path) == params
 
     def test_json_unknown_key(self, params, tmp_path):
-        data = params.as_dict()
+        data = dataclasses.asdict(params)
         data["retry_limit"] = 7
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data))
@@ -131,12 +131,12 @@ class TestParamValidation:
 
     def test_json_not_an_object(self, params, tmp_path):
         path = tmp_path / "params.json"
-        path.write_text(json.dumps([params.as_dict()]))
+        path.write_text(json.dumps([dataclasses.asdict(params)]))
         with pytest.raises(ParameterError, match="must contain a JSON object"):
             load_params(path)
 
     def test_json_missing_key(self, params, tmp_path):
-        data = params.as_dict()
+        data = dataclasses.asdict(params)
         del data["w0"]
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data))

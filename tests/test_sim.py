@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import hashlib
-import json
 import math
 from statistics import fmean
 
@@ -506,20 +505,19 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=f"^{field} must be a number"):
             SimConfig(**kwargs)
 
-    @pytest.mark.parametrize("command, sim_section", [
-        pytest.param("sim", {"replications": 1.5}, id="sim-replications-1.5"),
-        pytest.param("sim", {"base_seed": 1.5}, id="sim-base-seed-1.5"),
-        pytest.param("sim", {"replications": True}, id="sim-replications-true"),
-        # sweep adds a per-point offset to base_seed, and True + 0 == 1
-        pytest.param("sweep", {"base_seed": True}, id="sweep-base-seed-true"),
+    @pytest.mark.parametrize("command, flags", [
+        pytest.param("sim", ["--replications", "1.5"],
+                     id="sim-replications-1.5"),
+        pytest.param("sim", ["--seed", "1.5"], id="sim-base-seed-1.5"),
+        pytest.param("sim", ["--replications", "true"],
+                     id="sim-replications-true"),
+        # sweep adds a per-point offset to base_seed; "true" is no seed
+        pytest.param("sweep", ["--seed", "true"], id="sweep-base-seed-true"),
     ])
-    def test_cli_refuses_non_integer_config(self, tmp_path, capsys, command,
-                                            sim_section):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"sim": sim_section}))
+    def test_cli_refuses_non_integer_config(self, capsys, command, flags):
         point = {"sim": ["--n", "2", "--lambda", "40"],
                  "sweep": ["--n", "2", "--lambda-grid", "40", "--with-sim"]}
         assert main([command, *point[command], "--duration-us", "1e5",
-                     "--warmup-us", "0", "--config", str(config)]) == 1
+                     "--warmup-us", "0", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
