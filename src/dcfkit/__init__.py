@@ -9,7 +9,7 @@ from .errors import ConvergenceError, ParameterError
 from .model import (FixedPointSolution, queue_empty_probability,
                     solve_fixed_point, throughput_tau_form)
 from .params import (PROFILES, DerivedTimes, PhyMacParams, derive_times,
-                     get_profile, load_params)
+                     get_profile)
 from .regime import (RegimeReport, critical_lambda, linear_throughput,
                      max_throughput)
 from .sim import ReplicationResult, SimConfig, SimResult, run_replication
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError", "ParameterError",
     "PhyMacParams", "DerivedTimes", "PROFILES",
-    "derive_times", "get_profile", "load_params",
+    "derive_times", "get_profile",
     "FixedPointSolution", "solve_fixed_point", "throughput_tau_form",
     "queue_empty_probability",
     "RegimeReport", "max_throughput", "linear_throughput", "critical_lambda",

@@ -14,13 +14,12 @@ import argparse
 import csv
 import functools
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError
 from .model import FixedPointSolution, solve_fixed_point
-from .params import PROFILES, PhyMacParams, get_profile, load_params
+from .params import get_profile
 from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import SimConfig, SimResult, run
 
@@ -109,14 +108,6 @@ def _parser() -> argparse.ArgumentParser:
     # One parser per process, built on first use so that importing this
     # module builds nothing.
     return build_parser()
-
-
-def _resolve_params(name) -> PhyMacParams:
-    if name in PROFILES:
-        return get_profile(name)
-    if os.path.exists(name):
-        return load_params(name)
-    raise UsageError(f"unknown profile or missing file: {name!r}")
 
 
 def _resolve_sim(args, params) -> SimConfig:
@@ -303,7 +294,7 @@ def cmd_sim(sim: SimConfig, out=None, trace=None) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        params = _resolve_params(args.profile)
+        params = get_profile(args.profile)
 
         if args.command == "table1":
             return cmd_table1(params, _parse_n_list(args.n), out=args.out)

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, ParameterError
-from .params import PhyMacParams, derive_times
+from .params import PhyMacParams, _check_n, derive_times
 
 # Root bracket for tau. For any lam > 0 the map is positive at 0, so the
 # residual is negative there; at lam = 0 it is 0, a root at the bracket's
@@ -102,7 +102,7 @@ def queue_empty_probability(rho: float, k: int) -> float:
     removable singularity at rho = 1 and large rho^(k+1) are both handled
     without loss of precision.
     """
-    if rho < 0:
+    if not rho >= 0:  # also rejects nan
         raise ValueError(f"rho must be >= 0, got {rho}")
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -132,8 +132,7 @@ def throughput_tau_form(tau: float, n: int, params: PhyMacParams) -> float:
     """Aggregate throughput as a function of the transmission probability."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_n(n)
     return float(_s_of_tau(tau, n, derive_times(params), params))
 
 
@@ -244,8 +243,7 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
         raise ValueError(f"lam must be >= 0, got {lam}")
     if tau_sat is not None and not 0 < tau_sat <= 1:  # also rejects nan
         raise ValueError(f"tau_sat must be in (0, 1], got {tau_sat}")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_n(n)
     times = derive_times(params)
 
     def g(t):

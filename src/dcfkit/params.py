@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
@@ -32,6 +33,17 @@ def _check_number_fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ParameterError(f"{f.name} must be {what}, got {value!r}")
+
+
+def _check_n(n):
+    """Refuse a station count as SimConfig does: a bool, a non-integer, < 1."""
+    # An int skips the ABC isinstance check, many times slower than the
+    # type test; every solve makes this call.
+    if type(n) is not int and (isinstance(n, bool)
+                               or not isinstance(n, numbers.Integral)):
+        raise ParameterError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,7 @@ class PhyMacParams:
     def __post_init__(self):
         _check_number_fields(self)
         # NaN, an infinite rate and an integer past the float range pass
-        # the range checks below, and JSON config files can carry all three.
+        # the range checks below, and a parameter file can carry all three.
         for f in fields(self):
             value = getattr(self, f.name)
             try:
@@ -108,47 +120,6 @@ class PhyMacParams:
         return cls(**data)
 
 
-# 802.11g-style long-preamble DSSS timing with a 54 Mbps payload rate.
-PROFILES: dict[str, dict] = {
-    "dot11g-54": {
-        "mac_header_bits": 28 * 8,
-        "phy_preamble_bits": 144,
-        "plcp_header_bits": 48,
-        "ack_bits": 14 * 8,
-        "payload_bits": 1025 * 8,
-        "data_rate": 54.0,
-        "basic_rate": 1.0,
-        "slot_sigma": 20.0,
-        "sifs": 10.0,
-        "difs": 50.0,
-        "eifs": 364.0,
-        "prop_delta": 1.0,
-        "w0": 32,
-        "m": 5,
-        "queue_capacity_k": 50,
-    },
-}
-
-
-def get_profile(name: str) -> PhyMacParams:
-    """Return a named built-in parameter profile."""
-    try:
-        data = PROFILES[name]
-    except KeyError:
-        raise ParameterError(
-            f"unknown profile {name!r}; available: {sorted(PROFILES)}") from None
-    return PhyMacParams.from_dict(data)
-
-
-def load_params(path) -> PhyMacParams:
-    """Load parameters from a JSON file with the PhyMacParams field names."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ParameterError("parameter file must contain a JSON object")
-    return PhyMacParams.from_dict(data)
-
-
 @dataclass(frozen=True)
 class DerivedTimes:
     """Channel occupancy times implied by a parameter set."""
@@ -172,3 +143,44 @@ def derive_times(params: PhyMacParams) -> DerivedTimes:
     t_c = t_plcp + t_frame + params.prop_delta + params.eifs
     return DerivedTimes(t_s=t_s, t_c=t_c)
 
+
+# 802.11g-style long-preamble DSSS timing with a 54 Mbps payload rate,
+# built and checked once.
+PROFILES: dict[str, PhyMacParams] = {
+    "dot11g-54": PhyMacParams(
+        mac_header_bits=28 * 8,
+        phy_preamble_bits=144,
+        plcp_header_bits=48,
+        ack_bits=14 * 8,
+        payload_bits=1025 * 8,
+        data_rate=54.0,
+        basic_rate=1.0,
+        slot_sigma=20.0,
+        sifs=10.0,
+        difs=50.0,
+        eifs=364.0,
+        prop_delta=1.0,
+        w0=32,
+        m=5,
+        queue_capacity_k=50,
+    ),
+}
+
+
+def get_profile(name: str | os.PathLike) -> PhyMacParams:
+    """A built-in profile's shared record by name, which wins over a file of
+    that name; otherwise the JSON object of PhyMacParams fields at path name.
+    """
+    # os.path.exists takes an int as a file descriptor: 0 is stdin.
+    if not isinstance(name, (str, os.PathLike)):
+        raise ParameterError(f"profile must be a name or a path, got {name!r}")
+    if name in PROFILES:
+        return PROFILES[name]
+    if not os.path.exists(name):
+        raise ParameterError(f"unknown profile or missing file: {name!r} "
+                             f"(profiles: {sorted(PROFILES)})")
+    with open(name, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ParameterError("parameter file must contain a JSON object")
+    return PhyMacParams.from_dict(data)

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
 from .model import _s_of_tau, solve_fixed_point
-from .params import PhyMacParams, derive_times
+from .params import PhyMacParams, _check_n, derive_times
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GSS_TOL = 1e-9
@@ -64,8 +63,7 @@ def max_throughput(n: int,
     closes the branch and wins when S still rises at tau_sat (N <= 10 for
     dot11g-54). Returns (s_max, tau_max, tau_sat).
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_n(n)
     times = derive_times(params)
     sat = solve_fixed_point(math.inf, n, params)
     tau, s = _golden_section(lambda t: _s_of_tau(t, n, times, params),
@@ -79,8 +77,7 @@ def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
     """Unsaturated aggregate throughput N * E[PL] * lam, in bits/us."""
     if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_n(n)
     return n * params.payload_bits * lam
 
 

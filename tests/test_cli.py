@@ -152,7 +152,7 @@ class TestTable1:
 
     def test_unknown_profile_exits_1(self, capsys):
         assert main(["table1", "--profile", "no-such-profile"]) == 1
-        assert "error" in capsys.readouterr().err
+        assert "dot11g-54" in assert_one_line_error(capsys)
 
     def test_bad_n_exits_1(self, capsys):
         assert main(["table1", "--n", "ten"]) == 1

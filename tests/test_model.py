@@ -137,6 +137,8 @@ class TestQueueEmptyProbability:
     def test_domain(self):
         with pytest.raises(ValueError):
             queue_empty_probability(-0.5, 10)
+        with pytest.raises(ValueError, match="rho must be >= 0, got nan"):
+            queue_empty_probability(math.nan, 5)
         with pytest.raises(ParameterError):
             queue_empty_probability(0.5, 0)
 

@@ -19,8 +19,8 @@ def test_public_names():
         "ConvergenceError", "DerivedTimes", "FixedPointSolution", "PROFILES",
         "ParameterError", "PhyMacParams", "RegimeReport", "ReplicationResult",
         "SimConfig", "SimResult", "__version__", "critical_lambda",
-        "derive_times", "get_profile", "linear_throughput", "load_params",
-        "max_throughput", "queue_empty_probability", "run_replication",
+        "derive_times", "get_profile", "linear_throughput", "max_throughput",
+        "queue_empty_probability", "run_replication",
         "run_simulation", "solve_fixed_point", "throughput_tau_form",
     ]
     for name in dcfkit.__all__:

@@ -6,8 +6,7 @@ import pytest
 
 import oracles
 from dcfkit import (PROFILES, ParameterError, PhyMacParams, derive_times,
-                    get_profile, load_params, solve_fixed_point,
-                    throughput_tau_form)
+                    get_profile, solve_fixed_point, throughput_tau_form)
 from dcfkit.model import _geom_sums, _slot_kernel
 
 
@@ -43,7 +42,7 @@ class TestParamValidation:
         assert params.queue_capacity_k == 50
 
     def test_unknown_profile(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="dot11g-54"):
             get_profile("dot11b-legacy")
 
     def test_nonpositive_duration(self, params):
@@ -98,7 +97,7 @@ class TestParamValidation:
         {"data_rate": 10**400},  # an int is a number in a float field
     ])
     def test_fields_reject_integers_past_float_range(self, params, overrides):
-        # A JSON config can carry a long integer literal; derive_times would
+        # A parameter file can carry a long integer literal; derive_times would
         # raise OverflowError converting it.
         field = next(iter(overrides))
         with pytest.raises(ParameterError, match=f"^{field} is too large"):
@@ -119,7 +118,7 @@ class TestParamValidation:
     def test_json_round_trip(self, params, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(dataclasses.asdict(params)))
-        assert load_params(path) == params
+        assert get_profile(path) == params
 
     def test_json_unknown_key(self, params, tmp_path):
         data = dataclasses.asdict(params)
@@ -127,13 +126,13 @@ class TestParamValidation:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ParameterError):
-            load_params(path)
+            get_profile(path)
 
     def test_json_not_an_object(self, params, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps([dataclasses.asdict(params)]))
         with pytest.raises(ParameterError, match="must contain a JSON object"):
-            load_params(path)
+            get_profile(path)
 
     def test_json_missing_key(self, params, tmp_path):
         data = dataclasses.asdict(params)
@@ -141,11 +140,32 @@ class TestParamValidation:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ParameterError):
-            load_params(path)
+            get_profile(path)
 
     def test_from_dict_matches_profile_table(self):
-        assert PhyMacParams.from_dict(PROFILES["dot11g-54"]) == get_profile(
-            "dot11g-54")
+        for name, profile in PROFILES.items():
+            assert PhyMacParams.from_dict(
+                dataclasses.asdict(profile)) == profile
+            assert get_profile(name) is profile
+
+    @pytest.mark.parametrize("name", [0, True])
+    def test_file_descriptor_is_refused(self, name, monkeypatch):
+        # os.path.exists takes 0 and True as file descriptors; opening one
+        # would read stdin, and closing it would close fd 0 or 1.
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"open{args}")
+
+        monkeypatch.setattr("builtins.open", no_open)
+        with pytest.raises(ParameterError, match="must be a name or a path"):
+            get_profile(name)
+
+    def test_profile_name_wins_over_a_file(self, params, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = {**dataclasses.asdict(params), "w0": 16}
+        (tmp_path / "dot11g-54").write_text(json.dumps(data))
+        assert get_profile("dot11g-54") is PROFILES["dot11g-54"]
+        assert get_profile(tmp_path / "dot11g-54").w0 == 16
 
 
 # One valid change per PhyMacParams field, and the point (N, lambda) where

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dcfkit import (ParameterError, critical_lambda, derive_times,
+from dcfkit import (ParameterError, SimConfig, critical_lambda, derive_times,
                     linear_throughput, max_throughput, solve_fixed_point,
                     throughput_tau_form)
 from dcfkit.model import _s_of_tau
@@ -118,6 +118,27 @@ class TestLinearThroughput:
         for fn, args in ((linear_throughput, (1e-6,)), (max_throughput, ())):
             with pytest.raises(ParameterError, match="^n must be >= 1$"):
                 fn(*args, 0, params)
+
+    @pytest.mark.parametrize("n", [2.5, True, math.nan, 0])
+    @pytest.mark.parametrize("fn, args", [
+        pytest.param(solve_fixed_point, (1e-5,), id="solve_fixed_point"),
+        pytest.param(throughput_tau_form, (0.05,), id="throughput_tau_form"),
+        pytest.param(max_throughput, (), id="max_throughput"),
+        pytest.param(linear_throughput, (1e-5,), id="linear_throughput"),
+        pytest.param(critical_lambda, (), id="critical_lambda"),
+    ])
+    def test_station_count_is_refused_like_sim_config(self, params, fn, args,
+                                                      n):
+        # SimConfig refuses each of these n_stations; an input error, not
+        # the solver's ConvergenceError.
+        with pytest.raises(ParameterError, match="^n must be"):
+            fn(*args, n, params)
+        with pytest.raises(ParameterError, match="n_stations"):
+            SimConfig(n_stations=n, lambda_per_station=1e-5, params=params)
+
+    def test_numpy_station_count_passes(self, params):
+        assert linear_throughput(1e-5, np.int64(10), params) == (
+            linear_throughput(1e-5, 10, params))
 
     def test_nan_is_refused_like_the_solver(self, params):
         # The same test and message as solve_fixed_point's.
