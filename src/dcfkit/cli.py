@@ -39,7 +39,6 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class CurvePoint:
-    n: int
     lambda_pkt_s: float
     report: RegimeReport
     s_linear: float  # Mbps
@@ -48,7 +47,10 @@ class CurvePoint:
     error: str = ""
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process, built on first use so that importing this
+    # module builds nothing.
     parser = _Parser(prog="dcfkit",
                      description="DCF throughput model, regimes and simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -103,13 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # One parser per process, built on first use so that importing this
-    # module builds nothing.
-    return build_parser()
-
-
 def _resolve_sim(args, params) -> SimConfig:
     """The sim flags over SimConfig's defaults.
 
@@ -148,13 +143,8 @@ def _parse_grid(text):
 def _auto_grid(report: RegimeReport) -> tuple[float, ...]:
     lo = _AUTO_GRID_SPAN[0] * report.lambda_c / _PKT_S_TO_PKT_US
     hi = _AUTO_GRID_SPAN[1] * report.lambda_c / _PKT_S_TO_PKT_US
-    # Geometric spacing as numpy.geomspace builds it: a linear step in
-    # log10 and exact end points. An inner point can differ from numpy's in
-    # the last bit, where numpy takes vectorised log10 and pow.
-    start = math.log10(lo)
-    step = (math.log10(hi) - start) / (_AUTO_GRID_POINTS - 1)
-    inner = [10.0 ** (i * step + start)
-             for i in range(1, _AUTO_GRID_POINTS - 1)]
+    last = _AUTO_GRID_POINTS - 1
+    inner = [lo * (hi / lo) ** (i / last) for i in range(1, last)]
     return (lo, *inner, hi)
 
 
@@ -207,7 +197,7 @@ def _sweep_points(params, n_list, grid, sim) -> list[CurvePoint]:
                 sim, n_stations=n, lambda_per_station=lam,
                 base_seed=sim.base_seed + 10_000 * len(points)))
             points.append(CurvePoint(
-                n=n, lambda_pkt_s=lam_pkt_s, report=report,
+                lambda_pkt_s=lam_pkt_s, report=report,
                 s_linear=linear_throughput(lam, n, params),
                 fixed_point=fixed_point, sim=result, error=error))
     return points
@@ -229,7 +219,7 @@ def _verdict(p: CurvePoint) -> str:
 # CSV column getters; each header picks its columns by name. New columns go
 # at the end: perfbench/checks.py reads the sweep columns by position.
 _COLUMNS = {
-    "n": lambda p: p.n,
+    "n": lambda p: p.report.n,
     "lambda_pkt_s": lambda p: _fmt(p.lambda_pkt_s),
     "s_model_mbps": lambda p: _fmt(getattr(p.fixed_point, "throughput", None)),
     "s_linear_mbps": lambda p: _fmt(p.s_linear),
@@ -264,9 +254,10 @@ def cmd_compare(points: list[CurvePoint], out=None) -> int:
     verdicts = [_verdict(p) for p in points]
     for p, verdict in zip(points, verdicts):
         if verdict == "error":
-            print(f"ERROR n={p.n} lambda={p.lambda_pkt_s:g} pkt/s: {p.error}")
+            print(f"ERROR n={p.report.n} lambda={p.lambda_pkt_s:g} pkt/s: "
+                  f"{p.error}")
             continue
-        print(f"{'PASS' if verdict == 'yes' else 'FAIL'} n={p.n} "
+        print(f"{'PASS' if verdict == 'yes' else 'FAIL'} n={p.report.n} "
               f"lambda={p.lambda_pkt_s:g} pkt/s "
               f"model={p.fixed_point.throughput:.4f} "
               f"sim={p.sim.mean_throughput:.4f} "

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError
 from .params import PhyMacParams, _check_n, derive_times
 
 # Root bracket for tau. For any lam > 0 the map is positive at 0, so the
@@ -104,8 +104,8 @@ def queue_empty_probability(rho: float, k: int) -> float:
     """
     if not rho >= 0:  # also rejects nan
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    if type(k) is not int or k < 1:  # the map's int skips the slower check
+        _check_n(k, "k")
     if rho == 1.0:
         return 1.0 / (k + 1)
     x = rho - 1.0

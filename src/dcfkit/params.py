@@ -35,15 +35,15 @@ def _check_number_fields(obj):
             raise ParameterError(f"{f.name} must be {what}, got {value!r}")
 
 
-def _check_n(n):
-    """Refuse a station count as SimConfig does: a bool, a non-integer, < 1."""
+def _check_n(n, name="n"):
+    """Refuse a count as SimConfig refuses n: a bool, a non-integer, < 1."""
     # An int skips the ABC isinstance check, many times slower than the
     # type test; every solve makes this call.
     if type(n) is not int and (isinstance(n, bool)
                                or not isinstance(n, numbers.Integral)):
-        raise ParameterError(f"n must be an integer, got {n!r}")
+        raise ParameterError(f"{name} must be an integer, got {n!r}")
     if n < 1:
-        raise ParameterError("n must be >= 1")
+        raise ParameterError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

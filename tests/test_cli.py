@@ -12,7 +12,7 @@ import pytest
 
 import dcfkit
 from dcfkit import ConvergenceError, critical_lambda, solve_fixed_point
-from dcfkit.cli import _parser, build_parser, main
+from dcfkit.cli import _parser, main
 
 
 def read_csv(path):
@@ -291,16 +291,9 @@ class TestSweep:
         assert float(row["s_sim_mbps"]) > 0
         assert row["sim_ci95_mbps"] == ""
 
-    def test_no_flag_leaks_into_the_next_call(self, tmp_path, monkeypatch):
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path):
         # main reuses one parser per process; a second call must see none
         # of the first call's flags and must not rebuild it.
-        builds = []
-
-        def counted():
-            builds.append(1)
-            return build_parser()
-
-        monkeypatch.setattr("dcfkit.cli.build_parser", counted)
         _parser.cache_clear()
         first = tmp_path / "first.csv"
         second = tmp_path / "second.csv"
@@ -312,7 +305,7 @@ class TestSweep:
                      "--out", str(second)]) == 0
         assert read_csv(first)[0]["s_sim_mbps"] != ""
         assert read_csv(second)[0]["s_sim_mbps"] == ""
-        assert len(builds) == 1
+        assert _parser.cache_info().misses == 1
 
 
 class TestCompare:

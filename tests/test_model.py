@@ -139,8 +139,11 @@ class TestQueueEmptyProbability:
             queue_empty_probability(-0.5, 10)
         with pytest.raises(ValueError, match="rho must be >= 0, got nan"):
             queue_empty_probability(math.nan, 5)
-        with pytest.raises(ParameterError):
-            queue_empty_probability(0.5, 0)
+
+    @pytest.mark.parametrize("k", [2.5, True, math.nan, 0])
+    def test_capacity_is_a_positive_integer(self, k):
+        with pytest.raises(ParameterError, match=r"^k must be"):
+            queue_empty_probability(0.5, k)
 
 
 class TestSolveFixedPoint:

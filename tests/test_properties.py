@@ -105,6 +105,17 @@ def test_residual_changes_sign_once_on_the_bracket(net, lam):
     assert BRACKET_GRID[i] <= tau <= BRACKET_GRID[i + 1]
 
 
+@given(net=networks(), lam=rates)
+@example(net=(1, PARAMS), lam=math.inf)  # on the bound
+def test_root_lies_below_the_collision_free_attempt_rate(net, lam):
+    # b00 <= 1/alpha bounds the map by epsilon/alpha = 2/(w0 gamma/epsilon
+    # + 1), and gamma >= epsilon, so no root lies above 2/(w0 + 1). N = 1
+    # at saturation sits on the bound, a rounding step above it.
+    n, params = net
+    tau = solve_fixed_point(lam, n, params).tau
+    assert 0.0 <= tau <= 2.0 / (params.w0 + 1) * (1.0 + 1e-12)
+
+
 @given(net=networks(), lam=finite_rates)
 def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
     # No map exceeds the saturated one, so the residual is positive just
