@@ -51,15 +51,13 @@ class PhyMacParams:
     """PHY and MAC constants describing one station configuration."""
 
     mac_header_bits: int
-    phy_preamble_bits: int
-    plcp_header_bits: int
+    plcp_bits: int  # PLCP preamble and header
     ack_bits: int
     payload_bits: int
     data_rate: float  # bits/us
-    basic_rate: float  # bits/us, carries PLCP preamble+header and the ACK
+    basic_rate: float  # bits/us, carries the PLCP and the ACK
     slot_sigma: float  # us
     sifs: float  # us
-    difs: float  # us
     eifs: float  # us
     prop_delta: float  # us
     w0: int  # minimum contention window
@@ -81,15 +79,14 @@ class PhyMacParams:
                 raise ParameterError(f"{f.name} must be finite, got {value!r}")
         if self.mac_header_bits < 0:  # 0: the payload is the whole frame
             raise ParameterError("mac_header_bits must be >= 0")
-        for name in ("phy_preamble_bits", "plcp_header_bits", "ack_bits",
-                     "payload_bits"):
+        for name in ("plcp_bits", "ack_bits", "payload_bits"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be a positive bit count")
         if self.data_rate <= 0 or self.basic_rate <= 0:
             raise ParameterError("rates must be positive")
         if self.data_rate < self.basic_rate:
             raise ParameterError("data_rate must be >= basic_rate")
-        for name in ("slot_sigma", "sifs", "difs", "eifs"):
+        for name in ("slot_sigma", "sifs", "eifs"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be a positive duration")
         if self.prop_delta < 0:
@@ -132,14 +129,14 @@ def derive_times(params: PhyMacParams) -> DerivedTimes:
     """Compute success and collision channel occupancy from the constants.
 
     A successful exchange is PLCP + frame + SIFS + ACK + DIFS plus one
-    propagation delay on each hop; a collision occupies PLCP + frame and
-    ends with EIFS instead of the ACK handshake.
+    propagation delay on each hop, where DIFS is SIFS + 2 slots; a collision
+    occupies PLCP + frame and ends with EIFS instead of the ACK handshake.
     """
-    t_plcp = (params.phy_preamble_bits + params.plcp_header_bits) / params.basic_rate
+    t_plcp = params.plcp_bits / params.basic_rate
     t_ack = t_plcp + params.ack_bits / params.basic_rate
     t_frame = (params.mac_header_bits + params.payload_bits) / params.data_rate
     t_s = (t_plcp + t_frame + params.sifs + params.prop_delta + t_ack
-           + params.difs + params.prop_delta)
+           + (params.sifs + 2.0 * params.slot_sigma) + params.prop_delta)
     t_c = t_plcp + t_frame + params.prop_delta + params.eifs
     return DerivedTimes(t_s=t_s, t_c=t_c)
 
@@ -149,15 +146,13 @@ def derive_times(params: PhyMacParams) -> DerivedTimes:
 PROFILES: dict[str, PhyMacParams] = {
     "dot11g-54": PhyMacParams(
         mac_header_bits=28 * 8,
-        phy_preamble_bits=144,
-        plcp_header_bits=48,
+        plcp_bits=144 + 48,
         ack_bits=14 * 8,
         payload_bits=1025 * 8,
         data_rate=54.0,
         basic_rate=1.0,
         slot_sigma=20.0,
         sifs=10.0,
-        difs=50.0,
         eifs=364.0,
         prop_delta=1.0,
         w0=32,

@@ -386,11 +386,11 @@ class TestSimCommand:
         assert "sim_duration" in capsys.readouterr().err
 
 
-class TestConfigHandling:
-    """Parameters come from --profile, a profile name or a parameter file;
-    every other setting is a flag."""
+class TestParameterFilesAndFlags:
+    """A parameter file or a profile name goes to --profile; every other
+    setting is a flag, and an unknown flag or file key exits 1."""
 
-    def test_profile_and_overrides_from_config(self, params, tmp_path):
+    def test_parameter_file_fields_reach_the_table(self, params, tmp_path):
         pfile = write_params(tmp_path / "params.json", params,
                              {"payload_bits": 4096, "queue_capacity_k": 10})
         out = tmp_path / "table.csv"
@@ -423,15 +423,18 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("flags, file_data", [
         pytest.param([], {"retry_limit": 4}, id="params-unknown-key"),
-        pytest.param(["--workers", "4"], None, id="sim-unknown-key"),
-        pytest.param(["--lamda-grid", "10"], None, id="top-level-unknown-key"),
+        pytest.param(["--workers", "4"], None, id="unknown-sim-flag"),
+        pytest.param(["--lamda-grid", "10"], None, id="misspelt-flag"),
         pytest.param([], [4], id="params-not-object"),
-        pytest.param(["--damping", "0.5"], None, id="removed-solver-section"),
+        pytest.param(["--damping", "0.5"], None, id="removed-damping-flag"),
         pytest.param([], {"ack_timeout": 364.0}, id="removed-ack-timeout"),
         pytest.param([], {"w_max": 1024}, id="removed-w-max"),
+        pytest.param([], {"difs": 50.0}, id="removed-difs"),
+        pytest.param([], {"phy_preamble_bits": 144, "plcp_header_bits": 48},
+                     id="removed-preamble-and-header"),
     ])
-    def test_unknown_override_key_exits_1(self, params, tmp_path, capsys,
-                                          flags, file_data):
+    def test_unknown_flag_or_parameter_key_exits_1(self, params, tmp_path,
+                                                   capsys, flags, file_data):
         # An unknown flag, or an unknown key in a parameter file.
         if file_data is not None:
             flags = ["--profile", write_params(tmp_path / "params.json",
@@ -440,13 +443,13 @@ class TestConfigHandling:
                      *flags]) == 1
         assert_one_line_error(capsys)
 
-    def test_bad_sim_section_exits_1_without_simulation(self, capsys):
+    def test_bad_warmup_flag_exits_1_without_simulation(self, capsys):
         # The warm-up passes the 5e6-us default duration.
         assert main(["sweep", "--n", "2", "--lambda-grid", "4",
                      "--warmup-us", "6e6"]) == 1
         assert "warmup" in assert_one_line_error(capsys)
 
-    def test_flag_overrides_config_grid(self, tmp_path):
+    def test_grid_flag_replaces_the_auto_grid(self, tmp_path):
         # The flag replaces the default auto grid point for point.
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--n", "10", "--lambda-grid", "20,30",
@@ -454,7 +457,7 @@ class TestConfigHandling:
         rows = read_csv(out)
         assert [r["lambda_pkt_s"] for r in rows] == ["20", "30"]
 
-    def test_malformed_config_exits_1(self, params, tmp_path, capsys):
+    def test_malformed_parameter_file_exits_1(self, params, tmp_path, capsys):
         pfile = tmp_path / "params.json"
         pfile.write_text("{not json")
         assert main(["table1", "--profile", str(pfile)]) == 1
@@ -497,7 +500,7 @@ class TestConfigHandling:
     def test_infinite_occupancy_time_exits_1(self, params, tmp_path, capsys):
         # Every field is finite, but t_s is not: the sweep would print S 0.
         pfile = write_params(tmp_path / "params.json", params,
-                             {"phy_preamble_bits": 10**308})
+                             {"plcp_bits": 10**308})
         assert main(["sweep", "--n", "2", "--lambda-grid", "40",
                      "--profile", pfile]) == 1
         assert "t_s or t_c" in assert_one_line_error(capsys)

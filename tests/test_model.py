@@ -305,7 +305,7 @@ class TestSolveFixedPoint:
         # rate far above the float floor: the chain stays normalised.
         tiny = dataclasses.replace(
             params, data_rate=1e300, basic_rate=1e300, sifs=1e-300,
-            difs=1e-300, eifs=1e-300, slot_sigma=1e-300, prop_delta=0.0)
+            eifs=1e-300, slot_sigma=1e-300, prop_delta=0.0)
         sol = solve_fixed_point(1e-30, 10, tiny)
         assert sol.p_i0 == 0.0
         assert sol.b_idle == 1.0
@@ -349,6 +349,19 @@ class TestBrentAgainstScipy:
             sol = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat)
             assert (sol.tau, sol.iterations) == (
                 want, info.function_calls), (n, lam)
+
+    @pytest.mark.parametrize("f", [
+        pytest.param(lambda x: x - 1.0, id="root-at-upper-end"),
+        pytest.param(lambda x: x, id="root-at-lower-end"),
+    ])
+    def test_root_at_an_end_of_the_bracket(self, f):
+        # Both ends are evaluated first; a zero there is the root, found
+        # after those two calls.
+        want, info = optimize.brentq(f, 0.0, 1.0, xtol=_XTOL, rtol=_RTOL,
+                                     full_output=True)
+        got = _brentq(f, 0.0, 1.0)
+        assert got == (want, info.function_calls, info.converged)
+        assert got[1:] == (2, True)
 
 
 class TestSolveSaturated:

@@ -28,8 +28,18 @@ class TestDerivedTimes:
         assert times.t_c == 713.0
 
     def test_eifs_matches_sifs_ack_difs(self, params, times):
-        assert params.sifs + oracles.ACK_US + params.difs == params.eifs
+        difs = params.sifs + 2 * params.slot_sigma
+        assert params.sifs + oracles.ACK_US + difs == params.eifs
         assert params.eifs == 364.0
+
+    def test_difs_follows_sifs_and_slot(self, params):
+        # An 802.11a-like SIFS and slot: DIFS is 16 + 2 * 9 = 34 us. The
+        # profile alone cannot tell, since 10 + 2 * 20 is its DIFS of 50.
+        times = derive_times(
+            dataclasses.replace(params, sifs=16.0, slot_sigma=9.0))
+        assert times.t_s == 192 + 156 + 16 + 1 + 304 + 34 + 1
+        assert times.t_s == 704.0
+        assert times.t_c == 713.0
 
     def test_collision_shorter_than_success(self, times):
         assert times.t_c < times.t_s
@@ -63,8 +73,7 @@ class TestParamValidation:
         # positive.
         ({"mac_header_bits": -1}, "mac_header_bits must be >= 0"),
         *(({name: 0}, f"{name} must be a positive bit count")
-          for name in ("phy_preamble_bits", "plcp_header_bits", "ack_bits",
-                       "payload_bits")),
+          for name in ("plcp_bits", "ack_bits", "payload_bits")),
     ])
     def test_window_limits(self, params, overrides, message):
         with pytest.raises(ParameterError, match=message):
@@ -104,7 +113,7 @@ class TestParamValidation:
             PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
 
     @pytest.mark.parametrize("overrides", [
-        pytest.param({"phy_preamble_bits": 10**308}, id="t_s-infinite"),
+        pytest.param({"plcp_bits": 10**308}, id="t_s-infinite"),
         pytest.param({"payload_bits": 10**308, "data_rate": 1.0,
                       "eifs": 1.7e308}, id="only-t_c-infinite"),
         pytest.param({"mac_header_bits": int(1.7e308),
@@ -174,15 +183,13 @@ class TestParamValidation:
 NO_DEAD_N, NO_DEAD_LAM = 10, 100e-6  # 100 pkt/s, close to lambda_c
 FIELD_CHANGES = {
     "mac_header_bits": 30 * 8,
-    "phy_preamble_bits": 72,
-    "plcp_header_bits": 40,
+    "plcp_bits": 72 + 40,
     "ack_bits": 16 * 8,
     "payload_bits": 512 * 8,
     "data_rate": 11.0,
     "basic_rate": 2.0,
     "slot_sigma": 9.0,
     "sifs": 16.0,
-    "difs": 34.0,
     "eifs": 400.0,
     "prop_delta": 2.0,
     "w0": 16,
