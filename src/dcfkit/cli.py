@@ -26,6 +26,9 @@ from .sim import SimConfig, SimResult, run
 _PKT_S_TO_PKT_US = 1e-6
 _AUTO_GRID_POINTS = 25
 _AUTO_GRID_SPAN = (0.01, 5.0)  # multiples of lambda_c
+# Point i of a sweep runs seeds base_seed + _SEED_STRIDE * i + r for its
+# replications r, so more replications than this would share seeds.
+_SEED_STRIDE = 10_000
 
 
 class UsageError(Exception):
@@ -37,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CurvePoint:
     lambda_pkt_s: float
     report: RegimeReport
@@ -195,7 +198,7 @@ def _sweep_points(params, n_list, grid, sim) -> list[CurvePoint]:
                 error = f"no convergence: {exc}"
             result = None if sim is None else run(replace(
                 sim, n_stations=n, lambda_per_station=lam,
-                base_seed=sim.base_seed + 10_000 * len(points)))
+                base_seed=sim.base_seed + _SEED_STRIDE * len(points)))
             points.append(CurvePoint(
                 lambda_pkt_s=lam_pkt_s, report=report,
                 s_linear=linear_throughput(lam, n, params),
@@ -240,8 +243,8 @@ _COMPARE_HEADER = ("n", "lambda_pkt_s", "regime", "s_model_mbps",
 
 
 def _write_points(path, header, points):
-    _write_csv(path, header,
-               [[_COLUMNS[name](p) for name in header] for p in points])
+    getters = [_COLUMNS[name] for name in header]
+    _write_csv(path, header, [[get(p) for get in getters] for p in points])
 
 
 def cmd_sweep(points: list[CurvePoint], out=None) -> int:
@@ -304,6 +307,10 @@ def main(argv=None) -> int:
         grid = _parse_grid(args.lambda_grid)
         # A bad sim flag exits 1 even when no simulation runs.
         sim = _resolve_sim(args, params)
+        if sim.replications > _SEED_STRIDE:
+            raise UsageError(f"--replications must be <= {_SEED_STRIDE} "
+                             f"on {args.command}: more would share seeds "
+                             f"between points")
         return cmd(_sweep_points(params, n_list, grid,
                                  sim if with_sim else None), out=args.out)
     # ParameterError is a ValueError; OSError covers the paths the user gave.

@@ -34,7 +34,7 @@ _MAXITER = 100
 _SAT_MARGIN = 1.0 + 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FixedPointSolution:
     """Converged operating point of the coupled station model."""
 

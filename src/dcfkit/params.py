@@ -117,7 +117,7 @@ class PhyMacParams:
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DerivedTimes:
     """Channel occupancy times implied by a parameter set."""
 

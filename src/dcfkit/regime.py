@@ -31,6 +31,8 @@ class RegimeReport:
 
     def regime_of(self, lam: float) -> str:
         """Classify a per-station arrival rate (packets/us)."""
+        if not lam >= 0:  # also rejects nan
+            raise ValueError(f"lam must be >= 0, got {lam}")
         return "unsaturated" if lam < self.lambda_c else "saturated"
 
 

@@ -307,6 +307,21 @@ class TestSweep:
         assert read_csv(second)[0]["s_sim_mbps"] == ""
         assert _parser.cache_info().misses == 1
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_replications_past_the_seed_stride_exit_1(self, command, capsys):
+        # Point i runs seeds base_seed + 10000 * i + r: with 10001
+        # replications, point 0's last seed is point 1's first. Refused
+        # before any point runs, as every bad sim flag is.
+        assert main([command, "--n", "2", "--lambda-grid", "30,40",
+                     "--replications", "10001", "--duration-us", "2e3",
+                     "--warmup-us", "0"]) == 1
+        assert "--replications must be <= 10000" in assert_one_line_error(
+            capsys)
+
+    def test_replications_at_the_seed_stride_run(self):
+        assert main(["sweep", "--n", "2", "--lambda-grid", "30,40",
+                     "--replications", "10000"]) == 0
+
 
 class TestCompare:
     def test_pass_at_light_load(self, params, tmp_path, capsys):

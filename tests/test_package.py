@@ -1,4 +1,5 @@
 """The public surface of the package and the README's API sketch."""
+import dataclasses
 import importlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dcfkit
+from dcfkit.cli import _sweep_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,6 +42,26 @@ def test_traced_names_are_module_attributes(module, attr):
     # perfbench's tracer swaps these attributes for timed wrappers; the
     # callers must look them up there for the spans to see their calls.
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_per_solve_records():
+    # perfbench traces FixedPointSolution.iterations; the field order is the
+    # positional constructor's.
+    assert [f.name for f in dataclasses.fields(dcfkit.FixedPointSolution)] == [
+        "tau", "p", "b00", "b_idle", "t_tx", "t_bo", "t_i", "t_a",
+        "t_service", "t_packet", "rho", "q", "p_i0", "throughput",
+        "residual", "iterations",
+    ]
+    assert [f.name for f in dataclasses.fields(dcfkit.DerivedTimes)] == [
+        "t_s", "t_c"]
+    # The records built per solve and per point are slotted, not frozen: with
+    # no __dict__, a misspelt assignment raises instead of adding a field.
+    params = dcfkit.get_profile("dot11g-54")
+    point, = _sweep_points(params, (10,), (30.0,), None)
+    for record in (point.fixed_point, dcfkit.derive_times(params), point):
+        assert not hasattr(record, "__dict__"), type(record)
+        with pytest.raises(AttributeError):
+            record.thruput = 0.0
 
 
 def test_readme_api_sketch_runs(capsys):

@@ -100,6 +100,13 @@ class TestCriticalLambda:
         assert report.regime_of(report.lambda_c) == "saturated"
         assert report.regime_of(2.0 * report.lambda_c) == "saturated"
 
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, -math.inf])
+    def test_regime_of_refuses_a_bad_rate(self, params, lam):
+        # The same refusal as linear_throughput's, not a regime for a rate
+        # that is none.
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            critical_lambda(10, params).regime_of(lam)
+
 
 class TestLinearThroughput:
     def test_zero(self, params):
