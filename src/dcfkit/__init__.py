@@ -6,12 +6,9 @@ slot-accurate simulator for validation.
 """
 
 from .errors import ConvergenceError, ParameterError
-from .model import (FixedPointSolution, queue_empty_probability,
-                    solve_fixed_point, throughput_tau_form)
-from .params import (PROFILES, DerivedTimes, PhyMacParams, derive_times,
-                     get_profile)
-from .regime import (RegimeReport, critical_lambda, linear_throughput,
-                     max_throughput)
+from .model import FixedPointSolution, solve_fixed_point, throughput_tau_form
+from .params import DerivedTimes, PhyMacParams, derive_times, get_profile
+from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import ReplicationResult, SimConfig, SimResult, run_replication
 from .sim import run as run_simulation
 
@@ -19,11 +16,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "ParameterError",
-    "PhyMacParams", "DerivedTimes", "PROFILES",
-    "derive_times", "get_profile",
+    "PhyMacParams", "DerivedTimes", "derive_times", "get_profile",
     "FixedPointSolution", "solve_fixed_point", "throughput_tau_form",
-    "queue_empty_probability",
-    "RegimeReport", "max_throughput", "linear_throughput", "critical_lambda",
+    "RegimeReport", "linear_throughput", "critical_lambda",
     "SimConfig", "SimResult", "ReplicationResult", "run_replication",
     "run_simulation",
     "__version__",

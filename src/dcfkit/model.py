@@ -95,17 +95,14 @@ def _slot_kernel(tau, n, times, params):
     return p, t_tx, t_bo, epsilon, alpha, t_a, t_i
 
 
-def queue_empty_probability(rho: float, k: int) -> float:
-    """Stationary empty probability of a single-server queue with k+1 places.
+def _queue_empty_probability(rho, k):
+    """Stationary empty probability of a single-server queue with k+1 places,
+    for rho in [0, inf] and an integer k >= 1.
 
     Evaluated as (rho - 1) / (rho^(k+1) - 1) through expm1/log1p so the
     removable singularity at rho = 1 and large rho^(k+1) are both handled
     without loss of precision.
     """
-    if not rho >= 0:  # also rejects nan
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    if type(k) is not int or k < 1:  # the map's int skips the slower check
-        _check_n(k, "k")
     if rho == 1.0:
         return 1.0 / (k + 1)
     x = rho - 1.0
@@ -143,7 +140,10 @@ def _state_at(tau, lam, n, times, params, iterations=None):
                                                            params)
     t_service = t_a + t_tx
     rho = lam * t_service
-    q = 1.0 - queue_empty_probability(rho, params.queue_capacity_k)
+    # No argument checks: solve_fixed_point refused a NaN or negative lam
+    # and t_service > 0, so rho lies in [0, inf]; PhyMacParams refused a
+    # queue_capacity_k that is not an integer >= 1.
+    q = 1.0 - _queue_empty_probability(rho, params.queue_capacity_k)
     p_i0 = -math.expm1(-lam * t_i)
     # The chain's normalisation b_idle + alpha * b00 = 1, with
     # p_i0 * b_idle = (1 - q) * b00, over one denominator: it stays positive

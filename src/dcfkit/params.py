@@ -35,15 +35,15 @@ def _check_number_fields(obj):
             raise ParameterError(f"{f.name} must be {what}, got {value!r}")
 
 
-def _check_n(n, name="n"):
-    """Refuse a count as SimConfig refuses n: a bool, a non-integer, < 1."""
+def _check_n(n, name="n", least=1):
+    """Refuse a count that is a bool, a non-integer or below least."""
     # An int skips the ABC isinstance check, many times slower than the
     # type test; every solve makes this call.
     if type(n) is not int and (isinstance(n, bool)
                                or not isinstance(n, numbers.Integral)):
         raise ParameterError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ParameterError(f"{name} must be >= 1")
+    if n < least:
+        raise ParameterError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,6 @@ class PhyMacParams:
             finite = False
         if not finite:
             raise ParameterError("t_s or t_c is too large for a float")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhyMacParams":
-        fields = set(cls.__dataclass_fields__)
-        unknown = set(data) - fields
-        if unknown:
-            raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
-        missing = fields - set(data)
-        if missing:
-            raise ParameterError(f"missing parameter keys: {sorted(missing)}")
-        return cls(**data)
 
 
 @dataclass(slots=True)
@@ -178,4 +167,11 @@ def get_profile(name: str | os.PathLike) -> PhyMacParams:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ParameterError("parameter file must contain a JSON object")
-    return PhyMacParams.from_dict(data)
+    keys = set(PhyMacParams.__dataclass_fields__)
+    unknown = set(data) - keys
+    if unknown:
+        raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
+    missing = keys - set(data)
+    if missing:
+        raise ParameterError(f"missing parameter keys: {sorted(missing)}")
+    return PhyMacParams(**data)

@@ -53,7 +53,7 @@ from operator import attrgetter
 
 from .errors import ParameterError
 from .model import _brentq
-from .params import PhyMacParams, _check_number_fields, derive_times
+from .params import PhyMacParams, _check_n, _check_number_fields, derive_times
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,18 @@ class SimConfig:
 
     def __post_init__(self):
         _check_number_fields(self)
-        if self.n_stations < 1:
-            raise ParameterError("n_stations must be >= 1")
+        if not isinstance(self.params, PhyMacParams):
+            raise ParameterError(
+                f"params must be a PhyMacParams, got {self.params!r}")
+        _check_n(self.n_stations, "n_stations")
         if not 0.0 <= self.lambda_per_station < math.inf:
             raise ParameterError("lambda_per_station must be finite and >= 0")
         if not 0.0 < self.sim_duration < math.inf:
             raise ParameterError("sim_duration must be finite and positive")
         if not 0.0 <= self.warmup < self.sim_duration:
             raise ParameterError("warmup must lie in [0, sim_duration)")
-        if self.replications < 1:
-            raise ParameterError("replications must be >= 1")
-        if self.base_seed < 0:
-            raise ParameterError("base_seed must be >= 0")
+        _check_n(self.replications, "replications")
+        _check_n(self.base_seed, "base_seed", least=0)
 
 
 # The counters each station keeps, one per_station_ tuple each.
@@ -169,8 +169,10 @@ def run_replication(cfg: SimConfig, seed: int,
     columns time_us, event, station_id, queue_len (events: arrival,
     success, collision, drop, retry_drop), ordered by time and then
     station_id. A retry_drop row follows its station's collision row, and
-    both give the queue after the drop.
+    both give the queue after the drop. seed is an integer >= 0, as
+    base_seed is: the streams are keyed by its text, where 1.0 is not 1.
     """
+    _check_n(seed, "seed", least=0)
     params = cfg.params
     times = derive_times(params)
     t_s, t_c = times.t_s, times.t_c

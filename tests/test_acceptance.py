@@ -11,9 +11,9 @@ import pytest
 
 import oracles
 from dcfkit import (SimConfig, critical_lambda, derive_times, get_profile,
-                    queue_empty_probability, solve_fixed_point)
+                    solve_fixed_point)
 from dcfkit.cli import main
-from dcfkit.model import _geom_sums, _slot_kernel
+from dcfkit.model import _geom_sums, _queue_empty_probability, _slot_kernel
 from dcfkit.sim import run
 
 PKT_S = 1e-6  # packets/second expressed in packets/microsecond
@@ -169,11 +169,11 @@ def test_criterion_08_queue_empty_probability(p):
     for _ in range(1_000):
         rho = float(rng.uniform(0.0, 2.0))
         k = int(rng.integers(1, 101))
-        got = queue_empty_probability(rho, k)
+        got = _queue_empty_probability(rho, k)
         want = oracles.queue_empty_sum(rho, k)
         worst = max(worst, abs(got - want))
-    at_one = queue_empty_probability(1.0, 50)
-    near_one = queue_empty_probability(1.0 - 1e-12, 50)
+    at_one = _queue_empty_probability(1.0, 50)
+    near_one = _queue_empty_probability(1.0 - 1e-12, 50)
     limit_dev = max(abs(at_one - 1.0 / 51), abs(near_one - 1.0 / 51))
     ok = worst <= 1e-12 and limit_dev <= 1e-9
     verdict(8, "finite-queue empty probability", ok,

@@ -8,10 +8,11 @@ from scipy import optimize
 
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
-                    get_profile, linear_throughput, queue_empty_probability,
-                    solve_fixed_point, throughput_tau_form)
+                    get_profile, linear_throughput, solve_fixed_point,
+                    throughput_tau_form)
 from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
-                          _geom_sums, _slot_kernel, _state_at)
+                          _geom_sums, _queue_empty_probability, _slot_kernel,
+                          _state_at)
 
 
 def small_chain_params():
@@ -107,18 +108,18 @@ class TestIdleSlotTime:
 
 class TestQueueEmptyProbability:
     def test_empty_system(self):
-        assert queue_empty_probability(0.0, 50) == 1.0
+        assert _queue_empty_probability(0.0, 50) == 1.0
 
     def test_balanced_load_limit(self):
-        assert queue_empty_probability(1.0, 50) == pytest.approx(1.0 / 51,
-                                                                 rel=1e-12)
-        near = queue_empty_probability(1.0 - 1e-12, 50)
+        assert _queue_empty_probability(1.0, 50) == pytest.approx(
+            1.0 / 51, rel=1e-12)
+        near = _queue_empty_probability(1.0 - 1e-12, 50)
         assert near == pytest.approx(1.0 / 51, rel=1e-6)
 
     def test_small_example(self):
-        assert queue_empty_probability(0.5, 2) == pytest.approx(
+        assert _queue_empty_probability(0.5, 2) == pytest.approx(
             oracles.queue_empty_sum(0.5, 2), rel=1e-15)
-        assert queue_empty_probability(0.5, 2) == pytest.approx(
+        assert _queue_empty_probability(0.5, 2) == pytest.approx(
             0.5714285714285714, rel=1e-14)
 
     def test_against_sum_oracle(self):
@@ -126,24 +127,13 @@ class TestQueueEmptyProbability:
         for _ in range(300):
             rho = float(rng.uniform(0.0, 2.0))
             k = int(rng.integers(1, 101))
-            got = queue_empty_probability(rho, k)
+            got = _queue_empty_probability(rho, k)
             want = oracles.queue_empty_sum(rho, k)
             assert abs(got - want) <= 1e-12
 
     def test_overload_limit(self):
-        assert queue_empty_probability(math.inf, 50) == 0.0
-        assert queue_empty_probability(50.0, 500) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            queue_empty_probability(-0.5, 10)
-        with pytest.raises(ValueError, match="rho must be >= 0, got nan"):
-            queue_empty_probability(math.nan, 5)
-
-    @pytest.mark.parametrize("k", [2.5, True, math.nan, 0])
-    def test_capacity_is_a_positive_integer(self, k):
-        with pytest.raises(ParameterError, match=r"^k must be"):
-            queue_empty_probability(0.5, k)
+        assert _queue_empty_probability(math.inf, 50) == 0.0
+        assert _queue_empty_probability(50.0, 500) == 0.0
 
 
 class TestSolveFixedPoint:

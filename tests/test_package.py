@@ -18,11 +18,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_public_names():
     assert sorted(dcfkit.__all__) == [
-        "ConvergenceError", "DerivedTimes", "FixedPointSolution", "PROFILES",
+        "ConvergenceError", "DerivedTimes", "FixedPointSolution",
         "ParameterError", "PhyMacParams", "RegimeReport", "ReplicationResult",
         "SimConfig", "SimResult", "__version__", "critical_lambda",
-        "derive_times", "get_profile", "linear_throughput", "max_throughput",
-        "queue_empty_probability", "run_replication",
+        "derive_times", "get_profile", "linear_throughput", "run_replication",
         "run_simulation", "solve_fixed_point", "throughput_tau_form",
     ]
     for name in dcfkit.__all__:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from dcfkit import (PROFILES, ParameterError, PhyMacParams, derive_times,
-                    get_profile, solve_fixed_point, throughput_tau_form)
+from dcfkit import (ParameterError, PhyMacParams, derive_times, get_profile,
+                    solve_fixed_point, throughput_tau_form)
 from dcfkit.model import _geom_sums, _slot_kernel
 
 
@@ -89,7 +89,7 @@ class TestParamValidation:
     def test_integer_fields_reject_non_integers(self, params, overrides):
         field = next(iter(overrides))
         with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
-            PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
+            PhyMacParams(**{**dataclasses.asdict(params), **overrides})
 
     @pytest.mark.parametrize("overrides", [
         {"sifs": "10"},
@@ -99,7 +99,7 @@ class TestParamValidation:
     def test_float_fields_reject_non_numbers(self, params, overrides):
         field = next(iter(overrides))
         with pytest.raises(ParameterError, match=f"^{field} must be a number"):
-            PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
+            PhyMacParams(**{**dataclasses.asdict(params), **overrides})
 
     @pytest.mark.parametrize("overrides", [
         {"payload_bits": 10**400},
@@ -110,7 +110,7 @@ class TestParamValidation:
         # raise OverflowError converting it.
         field = next(iter(overrides))
         with pytest.raises(ParameterError, match=f"^{field} is too large"):
-            PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
+            PhyMacParams(**{**dataclasses.asdict(params), **overrides})
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({"plcp_bits": 10**308}, id="t_s-infinite"),
@@ -122,7 +122,7 @@ class TestParamValidation:
     def test_occupancy_times_must_be_finite(self, params, overrides):
         # Each field is a finite float; their sum in derive_times is not.
         with pytest.raises(ParameterError, match="^t_s or t_c is too large"):
-            PhyMacParams.from_dict({**dataclasses.asdict(params), **overrides})
+            PhyMacParams(**{**dataclasses.asdict(params), **overrides})
 
     def test_json_round_trip(self, params, tmp_path):
         path = tmp_path / "params.json"
@@ -134,8 +134,9 @@ class TestParamValidation:
         data["retry_limit"] = 7
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as err:
             get_profile(path)
+        assert str(err.value) == "unknown parameter keys: ['retry_limit']"
 
     def test_json_not_an_object(self, params, tmp_path):
         path = tmp_path / "params.json"
@@ -148,14 +149,19 @@ class TestParamValidation:
         del data["w0"]
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as err:
             get_profile(path)
+        assert str(err.value) == "missing parameter keys: ['w0']"
 
-    def test_from_dict_matches_profile_table(self):
-        for name, profile in PROFILES.items():
-            assert PhyMacParams.from_dict(
-                dataclasses.asdict(profile)) == profile
-            assert get_profile(name) is profile
+    def test_profile_round_trips_through_a_file(self, tmp_path):
+        # A name gives the one shared record; a file of its fields gives an
+        # equal record of its own.
+        profile = get_profile("dot11g-54")
+        assert get_profile("dot11g-54") is profile
+        path = tmp_path / "dot11g-54.json"
+        path.write_text(json.dumps(dataclasses.asdict(profile)))
+        copy = get_profile(path)
+        assert copy == profile and copy is not profile
 
     @pytest.mark.parametrize("name", [0, True])
     def test_file_descriptor_is_refused(self, name, monkeypatch):
@@ -173,7 +179,7 @@ class TestParamValidation:
         monkeypatch.chdir(tmp_path)
         data = {**dataclasses.asdict(params), "w0": 16}
         (tmp_path / "dot11g-54").write_text(json.dumps(data))
-        assert get_profile("dot11g-54") is PROFILES["dot11g-54"]
+        assert get_profile("dot11g-54") is params
         assert get_profile(tmp_path / "dot11g-54").w0 == 16
 
 

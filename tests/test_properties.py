@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import oracles
-from dcfkit import (derive_times, get_profile, max_throughput,
-                    queue_empty_probability, solve_fixed_point)
+from dcfkit import (critical_lambda, derive_times, get_profile,
+                    solve_fixed_point)
 from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
-                          _geom_sums, _s_of_tau, _slot_kernel, _state_at)
+                          _geom_sums, _queue_empty_probability, _s_of_tau,
+                          _slot_kernel, _state_at)
 
 PARAMS = get_profile("dot11g-54")
 TIMES = derive_times(PARAMS)
@@ -44,7 +45,7 @@ def test_geom_sums_match_term_oracle(p, w0, m):
 def test_queue_empty_probability_matches_sum(rho, k):
     # pi_0 is mathematically positive but underflows to 0.0 for deeply
     # overloaded queues; the oracle overflows to the same answer.
-    got = queue_empty_probability(rho, k)
+    got = _queue_empty_probability(rho, k)
     want = oracles.queue_empty_sum(rho, k)
     assert 0.0 <= got <= 1.0
     assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-12)
@@ -178,9 +179,9 @@ def test_max_throughput_beats_the_reachable_grid(net):
     # ten digits the CSV prints.
     n, params = net
     tau_sat, s = reachable_grid(n, params)
-    s_max, tau_max, _ = max_throughput(n, params)
-    assert s_max >= s.max() * (1.0 - 1e-13)
-    assert 0.0 < tau_max <= tau_sat
+    report = critical_lambda(n, params)
+    assert report.s_max >= s.max() * (1.0 - 1e-13)
+    assert 0.0 < report.tau_max <= tau_sat
 
 
 @given(w0=st.integers(min_value=2, max_value=1024),

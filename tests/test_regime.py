@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from dcfkit import (ParameterError, SimConfig, critical_lambda, derive_times,
-                    linear_throughput, max_throughput, solve_fixed_point,
-                    throughput_tau_form)
+                    linear_throughput, solve_fixed_point, throughput_tau_form)
 from dcfkit.model import _s_of_tau
+from dcfkit.regime import max_throughput
 
 # Reference operating points for the dot11g-54 profile; the model is
 # expected to land within 5 percent of each.
@@ -22,16 +22,16 @@ class TestMaxThroughput:
     @pytest.mark.parametrize("n", [10, 20, 30])
     def test_reference_table(self, params, n):
         s_ref, _ = REFERENCE_TABLE[n]
-        s_max, tau_max, tau_sat = max_throughput(n, params)
-        assert s_max == pytest.approx(s_ref, rel=0.05)
-        assert 0.0 < tau_max < 0.1
-        assert tau_sat == solve_fixed_point(math.inf, n, params).tau
+        report = critical_lambda(n, params)
+        assert report.s_max == pytest.approx(s_ref, rel=0.05)
+        assert 0.0 < report.tau_max < 0.1
+        assert report.tau_sat == solve_fixed_point(math.inf, n, params).tau
 
     def test_beats_dense_grid(self, params):
         # The grid covers the branch the fixed point reaches, (0, tau_sat].
         times = derive_times(params)
         for n in (2, 10, 30):
-            s_max, _, _ = max_throughput(n, params)
+            s_max = critical_lambda(n, params).s_max
             tau_sat = solve_fixed_point(math.inf, n, params).tau
             grid = np.linspace(tau_sat / 10_000, tau_sat, 10_000)
             assert s_max >= float(np.max(_s_of_tau(grid, n, times, params)))
@@ -40,11 +40,11 @@ class TestMaxThroughput:
         # The saturated point ends the branch that is searched, so S_m is
         # at least the saturated throughput.
         for n in (5, 10, 20):
-            s_max, tau_max, _ = max_throughput(n, params)
+            report = critical_lambda(n, params)
             sat = solve_fixed_point(math.inf, n, params)
-            assert s_max >= sat.throughput
-            assert s_max == pytest.approx(
-                throughput_tau_form(tau_max, n, params), rel=1e-12)
+            assert report.s_max >= sat.throughput
+            assert report.s_max == pytest.approx(
+                throughput_tau_form(report.tau_max, n, params), rel=1e-12)
 
     def test_payload_scaling_keeps_argmax_identity(self, params):
         big = dataclasses.replace(params, payload_bits=2 * params.payload_bits)
@@ -122,7 +122,7 @@ class TestLinearThroughput:
     def test_domain(self, params):
         with pytest.raises(ValueError):
             linear_throughput(-1e-6, 10, params)
-        for fn, args in ((linear_throughput, (1e-6,)), (max_throughput, ())):
+        for fn, args in ((linear_throughput, (1e-6,)), (critical_lambda, ())):
             with pytest.raises(ParameterError, match="^n must be >= 1$"):
                 fn(*args, 0, params)
 

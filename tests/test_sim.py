@@ -4,6 +4,7 @@ import hashlib
 import math
 from statistics import fmean
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -456,6 +457,29 @@ class TestTrace:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("value", ["dot11g-54", None])
+    def test_params_must_be_a_parameter_record(self, value):
+        # A profile name is no PhyMacParams: run_replication would fail on
+        # its first field read.
+        with pytest.raises(ParameterError,
+                           match="^params must be a PhyMacParams, got"):
+            SimConfig(n_stations=2, lambda_per_station=1e-5, params=value)
+
+    @pytest.mark.parametrize("seed", [1.0, True, -1])
+    def test_replication_seed_is_refused_like_base_seed(self, params, seed):
+        # The streams are keyed by the seed's text, so 1.0 and True would
+        # run other streams than 1.
+        cfg = cfg_for(params, 5, 50e-6, duration=2e5, warmup=0.0)
+        with pytest.raises(ParameterError, match="^seed must be"):
+            run_replication(cfg, seed)
+        with pytest.raises(ParameterError, match="^base_seed must be"):
+            dataclasses.replace(cfg, base_seed=seed)
+
+    def test_numpy_integer_seed_runs_the_int_stream(self, params):
+        cfg = cfg_for(params, 5, 50e-6, duration=2e5, warmup=0.0,
+                      seed=np.int64(1))
+        assert run_replication(cfg, np.int64(1)) == run_replication(cfg, 1)
+
     def test_rejects_infinite_rate(self, params):
         with pytest.raises(ParameterError):
             SimConfig(n_stations=2, lambda_per_station=math.inf, params=params)
