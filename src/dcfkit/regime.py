@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ParameterError
 from .model import _s_of_tau, solve_fixed_point
 from .params import PhyMacParams, _check_n, derive_times
 
@@ -37,12 +38,14 @@ class RegimeReport:
 
 
 def _golden_section(f, a, b, tol):
-    # Maximize a unimodal f on [a, b].
+    # Maximize a unimodal f on [a, b]. The width stops at tol and at 1e-6
+    # of the interior point, whichever is smaller: tau_max is about 0.37/N,
+    # so at large N an absolute tol alone spans the peak.
     h = b - a
     c = b - _GOLDEN * h
     d = a + _GOLDEN * h
     fc, fd = f(c), f(d)
-    while h > tol:
+    while h > tol or h > 1e-6 * c:
         if fc >= fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -63,9 +66,17 @@ def max_throughput(n: int,
     S(tau) is unimodal there, so one golden-section search of the closed
     throughput form finds the interior peak; the saturated operating point
     closes the branch and wins when S still rises at tau_sat (N <= 10 for
-    dot11g-54). Returns (s_max, tau_max, tau_sat).
+    dot11g-54). Returns (s_max, tau_max, tau_sat). n above 10**10 is
+    refused.
     """
     _check_n(n)
+    # S_m holds to 1e-5 up to here. tau_max is about 0.37/N, and past it
+    # the rounding of (1 - tau)^(n - 1) moves S(tau): on dot11g-54 S_m is
+    # 1.2e-4 too high at N = 1e11 and 7.6e-3 at 1e13.
+    if n > 10 ** 10:
+        raise ParameterError(
+            f"n must be <= 10**10 for S_m and lambda_c, got {n}: past it "
+            "the rounding of (1 - tau)^(n - 1) moves the maximum")
     times = derive_times(params)
     sat = solve_fixed_point(math.inf, n, params)
     tau, s = _golden_section(lambda t: _s_of_tau(t, n, times, params),

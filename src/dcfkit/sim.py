@@ -24,9 +24,13 @@ vs, the keys below (vs + 1) * n; a second heap holds the next arrival of
 each idle station. An idle stretch is one jump to the earliest of the next
 expiry, the next idle arrival and the end of the run, so every run, one
 at lambda = 0 too, ends at the first virtual-slot boundary at or past
-sim_duration. A contending station's arrivals only change its backlog
-and drops, so they are taken just before its next backoff draw and at
-the end of the run.
+sim_duration. A busy slot pops its first key; when no second key lies
+below (vs + 1) * n, its station succeeds alone and is served inline,
+and only a collision builds the list of its transmitters. A success is
+about 99% of channel events at light load. A contending station's
+arrivals only change its backlog and drops, so they are taken just
+before its next backoff draw and, at the end of the run, up to the
+start of the run's last virtual slot.
 
 Each station draws from its own stdlib random.Random, seeded by the text
 "seed/sid" of the replication seed and its station id, with CPython's
@@ -35,7 +39,11 @@ expovariate and randrange written out over random() and getrandbits():
 counter in window w, getrandbits(w.bit_length()) drawn again while >= w.
 So the streams depend only on the C-level Mersenne Twister. A station
 draws in the order of the plain slot-by-slot walk, so results are
-bit-identical to that walk.
+bit-identical to that walk where sigma, t_s and t_c are whole
+microseconds, as on dot11g-54, and an idle jump sums as its single slots
+do: tests/oracles.py::slot_walk is the walk, and
+tests/test_sim.py::TestProperties::test_matches_the_slot_walk holds the
+simulator to it.
 
 Trace rows are ordered by time and then station id; the stations of one
 collision share a timestamp.
@@ -184,6 +192,7 @@ def run_replication(cfg: SimConfig, seed: int,
     n = cfg.n_stations
     # (window, getrandbits width) of each stage's randrange(window)
     windows = [(w0 << i, (w0 << i).bit_length()) for i in range(m_stages + 1)]
+    k0 = windows[0][1]  # stage 0's width; its window is w0
 
     stations = [_Station(i, _station_rng(seed, i)) for i in range(n)]
     idle = []  # (next arrival, sid) of stations with no backlog
@@ -233,42 +242,53 @@ def run_replication(cfg: SimConfig, seed: int,
 
         top = (vs + 1) * n  # the keys of slot vs lie below it
         if expiry and expiry[0] < top:
-            txs = [stations[heappop(expiry) % n]]
-            while expiry and expiry[0] < top:
-                txs.append(stations[heappop(expiry) % n])
-            success = len(txs) == 1
-            kind = "success" if success else "collision"
-            for st in txs:
+            jump = 0  # no idle stretch ends the run here
+            st = stations[heappop(expiry) % n]
+            if not expiry or expiry[0] >= top:  # a lone transmitter succeeds
                 if st.next_arrival <= now:
                     admit(st, now, vs)
-                if success:
-                    st.successes += 1
-                    st.backlog -= 1
-                    st.stage = 0
-                elif st.stage < m_stages:
-                    st.stage += 1
-                else:  # the packet's last attempt failed
-                    st.retry_drops += 1
-                    st.drops += 1
-                    st.backlog -= 1
-                    st.stage = 0
+                st.successes += 1
+                st.backlog -= 1
+                st.stage = 0
                 if events is not None:
-                    events.append((now, kind, st.sid, st.backlog))
-                    if not (success or st.stage):  # stage 0 after a collision
-                        events.append((now, "retry_drop", st.sid, st.backlog))
+                    events.append((now, "success", st.sid, st.backlog))
                 if st.backlog:
-                    w, k = windows[st.stage]
-                    r = st.getrandbits(k)
-                    while r >= w:
-                        r = st.getrandbits(k)
+                    r = st.getrandbits(k0)
+                    while r >= w0:
+                        r = st.getrandbits(k0)
                     heappush(expiry, (vs + 1 + r) * n + st.sid)
                 else:
                     heappush(idle, (st.next_arrival, st.sid))
-            if success:
                 if now >= warmup:
                     measured += 1
                 now += t_s
             else:
+                txs = [st]
+                while expiry and expiry[0] < top:
+                    txs.append(stations[heappop(expiry) % n])
+                for st in txs:
+                    if st.next_arrival <= now:
+                        admit(st, now, vs)
+                    if st.stage < m_stages:
+                        st.stage += 1
+                    else:  # the packet's last attempt failed
+                        st.retry_drops += 1
+                        st.drops += 1
+                        st.backlog -= 1
+                        st.stage = 0
+                    if events is not None:
+                        events.append((now, "collision", st.sid, st.backlog))
+                        if not st.stage:
+                            events.append(
+                                (now, "retry_drop", st.sid, st.backlog))
+                    if st.backlog:
+                        w, k = windows[st.stage]
+                        r = st.getrandbits(k)
+                        while r >= w:
+                            r = st.getrandbits(k)
+                        heappush(expiry, (vs + 1 + r) * n + st.sid)
+                    else:
+                        heappush(idle, (st.next_arrival, st.sid))
                 collisions += 1
                 participations += len(txs)
                 now += t_c
@@ -291,6 +311,8 @@ def run_replication(cfg: SimConfig, seed: int,
             now += jump * sigma
             vs += jump
 
+    if jump:  # a final idle stretch's last slot starts jump - 1 past last
+        last += (jump - 1) * sigma
     for key in expiry:  # arrivals contenders have not taken, up to last
         admit(stations[key % n], last, vs)
     span = now - warmup

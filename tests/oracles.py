@@ -6,6 +6,7 @@ component-by-component sums for the timing. None of it imports from
 dcfkit, so agreement is evidence rather than tautology.
 """
 import math
+import random
 
 import numpy as np
 
@@ -127,3 +128,89 @@ def wu_saturated_tau(p, w0, m):
     head = (1.0 - 2.0 * p) * (1.0 - p ** (m + 1))
     return 2.0 * head / (
         w0 * (1.0 - (2.0 * p) ** (m + 1)) * (1.0 - p) + head)
+
+
+def slot_walk(cfg, seed):
+    """ReplicationResult's fields from a plain walk over every virtual slot.
+
+    Every slot, every station takes its arrivals up to the slot's start; a
+    queue going from 0 to 1 draws a stage-0 counter randrange(w0). The
+    transmitters are the backlogged stations whose counter is 0. After a
+    transmission a backlogged station draws randrange(w0 << stage) + 1,
+    and every counter above 0 counts down once per slot. Station sid draws
+    from random.Random(f"{seed}/{sid}"), with expovariate and randrange
+    written out over random() and getrandbits(). The slot lasts sigma when
+    idle, T_S_US for one transmitter and T_C_US for more: the timings of
+    dot11g-54, whatever cfg.params holds.
+    """
+    p = cfg.params
+    n, lam = cfg.n_stations, cfg.lambda_per_station
+    w0, m, cap, sigma = p.w0, p.m, p.queue_capacity_k, p.slot_sigma
+    rngs = [random.Random(f"{seed}/{sid}") for sid in range(n)]
+
+    def expovariate(rng):
+        return -math.log(1.0 - rng.random()) / lam
+
+    def randrange(rng, w):
+        r = rng.getrandbits(w.bit_length())
+        while r >= w:
+            r = rng.getrandbits(w.bit_length())
+        return r
+
+    next_arrival = [expovariate(rng) if lam > 0 else math.inf
+                    for rng in rngs]
+    backlog, stage, counter = [0] * n, [0] * n, [0] * n
+    arrivals, successes, drops, retry_drops = ([0] * n for _ in range(4))
+    measured = collisions = participations = slots = 0
+    now = 0.0
+    while now < cfg.sim_duration:
+        for i in range(n):
+            while next_arrival[i] <= now:
+                arrivals[i] += 1
+                if backlog[i] >= cap:
+                    drops[i] += 1
+                else:
+                    backlog[i] += 1
+                    if backlog[i] == 1:
+                        counter[i] = randrange(rngs[i], w0)
+                next_arrival[i] += expovariate(rngs[i])
+        txs = [i for i in range(n) if backlog[i] and counter[i] == 0]
+        for i in txs:
+            if len(txs) == 1:
+                successes[i] += 1
+                backlog[i] -= 1
+                stage[i] = 0
+            elif stage[i] < m:
+                stage[i] += 1
+            else:
+                retry_drops[i] += 1
+                drops[i] += 1
+                backlog[i] -= 1
+                stage[i] = 0
+            if backlog[i]:
+                counter[i] = randrange(rngs[i], w0 << stage[i]) + 1
+        counter = [c - 1 if c > 0 else 0 for c in counter]
+        if len(txs) == 1:
+            if now >= cfg.warmup:
+                measured += 1
+            now += T_S_US
+        elif txs:
+            collisions += 1
+            participations += len(txs)
+            now += T_C_US
+        else:
+            now += sigma
+        slots += 1
+    return {
+        "throughput": measured * p.payload_bits / (now - cfg.warmup),
+        "end_time": now,
+        "measured_successes": measured,
+        "collisions": collisions,
+        "collision_participations": participations,
+        "virtual_slots": slots,
+        "per_station_arrivals": tuple(arrivals),
+        "per_station_successes": tuple(successes),
+        "per_station_drops": tuple(drops),
+        "per_station_retry_drops": tuple(retry_drops),
+        "final_queue_lengths": tuple(backlog),
+    }

@@ -219,6 +219,13 @@ class TestSweep:
             assert row["error"] == ""
             assert row["s_model_mbps"] == row["s_linear_mbps"]
 
+    def test_auto_grid_past_the_station_limit_exits_1(self, capsys):
+        # Refused before the search: S_m rounds to 0 at this N, and the
+        # auto grid would divide by it.
+        assert main(["sweep", "--n", "10000000000000",
+                     "--lambda-grid", "auto"]) == 1
+        assert "10**10" in assert_one_line_error(capsys)
+
     def test_empty_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", ","]) == 1
 

@@ -46,6 +46,23 @@ class TestMaxThroughput:
             assert report.s_max == pytest.approx(
                 throughput_tau_form(report.tau_max, n, params), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [10 ** e for e in range(6, 11)])
+    def test_large_networks_reach_the_limit(self, params, n):
+        # tau_max is about 0.37/N, so the search's absolute stop of 1e-9
+        # spans more of the peak as N grows; its stop relative to tau keeps
+        # S_m at the large-N value of dot11g-54.
+        report = critical_lambda(n, params)
+        assert report.s_max == pytest.approx(8.325394, abs=1e-5)
+        assert report.lambda_c > 0
+
+    @pytest.mark.parametrize("n", [10 ** 10 + 1, 10 ** 13])
+    def test_refuses_networks_past_the_rounding_limit(self, params, n):
+        # Past 10**10 stations S_m drifts from the rounding of
+        # (1 - tau)^(n - 1); from 1e13 the unbounded search reads 0.
+        with pytest.raises(ParameterError,
+                           match=r"<= 10\*\*10 .* \(1 - tau\)\^\(n - 1\)"):
+            max_throughput(n, params)
+
     def test_payload_scaling_keeps_argmax_identity(self, params):
         big = dataclasses.replace(params, payload_bits=2 * params.payload_bits)
         report = critical_lambda(10, big)

@@ -127,7 +127,9 @@ class TestStreams:
 
 # sha256 of repr() of these fields, recorded with each station drawing from
 # random.Random(f"{seed}/{sid}") through its expovariate and randrange
-# methods and checked equal to the per-station slot scan on those streams.
+# methods, and checked equal to the per-station slot walk on those streams,
+# oracles.slot_walk, which TestProperties::test_matches_the_slot_walk holds
+# the simulator to over random configs.
 # The simulator writes those two formulas out over random() and
 # getrandbits(), so these digests also tie it to the stdlib methods. Any
 # change to a simulated value, a stream, a draw order or the float
@@ -385,6 +387,25 @@ class TestProperties:
         assert (cfg.sim_duration <= rep.end_time
                 < cfg.sim_duration + max(p.slot_sigma, t.t_s, t.t_c))
         assert run_replication(cfg, seed) == rep
+
+    # dot11g-54's t_s (714 us), t_c (713 us) and sigma (20 us) are
+    # integers, so now sums exactly whether an idle stretch is one jump or
+    # many single slots, and the two loops agree bit for bit on end_time
+    # and throughput too. Windows of 512 give long final idle stretches.
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 5),
+           lam=st.one_of(st.just(0.0), st.floats(1e-5, 1e-2)),
+           k=st.integers(1, 50), w0=st.sampled_from([2, 3, 16, 32, 512]),
+           m=st.integers(1, 3), duration=st.floats(1.0, 3e4),
+           warmup_share=st.floats(0.0, 0.99), seed=st.integers(0, 2**32))
+    def test_matches_the_slot_walk(self, params, times, n, lam, k, w0, m,
+                                   duration, warmup_share, seed):
+        assert (times.t_s, times.t_c, params.slot_sigma) == (714, 713, 20)
+        p = dataclasses.replace(params, queue_capacity_k=k, w0=w0, m=m)
+        cfg = cfg_for(p, n, lam, duration=duration,
+                      warmup=warmup_share * duration, reps=1)
+        want = oracles.slot_walk(cfg, seed)
+        assert dataclasses.asdict(run_replication(cfg, seed)) == want
 
 
 class TestVirtualSlots:
