@@ -6,20 +6,17 @@ slot-accurate simulator for validation.
 """
 
 from .errors import ConvergenceError, ParameterError
-from .model import FixedPointSolution, solve_fixed_point, throughput_tau_form
+from .model import FixedPointSolution, solve_fixed_point
 from .params import DerivedTimes, PhyMacParams, derive_times, get_profile
 from .regime import RegimeReport, critical_lambda, linear_throughput
-from .sim import ReplicationResult, SimConfig, SimResult, run_replication
-from .sim import run as run_simulation
+from .sim import ReplicationResult, SimConfig, SimResult, run as run_simulation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "ParameterError",
+    "ConvergenceError", "ParameterError", "__version__",
     "PhyMacParams", "DerivedTimes", "derive_times", "get_profile",
-    "FixedPointSolution", "solve_fixed_point", "throughput_tau_form",
+    "FixedPointSolution", "solve_fixed_point",
     "RegimeReport", "linear_throughput", "critical_lambda",
-    "SimConfig", "SimResult", "ReplicationResult", "run_replication",
-    "run_simulation",
-    "__version__",
+    "SimConfig", "SimResult", "ReplicationResult", "run_simulation",
 ]

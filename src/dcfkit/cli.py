@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ParameterError
 from .model import FixedPointSolution, solve_fixed_point
 from .params import get_profile
 from .regime import RegimeReport, critical_lambda, linear_throughput
@@ -31,13 +31,9 @@ _AUTO_GRID_SPAN = (0.01, 5.0)  # multiples of lambda_c
 _SEED_STRIDE = 10_000
 
 
-class UsageError(Exception):
-    """Bad flags or flag values."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
-        raise UsageError(message)
+        raise ParameterError(message)
 
 
 @dataclass(slots=True)
@@ -123,9 +119,11 @@ def _parse_n_list(text) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in str(text).split(",") if part.strip())
     except ValueError as exc:
-        raise UsageError(f"bad station count list: {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise UsageError(f"station counts must be positive: {text!r}")
+        raise ParameterError(f"bad station count list: {text!r}") from exc
+    if not values:
+        raise ParameterError("station count list must not be empty")
+    if any(v < 1 for v in values):
+        raise ParameterError(f"station counts must be positive: {text!r}")
     return values
 
 
@@ -135,11 +133,11 @@ def _parse_grid(text):
     try:
         values = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise UsageError(f"bad lambda grid: {text!r}") from exc
+        raise ParameterError(f"bad lambda grid: {text!r}") from exc
     if not values:
-        raise UsageError("lambda grid must not be empty")
+        raise ParameterError("lambda grid must not be empty")
     if not all(math.isfinite(v) and v >= 0 for v in values):
-        raise UsageError("lambda grid entries must be finite and >= 0")
+        raise ParameterError("lambda grid entries must be finite and >= 0")
     return values
 
 
@@ -308,13 +306,13 @@ def main(argv=None) -> int:
         # A bad sim flag exits 1 even when no simulation runs.
         sim = _resolve_sim(args, params)
         if sim.replications > _SEED_STRIDE:
-            raise UsageError(f"--replications must be <= {_SEED_STRIDE} "
-                             f"on {args.command}: more would share seeds "
-                             f"between points")
+            raise ParameterError(f"--replications must be <= {_SEED_STRIDE} "
+                                 f"on {args.command}: more would share seeds "
+                                 f"between points")
         return cmd(_sweep_points(params, n_list, grid,
                                  sim if with_sim else None), out=args.out)
     # ParameterError is a ValueError; OSError covers the paths the user gave.
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

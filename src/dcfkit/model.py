@@ -125,14 +125,6 @@ def _s_of_tau(tau, n, times, params):
     return _s_of_slot(tau, n, _slot_kernel(tau, n, times, params)[-1], params)
 
 
-def throughput_tau_form(tau: float, n: int, params: PhyMacParams) -> float:
-    """Aggregate throughput as a function of the transmission probability."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    _check_n(n)
-    return float(_s_of_tau(tau, n, derive_times(params), params))
-
-
 def _state_at(tau, lam, n, times, params, iterations=None):
     """One application of the fixed-point map at tau: map(tau), or, given
     the solve's count of map calls, the FixedPointSolution at tau."""

@@ -46,6 +46,12 @@ def _check_n(n, name="n", least=1):
         raise ParameterError(f"{name} must be >= {least}")
 
 
+def _check_params(params):
+    """Refuse anything but a PhyMacParams, such as a profile's name."""
+    if not isinstance(params, PhyMacParams):
+        raise ParameterError(f"params must be a PhyMacParams, got {params!r}")
+
+
 @dataclass(frozen=True)
 class PhyMacParams:
     """PHY and MAC constants describing one station configuration."""
@@ -121,6 +127,7 @@ def derive_times(params: PhyMacParams) -> DerivedTimes:
     propagation delay on each hop, where DIFS is SIFS + 2 slots; a collision
     occupies PLCP + frame and ends with EIFS instead of the ACK handshake.
     """
+    _check_params(params)
     t_plcp = params.plcp_bits / params.basic_rate
     t_ack = t_plcp + params.ack_bits / params.basic_rate
     t_frame = (params.mac_header_bits + params.payload_bits) / params.data_rate

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .model import _s_of_tau, solve_fixed_point
-from .params import PhyMacParams, _check_n, derive_times
+from .params import PhyMacParams, _check_n, _check_params, derive_times
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GSS_TOL = 1e-9
@@ -91,6 +91,7 @@ def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
     if not lam >= 0:  # also rejects nan
         raise ValueError(f"lam must be >= 0, got {lam}")
     _check_n(n)
+    _check_params(params)
     return n * params.payload_bits * lam
 
 

@@ -61,7 +61,8 @@ from operator import attrgetter
 
 from .errors import ParameterError
 from .model import _brentq
-from .params import PhyMacParams, _check_n, _check_number_fields, derive_times
+from .params import (PhyMacParams, _check_n, _check_number_fields,
+                     _check_params, derive_times)
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_number_fields(self)
-        if not isinstance(self.params, PhyMacParams):
-            raise ParameterError(
-                f"params must be a PhyMacParams, got {self.params!r}")
+        _check_params(self.params)
         _check_n(self.n_stations, "n_stations")
         if not 0.0 <= self.lambda_per_station < math.inf:
             raise ParameterError("lambda_per_station must be finite and >= 0")

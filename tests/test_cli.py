@@ -160,6 +160,10 @@ class TestTable1:
         assert main(["table1", "--n", "0"]) == 1
         assert "station counts must be positive" in assert_one_line_error(
             capsys)
+        for empty in (["--n", ","], ["--n="]):
+            assert main(["table1", *empty]) == 1
+            assert assert_one_line_error(capsys) == (
+                "error: station count list must not be empty\n")
         # argparse's own errors take the same exit code and one line.
         assert main(["table1", "--n"]) == 1
         assert "expected one argument" in assert_one_line_error(capsys)

@@ -8,11 +8,10 @@ from scipy import optimize
 
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
-                    get_profile, linear_throughput, solve_fixed_point,
-                    throughput_tau_form)
+                    get_profile, linear_throughput, solve_fixed_point)
 from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
-                          _geom_sums, _queue_empty_probability, _slot_kernel,
-                          _state_at)
+                          _geom_sums, _queue_empty_probability, _s_of_tau,
+                          _slot_kernel, _state_at)
 
 
 def small_chain_params():
@@ -183,12 +182,12 @@ class TestSolveFixedPoint:
         assert inf.q == 1.0
         assert inf.p_i0 == 1.0
 
-    def test_throughput_consistency(self, params):
+    def test_throughput_consistency(self, params, times):
         for lam_pkt_s in (5.0, 60.0, 150.0):
             sol = solve_fixed_point(lam_pkt_s * 1e-6, 10, params)
-            assert throughput_tau_form(sol.tau, 10, params) == pytest.approx(
-                sol.throughput, rel=1e-10)
-            assert throughput_tau_form(sol.tau, 10, params) == sol.throughput
+            s_of_tau = _s_of_tau(sol.tau, 10, times, params)
+            assert s_of_tau == pytest.approx(sol.throughput, rel=1e-10)
+            assert s_of_tau == sol.throughput
 
     def test_monotone_saturation_tail(self, params):
         sat = solve_fixed_point(math.inf, 10, params).throughput
@@ -399,9 +398,9 @@ class TestStageOccupancy:
 
 
 class TestThroughputTauForm:
-    def test_vanishes_at_edges(self, params):
-        assert throughput_tau_form(0.0, 10, params) == 0.0
-        assert throughput_tau_form(1.0, 10, params) == 0.0
+    def test_vanishes_at_edges(self, params, times):
+        assert _s_of_tau(0.0, 10, times, params) == 0.0
+        assert _s_of_tau(1.0, 10, times, params) == 0.0
 
     def test_numerator_identity(self, params):
         # N tau (1-tau)^(N-1) equals P_t * P_s by construction; the tau form
@@ -426,7 +425,3 @@ class TestThroughputTauForm:
         assert abs(alpha - 16.5) < 1e-3
         assert abs(t_tx - times.t_s) / times.t_s < 1e-4
         assert abs(t_bo - params.slot_sigma) / params.slot_sigma < 1e-2
-
-    def test_domain(self, params):
-        with pytest.raises(ValueError):
-            throughput_tau_form(1.0001, 10, params)

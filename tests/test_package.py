@@ -14,6 +14,7 @@ import dcfkit
 from dcfkit.cli import _sweep_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_public_names():
@@ -21,11 +22,28 @@ def test_public_names():
         "ConvergenceError", "DerivedTimes", "FixedPointSolution",
         "ParameterError", "PhyMacParams", "RegimeReport", "ReplicationResult",
         "SimConfig", "SimResult", "__version__", "critical_lambda",
-        "derive_times", "get_profile", "linear_throughput", "run_replication",
-        "run_simulation", "solve_fixed_point", "throughput_tau_form",
+        "derive_times", "get_profile", "linear_throughput", "run_simulation",
+        "solve_fixed_point",
     ]
     for name in dcfkit.__all__:
         assert hasattr(dcfkit, name), name
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text()
+    for name in dcfkit.__all__:
+        if name != "__version__":
+            assert re.search(rf"\b{name}\b", text), name
+
+
+@pytest.mark.filterwarnings("ignore:Support for:UserWarning")
+def test_version_has_one_source():
+    # pyproject.toml reads the version from dcfkit.__version__ when the
+    # package is built, so the two cannot disagree.
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    project = pyprojecttoml.read_configuration(PYPROJECT)["project"]
+    assert "version" in project.get("dynamic", ())
+    assert project["version"] == dcfkit.__version__
 
 
 @pytest.mark.parametrize("module, attr", [

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from dcfkit import (ParameterError, PhyMacParams, derive_times, get_profile,
-                    solve_fixed_point, throughput_tau_form)
+from dcfkit import (ParameterError, PhyMacParams, critical_lambda,
+                    derive_times, get_profile, linear_throughput,
+                    solve_fixed_point)
 from dcfkit.model import _geom_sums, _slot_kernel
 
 
@@ -54,6 +55,22 @@ class TestParamValidation:
     def test_unknown_profile(self):
         with pytest.raises(ParameterError, match="dot11g-54"):
             get_profile("dot11b-legacy")
+
+    @pytest.mark.parametrize("value", ["dot11g-54", None])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda p: solve_fixed_point(1e-5, 10, p),
+                     id="solve_fixed_point"),
+        pytest.param(lambda p: critical_lambda(10, p), id="critical_lambda"),
+        pytest.param(lambda p: linear_throughput(1e-5, 10, p),
+                     id="linear_throughput"),
+        pytest.param(derive_times, id="derive_times"),
+    ])
+    def test_params_must_be_a_parameter_record(self, call, value):
+        # A profile's name goes to get_profile first; here it is refused
+        # as SimConfig refuses it, not met by an AttributeError.
+        with pytest.raises(ParameterError,
+                           match="^params must be a PhyMacParams, got"):
+            call(value)
 
     def test_nonpositive_duration(self, params):
         with pytest.raises(ParameterError):
@@ -293,12 +310,3 @@ class TestCollisionProbability:
             by_n = [collision_probability(tau, n, times, params)
                     for n in range(1, 40)]
             assert all(b >= a for a, b in zip(by_n, by_n[1:]))
-
-    def test_domain(self, params):
-        # tau and n are checked where they enter the collision probability.
-        with pytest.raises(ValueError):
-            throughput_tau_form(-0.2, 5, params)
-        with pytest.raises(ValueError):
-            throughput_tau_form(1.2, 5, params)
-        with pytest.raises(ParameterError):
-            throughput_tau_form(0.5, 0, params)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dcfkit import (ParameterError, SimConfig, critical_lambda, derive_times,
-                    linear_throughput, solve_fixed_point, throughput_tau_form)
+                    linear_throughput, solve_fixed_point)
 from dcfkit.model import _s_of_tau
 from dcfkit.regime import max_throughput
 
@@ -36,7 +36,7 @@ class TestMaxThroughput:
             grid = np.linspace(tau_sat / 10_000, tau_sat, 10_000)
             assert s_max >= float(np.max(_s_of_tau(grid, n, times, params)))
 
-    def test_above_saturated_operating_point(self, params):
+    def test_above_saturated_operating_point(self, params, times):
         # The saturated point ends the branch that is searched, so S_m is
         # at least the saturated throughput.
         for n in (5, 10, 20):
@@ -44,7 +44,7 @@ class TestMaxThroughput:
             sat = solve_fixed_point(math.inf, n, params)
             assert report.s_max >= sat.throughput
             assert report.s_max == pytest.approx(
-                throughput_tau_form(report.tau_max, n, params), rel=1e-12)
+                _s_of_tau(report.tau_max, n, times, params), rel=1e-12)
 
     @pytest.mark.parametrize("n", [10 ** e for e in range(6, 11)])
     def test_large_networks_reach_the_limit(self, params, n):
@@ -146,7 +146,6 @@ class TestLinearThroughput:
     @pytest.mark.parametrize("n", [2.5, True, math.nan, 0])
     @pytest.mark.parametrize("fn, args", [
         pytest.param(solve_fixed_point, (1e-5,), id="solve_fixed_point"),
-        pytest.param(throughput_tau_form, (0.05,), id="throughput_tau_form"),
         pytest.param(max_throughput, (), id="max_throughput"),
         pytest.param(linear_throughput, (1e-5,), id="linear_throughput"),
         pytest.param(critical_lambda, (), id="critical_lambda"),
