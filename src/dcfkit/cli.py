@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import math
 import sys
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, ParameterError
 from .model import FixedPointSolution, solve_fixed_point
-from .params import get_profile
+from .params import _check_n, _check_rate, get_profile
 from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import SimConfig, SimResult, run
 
@@ -122,8 +121,8 @@ def _parse_n_list(text) -> tuple[int, ...]:
         raise ParameterError(f"bad station count list: {text!r}") from exc
     if not values:
         raise ParameterError("station count list must not be empty")
-    if any(v < 1 for v in values):
-        raise ParameterError(f"station counts must be positive: {text!r}")
+    for v in values:
+        _check_n(v, "station count")
     return values
 
 
@@ -136,8 +135,8 @@ def _parse_grid(text):
         raise ParameterError(f"bad lambda grid: {text!r}") from exc
     if not values:
         raise ParameterError("lambda grid must not be empty")
-    if not all(math.isfinite(v) and v >= 0 for v in values):
-        raise ParameterError("lambda grid entries must be finite and >= 0")
+    for v in values:
+        _check_rate(v, "lambda grid entry", finite=True)
     return values
 
 

@@ -17,8 +17,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError
-from .params import PhyMacParams, _check_n, derive_times
+from .errors import ConvergenceError, ParameterError
+from .params import (PhyMacParams, _check_n, _check_rate, _check_real,
+                     derive_times)
 
 # Root bracket for tau. For any lam > 0 the map is positive at 0, so the
 # residual is negative there; at lam = 0 it is 0, a root at the bracket's
@@ -131,12 +132,17 @@ def _state_at(tau, lam, n, times, params, iterations=None):
     p, t_tx, t_bo, epsilon, alpha, t_a, t_i = _slot_kernel(tau, n, times,
                                                            params)
     t_service = t_a + t_tx
-    rho = lam * t_service
     # No argument checks: solve_fixed_point refused a NaN or negative lam
     # and t_service > 0, so rho lies in [0, inf]; PhyMacParams refused a
-    # queue_capacity_k that is not an integer >= 1.
+    # queue_capacity_k that is not an integer >= 1. lam = 0 skips the
+    # products: near tau = 1 the largest windows overflow theta * t_bo, so
+    # t_i and t_service can read inf, and 0 * inf is NaN.
+    if lam:
+        rho = lam * t_service
+        p_i0 = -math.expm1(-lam * t_i)
+    else:
+        rho = p_i0 = 0.0
     q = 1.0 - _queue_empty_probability(rho, params.queue_capacity_k)
-    p_i0 = -math.expm1(-lam * t_i)
     # The chain's normalisation b_idle + alpha * b00 = 1, with
     # p_i0 * b_idle = (1 - q) * b00, over one denominator: it stays positive
     # where p_i0 is 0 (lam = 0, or lam * t_i underflowing), where q is 0.
@@ -227,14 +233,17 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
     lam = 0, so the idle solution comes back after 2 map calls. tau_sat,
     the saturated tau for the same n and params, caps the bracket just
     above it: no map exceeds the saturated one, so g is positive there
-    too; a tau_sat outside (0, 1] raises ValueError. iterations counts
-    the map evaluations. Raises ConvergenceError when g does not change
-    sign on the bracket, is NaN, or the solve does not converge.
+    too. A lam that is a bool, no number, NaN or negative, a bad n or
+    params, or a tau_sat that is a bool, no number or outside (0, 1] raises
+    ParameterError. iterations counts the map evaluations. Raises
+    ConvergenceError when g does not change sign on the bracket, is NaN,
+    or the solve does not converge.
     """
-    if not lam >= 0:  # also rejects nan
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if tau_sat is not None and not 0 < tau_sat <= 1:  # also rejects nan
-        raise ValueError(f"tau_sat must be in (0, 1], got {tau_sat}")
+    _check_rate(lam)
+    if tau_sat is not None:
+        _check_real(tau_sat, "tau_sat")
+        if not 0 < tau_sat <= 1:  # also rejects nan
+            raise ParameterError(f"tau_sat must be in (0, 1], got {tau_sat!r}")
     _check_n(n)
     times = derive_times(params)
 

@@ -16,12 +16,16 @@ from dataclasses import dataclass, fields
 from .errors import ParameterError
 
 
+def _is_number(value, kind):
+    # bool is an int subclass, yet True is no count, duration or rate.
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
 def _check_number_fields(obj):
     """Refuse a value of the wrong kind in an int- or float-annotated field.
 
-    bool is an int subclass, yet True is no count and no duration. A float
-    window or queue capacity would pass the range checks and then fail or
-    round later; a string would make the range checks raise TypeError.
+    A float window or queue capacity would pass the range checks and then
+    fail or round later; a string would make them raise TypeError.
     """
     for f in fields(obj):
         if f.type in ("int", int):
@@ -31,7 +35,7 @@ def _check_number_fields(obj):
         else:
             continue
         value = getattr(obj, f.name)
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if not _is_number(value, kind):
             raise ParameterError(f"{f.name} must be {what}, got {value!r}")
 
 
@@ -39,11 +43,26 @@ def _check_n(n, name="n", least=1):
     """Refuse a count that is a bool, a non-integer or below least."""
     # An int skips the ABC isinstance check, many times slower than the
     # type test; every solve makes this call.
-    if type(n) is not int and (isinstance(n, bool)
-                               or not isinstance(n, numbers.Integral)):
+    if type(n) is not int and not _is_number(n, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {n!r}")
     if n < least:
         raise ParameterError(f"{name} must be >= {least}")
+
+
+def _check_real(value, name):
+    """Refuse a value that is a bool or no real number."""
+    # A float skips the ABC isinstance check, as an int does in _check_n.
+    if type(value) is not float and not _is_number(value, numbers.Real):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+
+
+def _check_rate(lam, name="lam", finite=False):
+    """Refuse an arrival rate that is a bool, a non-number, NaN, negative
+    or, with finite, infinite. inf is the saturated operating point."""
+    _check_real(lam, name)
+    if not lam >= 0 or finite and lam == math.inf:  # also rejects nan
+        limit = "finite and >= 0" if finite else ">= 0"
+        raise ParameterError(f"{name} must be {limit}, got {lam!r}")
 
 
 def _check_params(params):
@@ -101,6 +120,12 @@ class PhyMacParams:
             raise ParameterError("w0 must be >= 2")
         if self.m < 1:
             raise ParameterError("m must be >= 1")
+        # The stage sum w0 * (2^(m+1) - 1) overflows a float, and every
+        # solve reads NaN, once w0 * 2^m >= 2^1023. Bit lengths decide it
+        # without building w0 << m for a huge m.
+        if int(self.w0).bit_length() + self.m > 1023:
+            raise ParameterError(f"w0 * 2**m must be below 2**1023, got "
+                                 f"w0 {self.w0} and m {self.m}")
         if self.queue_capacity_k < 1:
             raise ParameterError("queue_capacity_k must be >= 1")
         try:  # finite fields can sum to an infinite t_s or t_c (S reads 0)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .model import _s_of_tau, solve_fixed_point
-from .params import PhyMacParams, _check_n, _check_params, derive_times
+from .params import (PhyMacParams, _check_n, _check_params, _check_rate,
+                     derive_times)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GSS_TOL = 1e-9
@@ -31,9 +32,9 @@ class RegimeReport:
     tau_sat: float  # the saturated operating point's tau
 
     def regime_of(self, lam: float) -> str:
-        """Classify a per-station arrival rate (packets/us)."""
-        if not lam >= 0:  # also rejects nan
-            raise ValueError(f"lam must be >= 0, got {lam}")
+        """Classify a per-station arrival rate (packets/us); a lam that
+        is not a number >= 0 raises ParameterError."""
+        _check_rate(lam)
         return "unsaturated" if lam < self.lambda_c else "saturated"
 
 
@@ -88,8 +89,7 @@ def max_throughput(n: int,
 
 def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
     """Unsaturated aggregate throughput N * E[PL] * lam, in bits/us."""
-    if not lam >= 0:  # also rejects nan
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_rate(lam)
     _check_n(n)
     _check_params(params)
     return n * params.payload_bits * lam

@@ -62,7 +62,7 @@ from operator import attrgetter
 from .errors import ParameterError
 from .model import _brentq
 from .params import (PhyMacParams, _check_n, _check_number_fields,
-                     _check_params, derive_times)
+                     _check_params, _check_rate, derive_times)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class SimConfig:
         _check_number_fields(self)
         _check_params(self.params)
         _check_n(self.n_stations, "n_stations")
-        if not 0.0 <= self.lambda_per_station < math.inf:
-            raise ParameterError("lambda_per_station must be finite and >= 0")
+        _check_rate(self.lambda_per_station, "lambda_per_station",
+                    finite=True)
         if not 0.0 < self.sim_duration < math.inf:
             raise ParameterError("sim_duration must be finite and positive")
         if not 0.0 <= self.warmup < self.sim_duration:

@@ -301,14 +301,26 @@ class TestSolveFixedPoint:
         assert (sol.tau, sol.throughput) == (0.0, 0.0)
 
     def test_domain(self, params):
-        with pytest.raises(ValueError):
-            solve_fixed_point(-1e-6, 10, params)
+        for lam, message in ((-1e-6, ">= 0, got -1e-06"),
+                             (math.nan, ">= 0, got nan"),
+                             (True, "a number, got True"),
+                             ("1e-5", "a number, got '1e-5'"),
+                             (None, "a number, got None")):
+            with pytest.raises(ParameterError,
+                               match=f"^lam must be {message}$"):
+                solve_fixed_point(lam, 10, params)
         with pytest.raises(ParameterError):
             solve_fixed_point(1e-5, 0, params)
 
-    @pytest.mark.parametrize("tau_sat", [math.nan, -0.5, 0.0, 1.5, math.inf])
-    def test_refuses_a_cap_outside_the_unit_interval(self, params, tau_sat):
-        with pytest.raises(ValueError, match="^tau_sat must be in"):
+    @pytest.mark.parametrize("tau_sat, message", [
+        *((tau_sat, "^tau_sat must be in")
+          for tau_sat in (math.nan, -0.5, 0.0, 1.5, math.inf)),
+        *((tau_sat, "^tau_sat must be a number")
+          for tau_sat in (True, "x")),
+    ])
+    def test_refuses_a_cap_outside_the_unit_interval(self, params, tau_sat,
+                                                    message):
+        with pytest.raises(ParameterError, match=message):
             solve_fixed_point(1e-5, 10, params, tau_sat=tau_sat)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,10 +92,28 @@ class TestParamValidation:
         ({"mac_header_bits": -1}, "mac_header_bits must be >= 0"),
         *(({name: 0}, f"{name} must be a positive bit count")
           for name in ("plcp_bits", "ack_bits", "payload_bits")),
+        # From w0 * 2^m = 2^1023 on, the stage sums overflow and every
+        # solve reads NaN. m = 10**18 is refused without building w0 << m.
+        *(({"w0": w0, "m": m}, f"below 2..1023, got w0 {w0} and m {m}$")
+          for w0, m in ((32, 1018), (2, 1022), (32, 10**18))),
     ])
     def test_window_limits(self, params, overrides, message):
         with pytest.raises(ParameterError, match=message):
             dataclasses.replace(params, **overrides)
+
+    def test_largest_window_solves(self, params):
+        # w0 * 2^m = 2^1022, the largest window below the limit.
+        big = dataclasses.replace(params, m=1017)
+        report = critical_lambda(10, big)
+        assert round(report.s_max, 4) == 9.0906
+        assert math.isfinite(report.lambda_c)
+        # Uncapped, the bracket's end tau = 1 - 1e-12 overflows
+        # theta * t_bo, so t_i reads inf there; lam = 0 must still give the
+        # idle solution, and a light load a finite one.
+        idle = solve_fixed_point(0.0, 10, big)
+        assert (idle.tau, idle.throughput, idle.iterations) == (0.0, 0.0, 2)
+        light = solve_fixed_point(0.3 * report.lambda_c, 10, big)
+        assert 0.0 < light.throughput < report.s_max
 
     @pytest.mark.parametrize("overrides", [
         {"w0": 32.5},

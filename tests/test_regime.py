@@ -117,11 +117,14 @@ class TestCriticalLambda:
         assert report.regime_of(report.lambda_c) == "saturated"
         assert report.regime_of(2.0 * report.lambda_c) == "saturated"
 
-    @pytest.mark.parametrize("lam", [math.nan, -1.0, -math.inf])
-    def test_regime_of_refuses_a_bad_rate(self, params, lam):
-        # The same refusal as linear_throughput's, not a regime for a rate
-        # that is none.
-        with pytest.raises(ValueError, match="lam must be >= 0"):
+    @pytest.mark.parametrize("lam, message", [
+        *((lam, "^lam must be >= 0") for lam in (math.nan, -1.0, -math.inf)),
+        *((lam, "^lam must be a number") for lam in (True, "1e-5", None)),
+    ])
+    def test_regime_of_refuses_a_bad_rate(self, params, lam, message):
+        # params._check_rate's refusal, not a regime for a rate that is
+        # none.
+        with pytest.raises(ParameterError, match=message):
             critical_lambda(10, params).regime_of(lam)
 
 
@@ -137,7 +140,7 @@ class TestLinearThroughput:
                 pytest.approx(s_ref, rel=1e-3))
 
     def test_domain(self, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="^lam must be >= 0"):
             linear_throughput(-1e-6, 10, params)
         for fn, args in ((linear_throughput, (1e-6,)), (critical_lambda, ())):
             with pytest.raises(ParameterError, match="^n must be >= 1$"):
@@ -164,10 +167,33 @@ class TestLinearThroughput:
             linear_throughput(1e-5, 10, params))
 
     def test_nan_is_refused_like_the_solver(self, params):
-        # The same test and message as solve_fixed_point's.
+        # Every entry point that takes a rate refuses a bad one through
+        # params._check_rate, naming the argument. inf is the model's
+        # saturated operating point, but no rate for the simulator.
         for fn in (linear_throughput, solve_fixed_point):
-            with pytest.raises(ValueError, match="lam must be >= 0, got nan"):
+            with pytest.raises(ParameterError,
+                               match="^lam must be >= 0, got nan$"):
                 fn(math.nan, 10, params)
+        report = critical_lambda(10, params)
+        model = (lambda lam: solve_fixed_point(lam, 10, params),
+                 lambda lam: linear_throughput(lam, 10, params),
+                 report.regime_of)
+        bad = (True, "1e-5", None, math.nan, -1.0)
+        messages = ("a number, got True", "a number, got '1e-5'",
+                    "a number, got None", ">= 0, got nan", ">= 0, got -1.0")
+        for fn in model:
+            for lam, message in zip(bad, messages):
+                with pytest.raises(ParameterError,
+                                   match=f"^lam must be {message}$"):
+                    fn(lam)
+            for lam in (0, 0.0, math.inf):
+                fn(lam)
+        for lam, message in zip((*bad, math.inf), (
+                *messages[:3], "finite and >= 0, got nan",
+                "finite and >= 0, got -1.0", "finite and >= 0, got inf")):
+            with pytest.raises(ParameterError, match=(
+                    f"^lambda_per_station must be {message}$")):
+                SimConfig(n_stations=2, lambda_per_station=lam, params=params)
 
 
 def linearity_error(lam, n, params):
