@@ -190,7 +190,8 @@ def _sweep_points(params, n_list, grid, sim) -> list[CurvePoint]:
             fixed_point, error = None, ""
             try:
                 fixed_point = solve_fixed_point(lam, n, params,
-                                                tau_sat=report.tau_sat)
+                                                tau_sat=report.tau_sat,
+                                                tau_max=report.tau_max)
             except ConvergenceError as exc:
                 error = f"no convergence: {exc}"
             result = None if sim is None else run(replace(

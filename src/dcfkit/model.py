@@ -9,7 +9,9 @@ negative near 0 and positive near 1, so the root is found by Brent's
 method (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4)
 on the (0, 1) bracket. A caller that has the saturated tau may cap the
 bracket there: the map at any arrival rate is at most the saturated map, so
-the residual is positive above the saturated root.
+the residual is positive above the saturated root. A caller that also has
+the tau of the throughput maximum splits the capped bracket there, by the
+sign of the residual at that tau.
 """
 from __future__ import annotations
 
@@ -83,11 +85,14 @@ def _slot_kernel(tau, n, times, params):
     # backoff slot is sigma when nobody else transmits), the stage sums
     # epsilon and alpha, the mean access delay t_a (the backoff countdown
     # averaged over the stage-visit distribution) and the mean duration t_i
-    # of a slot spent parked in the idle state. Written with operators
-    # only, so the numpy arrays of tau that tests/test_regime.py and
-    # tests/test_properties.py pass flow through; the package itself
-    # passes floats.
-    p = 1.0 - (1.0 - tau) ** (n - 1)
+    # of a slot spent parked in the idle state. tau is a float. p is
+    # 1 - (1 - tau)^(n - 1) in log1p form, which keeps its digits at the
+    # small tau of light load and large n, where the plain form cancels;
+    # at tau = 1, outside log1p's domain, every other station sends.
+    if tau < 1.0:
+        p = -math.expm1((n - 1) * math.log1p(-tau))
+    else:
+        p = 1.0 if n > 1 else 0.0
     t_tx = (1.0 - p) * times.t_s + p * times.t_c
     t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
     gamma, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
@@ -117,12 +122,17 @@ def _queue_empty_probability(rho, k):
 
 def _s_of_slot(tau, n, t_i, params):
     # Aggregate throughput: the success share of a slot of mean length t_i.
-    return n * tau * (1.0 - tau) ** (n - 1) * params.payload_bits / t_i
+    # The chance (1 - tau)^(n - 1) that the others stay silent is in the
+    # kernel's log1p form; at tau = 1 it is 0, or 1 for a lone station.
+    if tau < 1.0:
+        silent = math.exp((n - 1) * math.log1p(-tau))
+    else:
+        silent = 0.0 if n > 1 else 1.0
+    return n * tau * silent * params.payload_bits / t_i
 
 
 def _s_of_tau(tau, n, times, params):
-    # Closed throughput form in tau alone; the numpy arrays of tau that
-    # tests/test_regime.py and tests/test_properties.py pass flow through.
+    # Closed throughput form in tau alone, for a float tau.
     return _s_of_slot(tau, n, _slot_kernel(tau, n, times, params)[-1], params)
 
 
@@ -164,16 +174,25 @@ def _state_at(tau, lam, n, times, params, iterations=None):
         iterations=iterations)
 
 
-def _brentq(f, xa, xb):
+def _brentq(f, xa, xb, fa=None, fb=None):
     """Brent's root finder, step for step the one in scipy's brentq.c.
 
-    The tolerances are _XTOL and _RTOL. Returns (root, calls, converged):
-    calls counts the evaluations of f, and converged is False when
-    _MAXITER steps ran out. Raises ConvergenceError when f is NaN or has
-    one sign on [xa, xb].
+    The tolerances are _XTOL and _RTOL. It departs from scipy in two ways:
+    - fa and fb, when given, are f(xa) and f(xb), and f is not called
+      there again;
+    - where scipy's interpolation or extrapolation step is exactly 0.0, the
+      step is computed again dividing first. On a bracket near the bottom
+      of the float range, such as 1e-301 wide with f near 1e-310, scipy's
+      product underflows, and its minimum steps run out of iterations.
+      Wherever scipy's step is nonzero, the steps are scipy's.
+    Returns (root, calls, converged): calls counts the evaluations of f,
+    a given end value included, and converged is False when _MAXITER
+    steps ran out. Raises ConvergenceError when f is NaN or has one sign
+    on [xa, xb].
     """
     xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
     calls = 2
     if fpre != fpre or fcur != fcur:
         x = xpre if fpre != fpre else xcur
@@ -200,11 +219,16 @@ def _brentq(f, xa, xb):
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                if stry == 0.0:  # the product underflowed
+                    stry = -fcur * ((xcur - xpre) / (fcur - fpre))
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                num = fblk * dblk - fpre * dpre
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * num / den
+                if stry == 0.0:  # the product underflowed
+                    stry = -fcur * (num / den)
             step = 2 * abs(stry)
             if step < abs(spre) and step < 3 * abs(sbis) - delta:
                 spre, scur = scur, stry  # good short step
@@ -222,7 +246,8 @@ def _brentq(f, xa, xb):
 
 
 def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
-                      tau_sat: float | None = None) -> FixedPointSolution:
+                      tau_sat: float | None = None,
+                      tau_max: float | None = None) -> FixedPointSolution:
     """Solve the coupled tau equation at per-station arrival rate lam.
 
     lam is in packets per microsecond; lam = inf is the saturated operating
@@ -233,17 +258,29 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
     lam = 0, so the idle solution comes back after 2 map calls. tau_sat,
     the saturated tau for the same n and params, caps the bracket just
     above it: no map exceeds the saturated one, so g is positive there
-    too. A lam that is a bool, no number, NaN or negative, a bad n or
-    params, or a tau_sat that is a bool, no number or outside (0, 1] raises
-    ParameterError. iterations counts the map evaluations. Raises
-    ConvergenceError when g does not change sign on the bracket, is NaN,
-    or the solve does not converge.
+    too. tau_max, the throughput maximum's tau of the same RegimeReport,
+    splits the capped bracket: g is evaluated there once, and the root is
+    sought on (0, tau_max] where g is positive and on [tau_max, cap]
+    where it is negative. Where tau_max is tau_sat the bracket is the
+    capped one. Where g has three roots, as near lambda_c on some
+    networks, the bracket decides which one is returned. A lam that is a bool, no number, NaN or negative, a bad n
+    or params, a tau_sat that is a bool, no number or outside (0, 1], or a
+    tau_max given without tau_sat or outside (0, tau_sat] raises
+    ParameterError. iterations counts the map evaluations, the one at
+    tau_max included. Raises ConvergenceError when g does not change sign
+    on the bracket, is NaN, or the solve does not converge.
     """
     _check_rate(lam)
     if tau_sat is not None:
         _check_real(tau_sat, "tau_sat")
         if not 0 < tau_sat <= 1:  # also rejects nan
             raise ParameterError(f"tau_sat must be in (0, 1], got {tau_sat!r}")
+    if tau_max is not None:
+        _check_real(tau_max, "tau_max")
+        if tau_sat is None or not 0 < tau_max <= tau_sat:
+            raise ParameterError(
+                f"tau_max must be in (0, tau_sat], got {tau_max!r} "
+                f"with tau_sat {tau_sat!r}")
     _check_n(n)
     times = derive_times(params)
 
@@ -251,9 +288,16 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
         return t - _state_at(t, lam, n, times, params)
 
     lo, hi = _BRACKET
+    g_lo = g_hi = None
     if tau_sat is not None and tau_sat * _SAT_MARGIN < hi:
         hi = tau_sat * _SAT_MARGIN
-    tau, calls, converged = _brentq(g, lo, hi)
+    if tau_max is not None and tau_max < tau_sat:
+        g_max = g(tau_max)
+        if g_max < 0.0:
+            lo, g_lo = tau_max, g_max
+        else:  # a NaN too, which _brentq reports at tau_max
+            hi, g_hi = tau_max, g_max
+    tau, calls, converged = _brentq(g, lo, hi, g_lo, g_hi)
     sol = _state_at(tau, lam, n, times, params, calls)
     if not converged:
         raise ConvergenceError(

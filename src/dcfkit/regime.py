@@ -19,6 +19,12 @@ from .params import (PhyMacParams, _check_n, _check_params, _check_rate,
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GSS_TOL = 1e-9
+# The largest N with an S_m and a lambda_c. With the model's log1p form
+# S_m holds to 1e-5 as far as N is a float (8.3253939 on dot11g-54 from
+# N = 1e8 to 1e308), but lambda_c and the line's slope N * E[PL] leave the
+# float range first: on dot11g-54 lambda_c is subnormal from about
+# N = 4.6e304, and N * E[PL] overflows from about 2.2e304.
+_N_MAX = 10 ** 300
 
 
 @dataclass(frozen=True)
@@ -67,17 +73,14 @@ def max_throughput(n: int,
     S(tau) is unimodal there, so one golden-section search of the closed
     throughput form finds the interior peak; the saturated operating point
     closes the branch and wins when S still rises at tau_sat (N <= 10 for
-    dot11g-54). Returns (s_max, tau_max, tau_sat). n above 10**10 is
-    refused.
+    dot11g-54). Returns (s_max, tau_max, tau_sat). n above _N_MAX,
+    10**300, is refused.
     """
     _check_n(n)
-    # S_m holds to 1e-5 up to here. tau_max is about 0.37/N, and past it
-    # the rounding of (1 - tau)^(n - 1) moves S(tau): on dot11g-54 S_m is
-    # 1.2e-4 too high at N = 1e11 and 7.6e-3 at 1e13.
-    if n > 10 ** 10:
+    if n > _N_MAX:
         raise ParameterError(
-            f"n must be <= 10**10 for S_m and lambda_c, got {n}: past it "
-            "the rounding of (1 - tau)^(n - 1) moves the maximum")
+            f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
+            "lambda_c nears the bottom of the float range")
     times = derive_times(params)
     sat = solve_fixed_point(math.inf, n, params)
     tau, s = _golden_section(lambda t: _s_of_tau(t, n, times, params),

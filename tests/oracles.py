@@ -130,6 +130,18 @@ def wu_saturated_tau(p, w0, m):
         w0 * (1.0 - (2.0 * p) ** (m + 1)) * (1.0 - p) + head)
 
 
+def split_bracket(g, lo, hi, tau_max, tau_sat):
+    """The sweep's bracket for Brent and the end values it is given, None
+    where Brent evaluates g itself: [lo, hi] split at tau_max by the sign
+    of g there, or whole where the maximum is the saturated point."""
+    if tau_max == tau_sat:
+        return lo, hi, None, None
+    g_max = g(tau_max)
+    if g_max < 0.0:
+        return tau_max, hi, g_max, None
+    return lo, tau_max, None, g_max
+
+
 def slot_walk(cfg, seed):
     """ReplicationResult's fields from a plain walk over every virtual slot.
 

@@ -223,18 +223,30 @@ class TestSweep:
             assert row["s_model_mbps"] == row["s_linear_mbps"]
 
     def test_auto_grid_past_the_station_limit_exits_1(self, capsys):
-        # Refused before the search: S_m rounds to 0 at this N, and the
-        # auto grid would divide by it.
-        assert main(["sweep", "--n", "10000000000000",
+        # Refused before the search: past 10**300 stations lambda_c nears
+        # the bottom of the float range, and the line's slope N * E[PL] its
+        # top.
+        assert main(["sweep", "--n", str(10 ** 300 + 1),
                      "--lambda-grid", "auto"]) == 1
-        assert "10**10" in assert_one_line_error(capsys)
+        assert "10**300" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("n", [10 ** 13, 10 ** 300])
+    def test_auto_grid_up_to_the_station_limit_exits_0(self, tmp_path, n):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n", str(n), "--lambda-grid", "auto",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 25
+        assert all(row["error"] == "" for row in rows)
+        assert float(rows[0]["s_max_mbps"]) == pytest.approx(8.325394,
+                                                             abs=1e-5)
 
     def test_empty_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", ","]) == 1
 
     def test_negative_rate_exits_1(self, capsys, monkeypatch):
         # A rate that is negative or not finite is refused before any solve.
-        def no_solve(lam, n, params, tau_sat=None):
+        def no_solve(lam, n, params, tau_sat=None, tau_max=None):
             raise AssertionError("solved a refused grid")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", no_solve)
@@ -244,7 +256,7 @@ class TestSweep:
 
     def test_solver_failure_exits_2_and_records_error(self, tmp_path, capsys,
                                                       monkeypatch):
-        def fail(lam, n, params, tau_sat=None):
+        def fail(lam, n, params, tau_sat=None, tau_max=None):
             raise ConvergenceError("no sign change")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)
@@ -265,7 +277,7 @@ class TestSweep:
 
     def test_compare_solver_failure_prints_reason(self, tmp_path, capsys,
                                                    monkeypatch):
-        def fail(lam, n, params, tau_sat=None):
+        def fail(lam, n, params, tau_sat=None, tau_max=None):
             raise ConvergenceError("no sign change")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)

@@ -8,7 +8,8 @@ from scipy import optimize
 
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
-                    get_profile, linear_throughput, solve_fixed_point)
+                    derive_times, get_profile, linear_throughput,
+                    solve_fixed_point)
 from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
                           _geom_sums, _queue_empty_probability, _s_of_tau,
                           _slot_kernel, _state_at)
@@ -269,15 +270,20 @@ class TestSolveFixedPoint:
 
     @pytest.mark.parametrize("n", [1, 10, 100])
     def test_capped_tiny_rates_follow_the_linear_law(self, params, n):
-        # The sweep's solve, its bracket capped at tau_sat. tau is subnormal
-        # below about 3.6e-304 pkt/s, and this bracket's last Brent steps
-        # leave up to 2.3e-11 of the law at 1e-307 pkt/s.
-        tau_sat = critical_lambda(n, params).tau_sat
+        # The bracket capped at tau_sat, and the sweep's, split at tau_max
+        # as well. tau is subnormal below about 3.6e-304 pkt/s, and the last
+        # Brent steps leave up to 2.9e-11 (capped) and 9.1e-11 (split) of
+        # the law at 1e-307 pkt/s over N from 1 to 100.
+        report = critical_lambda(n, params)
         for lam_pkt_s in (1e-12, 1e-100, 1e-300, 1e-305, 1e-306, 1e-307):
             lam = lam_pkt_s * 1e-6
-            sol = solve_fixed_point(lam, n, params, tau_sat=tau_sat)
             linear = linear_throughput(lam, n, params)
-            assert abs(sol.throughput - linear) <= 1e-10 * linear, lam_pkt_s
+            for tau_max in (None, report.tau_max):
+                sol = solve_fixed_point(lam, n, params,
+                                        tau_sat=report.tau_sat,
+                                        tau_max=tau_max)
+                assert abs(sol.throughput - linear) <= 1e-10 * linear, (
+                    lam_pkt_s, tau_max)
 
     def test_root_below_xtol_reads_zero_in_a_normalised_chain(self, params):
         # At 1e-317 pkt/s the root lies below _XTOL, so Brent stops at 0;
@@ -323,6 +329,19 @@ class TestSolveFixedPoint:
         with pytest.raises(ParameterError, match=message):
             solve_fixed_point(1e-5, 10, params, tau_sat=tau_sat)
 
+    @pytest.mark.parametrize("tau_sat, tau_max, message", [
+        *((0.01, tau_max, "^tau_max must be in")
+          for tau_max in (math.nan, -0.5, 0.0, 0.02, math.inf)),
+        (None, 0.005, "^tau_max must be in"),
+        *((0.01, tau_max, "^tau_max must be a number")
+          for tau_max in (True, "x")),
+    ])
+    def test_refuses_a_split_outside_the_branch(self, params, tau_sat,
+                                               tau_max, message):
+        with pytest.raises(ParameterError, match=message):
+            solve_fixed_point(1e-5, 10, params, tau_sat=tau_sat,
+                              tau_max=tau_max)
+
 
 class TestBrentAgainstScipy:
     # _brentq transliterates scipy's brentq.c, so roots and call counts
@@ -344,10 +363,22 @@ class TestBrentAgainstScipy:
                 want, info.function_calls, info.converged), (n, lam)
             sol = solve_fixed_point(lam, n, params)
             assert (sol.tau, sol.iterations) == (want, info.function_calls)
-            # The sweep's solve, on the bracket capped at tau_sat.
+            # The bracket capped at tau_sat.
             want, info = optimize.brentq(g, _BRACKET[0], cap, xtol=_XTOL,
                                          rtol=_RTOL, full_output=True)
             sol = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat)
+            assert (sol.tau, sol.iterations) == (
+                want, info.function_calls), (n, lam)
+            # The sweep's solve: the capped bracket split at tau_max, where
+            # the one evaluation of g is Brent's given end value.
+            lo, hi, g_lo, g_hi = oracles.split_bracket(
+                g, _BRACKET[0], cap, report.tau_max, report.tau_sat)
+            want, info = optimize.brentq(g, lo, hi, xtol=_XTOL, rtol=_RTOL,
+                                         full_output=True)
+            assert _brentq(g, lo, hi, g_lo, g_hi) == (
+                want, info.function_calls, info.converged), (n, lam)
+            sol = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat,
+                                    tau_max=report.tau_max)
             assert (sol.tau, sol.iterations) == (
                 want, info.function_calls), (n, lam)
 
@@ -363,6 +394,44 @@ class TestBrentAgainstScipy:
         got = _brentq(f, 0.0, 1.0)
         assert got == (want, info.function_calls, info.converged)
         assert got[1:] == (2, True)
+        # A given end value counts as a call, and f is not called there.
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        assert _brentq(counted, 0.0, 1.0, fb=f(1.0)) == got
+        assert _brentq(counted, 0.0, 1.0, fa=f(0.0)) == got
+        assert calls == [0.0, 1.0]
+
+    @pytest.mark.parametrize("w0, m", [(2 ** 1000, 22), (2 ** 1000, 1),
+                                       (2 ** 500, 522)])
+    def test_step_below_the_float_range(self, params, w0, m):
+        # tau_sat is near 1e-301 (w0 2^1000) or 6e-151 (w0 2^500). Near a
+        # root this far down, g and the bracket are both tiny, so scipy's
+        # interpolation product -fcur * (xcur - xpre) underflows to a step
+        # of 0.0 and its minimum steps run out of iterations; _brentq
+        # divides first there.
+        big = dataclasses.replace(params, w0=w0, m=m)
+        times = derive_times(big)
+        for n in (1, 10, 1000):
+            report = critical_lambda(n, big)
+            for lam in (5e-324, 1e-300, 1e-5, 1.0, math.inf):
+                sol = solve_fixed_point(lam, n, big, tau_sat=report.tau_sat,
+                                        tau_max=report.tau_max)
+                assert sol.iterations <= 3, (n, lam)
+                if lam >= 1e-5:
+                    assert (sol.tau, sol.q) == (report.tau_sat, 1.0)
+
+        def g(t):
+            return t - _state_at(t, 1e-300, 1000, times, big)
+
+        cap = report.tau_sat * _SAT_MARGIN
+        _, info = optimize.brentq(g, 0.0, cap, xtol=_XTOL, rtol=_RTOL,
+                                  full_output=True, disp=False)
+        assert not info.converged
+        assert _brentq(g, 0.0, cap)[1:] == (3, True)
 
 
 class TestSolveSaturated:

@@ -88,8 +88,10 @@ BRACKET_GRID = np.concatenate(([_BRACKET[0]], np.geomspace(1e-15, 1e-3, 150),
 def reachable_grid(n, params, points=2000):
     """tau_sat and S on an even grid of the reachable branch (0, tau_sat]."""
     tau_sat = solve_fixed_point(math.inf, n, params).tau
+    times = derive_times(params)
     grid = np.linspace(tau_sat / points, tau_sat, points)
-    return tau_sat, _s_of_tau(grid, n, derive_times(params), params)
+    return tau_sat, np.array([_s_of_tau(float(t), n, times, params)
+                              for t in grid])
 
 
 @given(net=networks(), lam=rates)
@@ -131,22 +133,64 @@ def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
 
 
 @given(net=networks(), lam=rates)
-def test_brentq_matches_scipy_on_full_and_capped_bracket(net, lam):
+def test_brentq_matches_scipy_on_every_bracket(net, lam):
     # _brentq transliterates scipy's brentq.c, so root, call count and
-    # convergence flag agree exactly on both brackets a solve uses.
+    # convergence flag agree exactly on the three brackets a solve uses:
+    # the full one, the one capped at tau_sat, and the sweep's, split at
+    # tau_max, whose given end value counts as a call.
     n, params = net
     times = derive_times(params)
 
     def g(t):
         return t - _state_at(t, lam, n, times, params)
 
-    tau_sat = solve_fixed_point(math.inf, n, params).tau
-    cap = min(_BRACKET[1], tau_sat * _SAT_MARGIN)
-    for hi in (_BRACKET[1], cap):
-        want, info = optimize.brentq(g, _BRACKET[0], hi, xtol=_XTOL,
-                                     rtol=_RTOL, full_output=True)
-        assert _brentq(g, _BRACKET[0], hi) == (
-            want, info.function_calls, info.converged), hi
+    report = critical_lambda(n, params)
+    cap = min(_BRACKET[1], report.tau_sat * _SAT_MARGIN)
+    brackets = [(_BRACKET[0], _BRACKET[1], None, None),
+                (_BRACKET[0], cap, None, None),
+                oracles.split_bracket(g, _BRACKET[0], cap, report.tau_max,
+                                      report.tau_sat)]
+    for lo, hi, g_lo, g_hi in brackets:
+        want, info = optimize.brentq(g, lo, hi, xtol=_XTOL, rtol=_RTOL,
+                                     full_output=True)
+        assert _brentq(g, lo, hi, g_lo, g_hi) == (
+            want, info.function_calls, info.converged), (lo, hi)
+
+
+def robust_sign_changes(g, grid):
+    """Sign changes of g on grid, past values within rounding noise of 0."""
+    values = [(g(float(t)), t) for t in grid]
+    signs = [v > 0.0 for v, t in values if abs(v) > 1e-13 * t]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@given(net=networks())
+def test_split_bracket_keeps_a_lone_root(net):
+    # Where g changes sign once on the capped bracket, the half that the
+    # sign of g at tau_max picks holds that root, and both solves find it.
+    # Near lambda_c g can be nearly tangent to 0, and the taus that
+    # rounding cannot tell from its root then span tens of ulps, so the
+    # bound is 1e-12 of tau rather than Brent's tolerance. On some networks
+    # g has three roots near lambda_c (from about N = 50), and each
+    # bracket may keep a different one: there both solves only converge.
+    n, params = net
+    times = derive_times(params)
+    report = critical_lambda(n, params)
+    cap = min(_BRACKET[1], report.tau_sat * _SAT_MARGIN)
+    coarse = np.geomspace(1e-15 * cap, cap, 300)
+    for share in (0.01, 0.3, 0.9, 1.0, 1.05, 3.0):
+        lam = share * report.lambda_c
+
+        def g(t):
+            return t - _state_at(t, lam, n, times, params)
+
+        capped = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat)
+        split = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat,
+                                  tau_max=report.tau_max)
+        lo, hi = sorted((capped.tau, split.tau))
+        grid = np.union1d(coarse, np.linspace(lo, hi, 64))
+        if robust_sign_changes(g, grid) == 1:
+            assert hi - lo <= 1e-12 * hi + _XTOL, share
 
 
 @given(net=networks())
