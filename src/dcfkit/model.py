@@ -43,17 +43,10 @@ class FixedPointSolution:
 
     tau: float
     p: float
-    b00: float
-    b_idle: float
-    t_tx: float
-    t_bo: float
-    t_i: float
-    t_a: float
+    t_i: float  # the mean model slot
     t_service: float  # the queue's service time: one attempt
     t_packet: float  # one packet's service over its attempts, alpha * t_i
-    rho: float
-    q: float
-    p_i0: float
+    q: float  # the chance the queue is nonempty
     throughput: float
     residual: float
     iterations: int
@@ -139,14 +132,15 @@ def _s_of_tau(tau, n, times, params):
 def _state_at(tau, lam, n, times, params, iterations=None):
     """One application of the fixed-point map at tau: map(tau), or, given
     the solve's count of map calls, the FixedPointSolution at tau."""
-    p, t_tx, t_bo, epsilon, alpha, t_a, t_i = _slot_kernel(tau, n, times,
-                                                           params)
+    p, t_tx, _, epsilon, alpha, t_a, t_i = _slot_kernel(tau, n, times,
+                                                         params)
     t_service = t_a + t_tx
     # No argument checks: solve_fixed_point refused a NaN or negative lam
     # and t_service > 0, so rho lies in [0, inf]; PhyMacParams refused a
     # queue_capacity_k that is not an integer >= 1. lam = 0 skips the
     # products: near tau = 1 the largest windows overflow theta * t_bo, so
-    # t_i and t_service can read inf, and 0 * inf is NaN.
+    # t_i and t_service can read inf, and 0 * inf is NaN. p_i0 is the
+    # chance that a parked station gets a packet within one slot t_i.
     if lam:
         rho = lam * t_service
         p_i0 = -math.expm1(-lam * t_i)
@@ -154,10 +148,10 @@ def _state_at(tau, lam, n, times, params, iterations=None):
         rho = p_i0 = 0.0
     q = 1.0 - _queue_empty_probability(rho, params.queue_capacity_k)
     # The chain's normalisation b_idle + alpha * b00 = 1, with
-    # p_i0 * b_idle = (1 - q) * b00, over one denominator: it stays positive
-    # where p_i0 is 0 (lam = 0, or lam * t_i underflowing), where q is 0.
-    d = alpha * p_i0 + (1.0 - q)
-    b00 = p_i0 / d
+    # p_i0 * b_idle = (1 - q) * b00, solved for the stage-0 head b00 over
+    # one denominator: it stays positive where p_i0 is 0 (lam = 0, or
+    # lam * t_i underflowing), where q is 0.
+    b00 = p_i0 / (alpha * p_i0 + (1.0 - q))
     tau_next = epsilon * b00
     if iterations is None:
         return tau_next
@@ -166,9 +160,7 @@ def _state_at(tau, lam, n, times, params, iterations=None):
     # that the root falls below _XTOL) has no relative residual, so it gets
     # the absolute one.
     return FixedPointSolution(
-        tau=tau, p=p, b00=b00, b_idle=(1.0 - q) / d, t_tx=t_tx, t_bo=t_bo,
-        t_i=t_i, t_a=t_a, t_service=t_service, t_packet=alpha * t_i,
-        rho=rho, q=q, p_i0=p_i0,
+        tau=tau, p=p, t_i=t_i, t_service=t_service, t_packet=alpha * t_i, q=q,
         throughput=_s_of_slot(tau, n, t_i, params),
         residual=abs(tau_next - tau) / tau if tau else tau_next,
         iterations=iterations)
@@ -251,9 +243,9 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
     """Solve the coupled tau equation at per-station arrival rate lam.
 
     lam is in packets per microsecond; lam = inf is the saturated operating
-    point, where every queue is nonempty: q = 1, p_i0 = 1, b_idle = 0, and
-    the map reduces to tau = epsilon(p) / alpha(p). For every lam the root
-    of g(tau) = tau - map(tau) is found by Brent's method on the bracket
+    point, where every queue is nonempty (q = 1) and the map reduces to
+    tau = epsilon(p) / alpha(p). For every lam the root of
+    g(tau) = tau - map(tau) is found by Brent's method on the bracket
     (0, 1): g is positive near 1 and negative near 0, or 0 at tau = 0 when
     lam = 0, so the idle solution comes back after 2 map calls. tau_sat,
     the saturated tau for the same n and params, caps the bracket just

@@ -10,6 +10,7 @@ throughput an arrival rate produces: the fixed point only reaches tau in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -91,11 +92,16 @@ def max_throughput(n: int,
 
 
 def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
-    """Unsaturated aggregate throughput N * E[PL] * lam, in bits/us."""
+    """Unsaturated aggregate throughput N * E[PL] * lam, in bits/us: inf at
+    lam = inf, and a ParameterError for a value past the float range."""
     _check_rate(lam)
     _check_n(n)
     _check_params(params)
-    return n * params.payload_bits * lam
+    slope = n * params.payload_bits
+    if slope > sys.float_info.max or slope * lam == math.inf != lam:
+        raise ParameterError("the linear law's slope N * E[PL], or its value "
+                             f"at lam {lam!r}, overflows the float range")
+    return slope * lam
 
 
 def critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:

@@ -2,13 +2,18 @@
 
 Everything here is deliberately written the slow, literal way: explicit
 state enumeration for the backoff chain, plain summations for the series,
-component-by-component sums for the timing. None of it imports from
-dcfkit, so agreement is evidence rather than tautology.
+component-by-component sums for the timing. None of it but chain_at
+imports from dcfkit, so agreement is evidence rather than tautology.
+chain_at is no reference: it reads back the model's own chain.
 """
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
+
+from dcfkit import derive_times
+from dcfkit.model import _queue_empty_probability, _slot_kernel
 
 # Timing components of the dot11g-54 profile, summed by hand (us).
 PLCP_US = (144 + 48) / 1.0
@@ -128,6 +133,33 @@ def wu_saturated_tau(p, w0, m):
     head = (1.0 - 2.0 * p) * (1.0 - p ** (m + 1))
     return 2.0 * head / (
         w0 * (1.0 - (2.0 * p) ** (m + 1)) * (1.0 - p) + head)
+
+
+def chain_at(tau, lam, n, params):
+    """The model's chain at tau, with what FixedPointSolution leaves out.
+
+    The kernel's slot durations t_tx and t_bo and access delay t_a, the
+    queue's load rho, the chance p_i0 that a parked station gets a packet
+    within one slot t_i, and the stage-0 head b00 and idle share b_idle of
+    the normalised chain, next to the record's t_i, t_service, t_packet
+    and q. The operations are model._state_at's, so at a solution's tau
+    each value is bit for bit the one its solve computed.
+    """
+    times = derive_times(params)
+    p, t_tx, t_bo, epsilon, alpha, t_a, t_i = _slot_kernel(tau, n, times,
+                                                           params)
+    t_service = t_a + t_tx
+    if lam:
+        rho = lam * t_service
+        p_i0 = -math.expm1(-lam * t_i)
+    else:
+        rho = p_i0 = 0.0
+    q = 1.0 - _queue_empty_probability(rho, params.queue_capacity_k)
+    d = alpha * p_i0 + (1.0 - q)
+    return SimpleNamespace(
+        p=p, t_tx=t_tx, t_bo=t_bo, t_a=t_a, t_i=t_i, t_service=t_service,
+        t_packet=alpha * t_i, rho=rho, q=q, p_i0=p_i0, b00=p_i0 / d,
+        b_idle=(1.0 - q) / d)
 
 
 def split_bracket(g, lo, hi, tau_max, tau_sat):

@@ -111,9 +111,10 @@ def test_criterion_05_algebraic_identities(p):
     for lam_pkt_s in (10.0, 40.0, 80.0, 110.0, 200.0, 500.0):
         for n in (5, 10, 20, 30):
             sol = solve_fixed_point(lam_pkt_s * PKT_S, n, p)
+            chain = oracles.chain_at(sol.tau, lam_pkt_s * PKT_S, n, p)
             _, epsilon, theta, _ = _geom_sums(sol.p, p.w0, p.m)
-            direct = sol.b_idle * sol.t_i + (
-                epsilon * sol.t_tx + theta * sol.t_bo) * sol.b00
+            direct = chain.b_idle * sol.t_i + (
+                epsilon * chain.t_tx + theta * chain.t_bo) * chain.b00
             worst_tav = max(worst_tav, abs(sol.t_i - direct)
                             / max(direct, 1e-300))
 

@@ -167,6 +167,15 @@ class TestTable1:
         assert main(["table1", "--n"]) == 1
         assert "expected one argument" in assert_one_line_error(capsys)
 
+    def test_payload_past_the_float_range_exits_1(self, params, tmp_path,
+                                                  capsys):
+        # 10**9 stations of 10**300 payload bits: the linear law's slope
+        # N * E[PL], which lambda_c divides by, overflows the float range.
+        pfile = write_params(tmp_path / "params.json", params,
+                             {"payload_bits": 10 ** 300})
+        assert main(["table1", "--n", str(10 ** 9), "--profile", pfile]) == 1
+        assert "overflows the float range" in assert_one_line_error(capsys)
+
 
 class TestSweep:
     def test_model_only_schema(self, params, tmp_path):

@@ -56,7 +56,7 @@ class TestAccessAndService:
         t_a, _ = access_and_idle(0.0, times.t_s, params.slot_sigma, params)
         assert t_a == 16.0 * params.slot_sigma
         idle = solve_fixed_point(0.0, 10, params)
-        assert idle.t_a == t_a
+        assert oracles.chain_at(idle.tau, 0.0, 10, params).t_a == t_a
         assert idle.t_service == 16.0 * params.slot_sigma + times.t_s
         assert idle.t_service == 1034.0
 
@@ -141,7 +141,7 @@ class TestSolveFixedPoint:
         sol = solve_fixed_point(0.0, 10, params)
         assert sol.tau == 0.0
         assert sol.throughput == 0.0
-        assert sol.b_idle == 1.0
+        assert oracles.chain_at(sol.tau, 0.0, 10, params).b_idle == 1.0
         assert sol.q == 0.0
         assert sol.residual == 0.0
         # lam = 0 takes the shared Brent solve: g(0) = 0 ends it at the
@@ -154,15 +154,17 @@ class TestSolveFixedPoint:
         sol = solve_fixed_point(50e-6, 10, params)
         assert sol.throughput == pytest.approx(4.10, rel=0.05)
         assert sol.q < 0.1
-        assert sol.rho < 0.1
+        assert oracles.chain_at(sol.tau, 50e-6, 10, params).rho < 0.1
 
     def test_solution_identities(self, params):
         for lam_pkt_s in (0.0, 1e-306, 10.0, 50.0, 90.0, 200.0):
             for n in (5, 10, 20):
-                sol = solve_fixed_point(lam_pkt_s * 1e-6, n, params)
+                lam = lam_pkt_s * 1e-6
+                sol = solve_fixed_point(lam, n, params)
+                chain = oracles.chain_at(sol.tau, lam, n, params)
                 _, epsilon, _, alpha = _geom_sums(sol.p, params.w0, params.m)
-                assert sol.tau == pytest.approx(epsilon * sol.b00, rel=1e-8)
-                assert alpha * sol.b00 + sol.b_idle == pytest.approx(
+                assert sol.tau == pytest.approx(epsilon * chain.b00, rel=1e-8)
+                assert alpha * chain.b00 + chain.b_idle == pytest.approx(
                     1.0, abs=1e-12)
                 assert sol.residual <= 1e-13
                 assert sol.p == pytest.approx(
@@ -171,17 +173,18 @@ class TestSolveFixedPoint:
     def test_average_slot_identity(self, params):
         for lam_pkt_s in (20.0, 80.0, 500.0):
             sol = solve_fixed_point(lam_pkt_s * 1e-6, 10, params)
+            chain = oracles.chain_at(sol.tau, lam_pkt_s * 1e-6, 10, params)
             _, epsilon, theta, alpha = _geom_sums(sol.p, params.w0, params.m)
-            direct = sol.b_idle * sol.t_i + (epsilon * sol.t_tx
-                                             + theta * sol.t_bo) * sol.b00
-            ratio = (epsilon * sol.t_tx + theta * sol.t_bo) / alpha
+            direct = chain.b_idle * sol.t_i + (
+                epsilon * chain.t_tx + theta * chain.t_bo) * chain.b00
+            ratio = (epsilon * chain.t_tx + theta * chain.t_bo) / alpha
             assert sol.t_i == pytest.approx(direct, rel=1e-12)
             assert sol.t_i == pytest.approx(ratio, rel=1e-10)
 
     def test_infinite_rate_matches_saturated(self, params):
         inf = solve_fixed_point(math.inf, 10, params)
         assert inf.q == 1.0
-        assert inf.p_i0 == 1.0
+        assert oracles.chain_at(inf.tau, math.inf, 10, params).p_i0 == 1.0
 
     def test_throughput_consistency(self, params, times):
         for lam_pkt_s in (5.0, 60.0, 150.0):
@@ -289,10 +292,11 @@ class TestSolveFixedPoint:
         # At 1e-317 pkt/s the root lies below _XTOL, so Brent stops at 0;
         # the chain there is all idle and its residual is the absolute one.
         sol = solve_fixed_point(1e-317 * 1e-6, 10, params)
+        chain = oracles.chain_at(sol.tau, 1e-317 * 1e-6, 10, params)
         alpha = _geom_sums(sol.p, params.w0, params.m)[3]
         assert (sol.tau, sol.throughput) == (0.0, 0.0)
-        assert sol.b_idle == 1.0
-        assert alpha * sol.b00 + sol.b_idle == 1.0
+        assert chain.b_idle == 1.0
+        assert alpha * chain.b00 + chain.b_idle == 1.0
         assert sol.residual <= _XTOL
 
     def test_underflowing_idle_exit_probability_solves(self, params):
@@ -302,8 +306,9 @@ class TestSolveFixedPoint:
             params, data_rate=1e300, basic_rate=1e300, sifs=1e-300,
             eifs=1e-300, slot_sigma=1e-300, prop_delta=0.0)
         sol = solve_fixed_point(1e-30, 10, tiny)
-        assert sol.p_i0 == 0.0
-        assert sol.b_idle == 1.0
+        chain = oracles.chain_at(sol.tau, 1e-30, 10, tiny)
+        assert chain.p_i0 == 0.0
+        assert chain.b_idle == 1.0
         assert (sol.tau, sol.throughput) == (0.0, 0.0)
 
     def test_domain(self, params):
@@ -447,7 +452,7 @@ class TestSolveSaturated:
         sol = solve_fixed_point(math.inf, 10, params)
         assert sol.tau == pytest.approx(0.0375542, abs=1e-6)
         assert sol.q == 1.0
-        assert sol.b_idle == 0.0
+        assert oracles.chain_at(sol.tau, math.inf, 10, params).b_idle == 0.0
         _, epsilon, _, alpha = _geom_sums(sol.p, params.w0, params.m)
         assert sol.tau == pytest.approx(epsilon / alpha, rel=1e-9)
 

@@ -65,8 +65,7 @@ def test_per_solve_records():
     # perfbench traces FixedPointSolution.iterations; the field order is the
     # positional constructor's.
     assert [f.name for f in dataclasses.fields(dcfkit.FixedPointSolution)] == [
-        "tau", "p", "b00", "b_idle", "t_tx", "t_bo", "t_i", "t_a",
-        "t_service", "t_packet", "rho", "q", "p_i0", "throughput",
+        "tau", "p", "t_i", "t_service", "t_packet", "q", "throughput",
         "residual", "iterations",
     ]
     assert [f.name for f in dataclasses.fields(dcfkit.DerivedTimes)] == [

@@ -132,6 +132,19 @@ def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
     assert abs(capped - uncapped) <= 1e-12 * uncapped + _XTOL
 
 
+@settings(max_examples=2000)
+@given(net=networks(), lam=st.one_of(st.just(0.0), rates))
+def test_chain_helper_reads_the_solved_record(net, lam):
+    # The tests of the chain's internals read them from oracles.chain_at,
+    # not from FixedPointSolution. They check model._state_at only while
+    # the helper's chain is the solve's: bit for bit on every shared field.
+    n, params = net
+    sol = solve_fixed_point(lam, n, params)
+    chain = oracles.chain_at(sol.tau, lam, n, params)
+    assert (chain.p, chain.t_i, chain.t_service, chain.t_packet, chain.q) == (
+        sol.p, sol.t_i, sol.t_service, sol.t_packet, sol.q)
+
+
 @given(net=networks(), lam=rates)
 def test_brentq_matches_scipy_on_every_bracket(net, lam):
     # _brentq transliterates scipy's brentq.c, so root, call count and

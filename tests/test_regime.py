@@ -165,6 +165,25 @@ class TestLinearThroughput:
         with pytest.raises(ParameterError, match="n_stations"):
             SimConfig(n_stations=n, lambda_per_station=1e-5, params=params)
 
+    def test_past_the_float_range_is_refused(self, params):
+        # As max_throughput refuses N past 10**300: a slope N * E[PL] or a
+        # product N * E[PL] * lam that overflows raises ParameterError, not
+        # OverflowError or an inf. The saturated rate lam = inf stays inf.
+        big = dataclasses.replace(params, payload_bits=10 ** 300)
+        message = (r"^the linear law's slope N \* E\[PL\], or its value at "
+                   r"lam {}, overflows the float range$")
+        for fn, args, lam in ((linear_throughput, (1e-5,), "1e-05"),
+                              (linear_throughput, (0.0,), "0.0"),
+                              (linear_throughput, (math.inf,), "inf"),
+                              (critical_lambda, (), "1.0")):
+            with pytest.raises(ParameterError, match=message.format(lam)):
+                fn(*args, 10 ** 9, big)
+        with pytest.raises(ParameterError,
+                           match=message.format(r"1e\+305")):
+            linear_throughput(1e305, 10, params)
+        assert linear_throughput(1e-5, 10 ** 7, big) == 10 ** 307 * 1e-5
+        assert linear_throughput(math.inf, 10, params) == math.inf
+
     def test_numpy_station_count_passes(self, params):
         assert linear_throughput(1e-5, np.int64(10), params) == (
             linear_throughput(1e-5, 10, params))
