@@ -149,9 +149,7 @@ def _auto_grid(report: RegimeReport) -> tuple[float, ...]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(value, ".10g")
+    return "" if value is None else format(value, ".10g")
 
 
 def _write_csv(path, header, rows):

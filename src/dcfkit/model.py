@@ -7,11 +7,9 @@ probability p = 1 - (1 - tau)^(N-1) yields one nonlinear equation in the
 per-slot transmission probability tau. Its residual tau - map(tau) is
 negative near 0 and positive near 1, so the root is found by Brent's
 method (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4)
-on the (0, 1) bracket. A caller that has the saturated tau may cap the
-bracket there: the map at any arrival rate is at most the saturated map, so
-the residual is positive above the saturated root. A caller that also has
-the tau of the throughput maximum splits the capped bracket there, by the
-sign of the residual at that tau.
+on the (0, 1) bracket, or, given the saturated tau, on the reachable
+branch up to it, split by the sign of the residual at the throughput
+maximum's tau.
 """
 from __future__ import annotations
 
@@ -23,17 +21,15 @@ from .errors import ConvergenceError, ParameterError
 from .params import (PhyMacParams, _check_n, _check_rate, _check_real,
                      derive_times)
 
-# Root bracket for tau. For any lam > 0 the map is positive at 0, so the
-# residual is negative there; at lam = 0 it is 0, a root at the bracket's
-# end. Brent's tolerance is relative only, so the small tau of light load
-# keeps full precision: rtol is 4 eps, the floor scipy's brentq sets for a
-# relative tolerance, and xtol is a subnormal, so a root near 1e-305 is not
-# rounded to 0.
+# The full bracket for tau. Brent's tolerance is relative only, so the
+# small tau of light load keeps full precision: rtol is 4 eps, the floor
+# scipy's brentq sets for a relative tolerance, and xtol is a subnormal, so
+# a root near 1e-305 is not rounded to 0.
 _BRACKET = (0.0, 1.0 - 1e-12)
 _RTOL = 4.0 * sys.float_info.epsilon
 _XTOL = 1e-320
 _MAXITER = 100
-# A bracket capped at tau_sat ends this factor above it, past its rounding.
+# A split bracket's upper half ends this factor above tau_sat, past rounding.
 _SAT_MARGIN = 1.0 + 1e-9
 
 
@@ -170,8 +166,7 @@ def _brentq(f, xa, xb, fa=None, fb=None):
     """Brent's root finder, step for step the one in scipy's brentq.c.
 
     The tolerances are _XTOL and _RTOL. It departs from scipy in two ways:
-    - fa and fb, when given, are f(xa) and f(xb), and f is not called
-      there again;
+    - fa and fb, when given, are f(xa) and f(xb), not evaluated again;
     - where scipy's interpolation or extrapolation step is exactly 0.0, the
       step is computed again dividing first. On a bracket near the bottom
       of the float range, such as 1e-301 wide with f near 1e-310, scipy's
@@ -244,23 +239,20 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
 
     lam is in packets per microsecond; lam = inf is the saturated operating
     point, where every queue is nonempty (q = 1) and the map reduces to
-    tau = epsilon(p) / alpha(p). For every lam the root of
-    g(tau) = tau - map(tau) is found by Brent's method on the bracket
-    (0, 1): g is positive near 1 and negative near 0, or 0 at tau = 0 when
-    lam = 0, so the idle solution comes back after 2 map calls. tau_sat,
-    the saturated tau for the same n and params, caps the bracket just
-    above it: no map exceeds the saturated one, so g is positive there
-    too. tau_max, the throughput maximum's tau of the same RegimeReport,
-    splits the capped bracket: g is evaluated there once, and the root is
-    sought on (0, tau_max] where g is positive and on [tau_max, cap]
-    where it is negative. Where tau_max is tau_sat the bracket is the
-    capped one. Where g has three roots, as near lambda_c on some
-    networks, the bracket decides which one is returned. A lam that is a bool, no number, NaN or negative, a bad n
-    or params, a tau_sat that is a bool, no number or outside (0, 1], or a
-    tau_max given without tau_sat or outside (0, tau_sat] raises
-    ParameterError. iterations counts the map evaluations, the one at
-    tau_max included. Raises ConvergenceError when g does not change sign
-    on the bracket, is NaN, or the solve does not converge.
+    tau = epsilon(p) / alpha(p). The root of g(tau) = tau - map(tau) is
+    found by Brent's method on (0, 1): g is positive near 1 and negative
+    near 0, or 0 at tau = 0 when lam = 0 (the idle solution, 2 map calls).
+    Given tau_sat, the saturated tau of the same n and params, the bracket
+    is split at tau_max, the throughput maximum's tau, which defaults to
+    tau_sat: (0, tau_max] where g is >= 0 there, else [tau_max, tau_sat *
+    (1 + 1e-9)], as no map exceeds the saturated one. Where g has three
+    roots, as near lambda_c on some networks, the bracket picks one.
+    iterations counts the map evaluations, the one at tau_max included.
+    Raises ParameterError for a lam that is a bool, no number, NaN or
+    negative, a bad n or params, a tau_sat that is a bool, no number or
+    outside (0, 1], or a tau_max without tau_sat or outside (0, tau_sat];
+    ConvergenceError when g does not change sign on the bracket, is NaN,
+    or the solve does not converge.
     """
     _check_rate(lam)
     if tau_sat is not None:
@@ -273,7 +265,7 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
             raise ParameterError(
                 f"tau_max must be in (0, tau_sat], got {tau_max!r} "
                 f"with tau_sat {tau_sat!r}")
-    _check_n(n)
+    n = _check_n(n)
     times = derive_times(params)
 
     def g(t):
@@ -281,12 +273,11 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
 
     lo, hi = _BRACKET
     g_lo = g_hi = None
-    if tau_sat is not None and tau_sat * _SAT_MARGIN < hi:
-        hi = tau_sat * _SAT_MARGIN
-    if tau_max is not None and tau_max < tau_sat:
+    if tau_sat is not None:
+        tau_max = tau_sat if tau_max is None else tau_max
         g_max = g(tau_max)
         if g_max < 0.0:
-            lo, g_lo = tau_max, g_max
+            lo, g_lo, hi = tau_max, g_max, min(hi, tau_sat * _SAT_MARGIN)
         else:  # a NaN too, which _brentq reports at tau_max
             hi, g_hi = tau_max, g_max
     tau, calls, converged = _brentq(g, lo, hi, g_lo, g_hi)

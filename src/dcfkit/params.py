@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, fields
 
@@ -37,6 +38,8 @@ def _check_number_fields(obj):
         value = getattr(obj, f.name)
         if not _is_number(value, kind):
             raise ParameterError(f"{f.name} must be {what}, got {value!r}")
+        if kind is numbers.Integral:  # stored as an int, as _check_n does
+            object.__setattr__(obj, f.name, operator.index(value))
 
 
 def _check_n(n, name="n", least=1):
@@ -45,8 +48,10 @@ def _check_n(n, name="n", least=1):
     # type test; every solve makes this call.
     if type(n) is not int and not _is_number(n, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {n!r}")
+    n = operator.index(n)  # an int: NumPy's fixed-width integers wrap
     if n < least:
         raise ParameterError(f"{name} must be >= {least}")
+    return n
 
 
 def _check_real(value, name):
@@ -123,7 +128,7 @@ class PhyMacParams:
         # The stage sum w0 * (2^(m+1) - 1) overflows a float, and every
         # solve reads NaN, once w0 * 2^m >= 2^1023. Bit lengths decide it
         # without building w0 << m for a huge m.
-        if int(self.w0).bit_length() + self.m > 1023:
+        if self.w0.bit_length() + self.m > 1023:
             raise ParameterError(f"w0 * 2**m must be below 2**1023, got "
                                  f"w0 {self.w0} and m {self.m}")
         if self.queue_capacity_k < 1:
@@ -195,8 +200,12 @@ def get_profile(name: str | os.PathLike) -> PhyMacParams:
     if not os.path.exists(name):
         raise ParameterError(f"unknown profile or missing file: {name!r} "
                              f"(profiles: {sorted(PROFILES)})")
-    with open(name, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(name, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParameterError(f"parameter file {os.fspath(name)!r} is not "
+                             f"UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParameterError("parameter file must contain a JSON object")
     keys = set(PhyMacParams.__dataclass_fields__)

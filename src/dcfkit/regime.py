@@ -77,7 +77,7 @@ def max_throughput(n: int,
     dot11g-54). Returns (s_max, tau_max, tau_sat). n above _N_MAX,
     10**300, is refused.
     """
-    _check_n(n)
+    n = _check_n(n)
     if n > _N_MAX:
         raise ParameterError(
             f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
@@ -95,7 +95,7 @@ def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
     """Unsaturated aggregate throughput N * E[PL] * lam, in bits/us: inf at
     lam = inf, and a ParameterError for a value past the float range."""
     _check_rate(lam)
-    _check_n(n)
+    n = _check_n(n)
     _check_params(params)
     slope = n * params.payload_bits
     if slope > sys.float_info.max or slope * lam == math.inf != lam:

@@ -179,7 +179,7 @@ def run_replication(cfg: SimConfig, seed: int,
     both give the queue after the drop. seed is an integer >= 0, as
     base_seed is: the streams are keyed by its text, where 1.0 is not 1.
     """
-    _check_n(seed, "seed", least=0)
+    seed = _check_n(seed, "seed", least=0)
     params = cfg.params
     times = derive_times(params)
     t_s, t_c = times.t_s, times.t_c

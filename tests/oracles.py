@@ -162,12 +162,10 @@ def chain_at(tau, lam, n, params):
         b_idle=(1.0 - q) / d)
 
 
-def split_bracket(g, lo, hi, tau_max, tau_sat):
-    """The sweep's bracket for Brent and the end values it is given, None
-    where Brent evaluates g itself: [lo, hi] split at tau_max by the sign
-    of g there, or whole where the maximum is the saturated point."""
-    if tau_max == tau_sat:
-        return lo, hi, None, None
+def split_bracket(g, lo, hi, tau_max):
+    """The bracket of a solve given tau_sat, and the end values Brent is
+    given, None where Brent evaluates g itself: [lo, hi] split at tau_max
+    by the sign of g there."""
     g_max = g(tau_max)
     if g_max < 0.0:
         return tau_max, hi, g_max, None

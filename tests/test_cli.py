@@ -512,6 +512,14 @@ class TestParameterFilesAndFlags:
         assert main(["table1", "--profile", str(pfile)]) == 1
         assert "must contain a JSON object" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("content", [b"not json", b"\xff{}"])
+    def test_parameter_file_not_json_is_named(self, tmp_path, capsys,
+                                              content):
+        pfile = tmp_path / "params.json"
+        pfile.write_bytes(content)
+        assert main(["table1", "--profile", str(pfile)]) == 1
+        assert f"'{pfile}'" in assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("overrides", [
         pytest.param({"w0": 32.5}, id="float-w0"),
         pytest.param({"queue_capacity_k": 2.5}, id="float-capacity"),

@@ -273,10 +273,10 @@ class TestSolveFixedPoint:
 
     @pytest.mark.parametrize("n", [1, 10, 100])
     def test_capped_tiny_rates_follow_the_linear_law(self, params, n):
-        # The bracket capped at tau_sat, and the sweep's, split at tau_max
-        # as well. tau is subnormal below about 3.6e-304 pkt/s, and the last
-        # Brent steps leave up to 2.9e-11 (capped) and 9.1e-11 (split) of
-        # the law at 1e-307 pkt/s over N from 1 to 100.
+        # A solve given tau_sat, split at tau_sat and, the sweep's, at
+        # tau_max. tau is subnormal below about 3.6e-304 pkt/s, and the last
+        # Brent steps leave up to 3.1e-11 (at tau_sat) and 9.1e-11 (at
+        # tau_max) of the law at 1e-307 pkt/s over N from 1 to 100.
         report = critical_lambda(n, params)
         for lam_pkt_s in (1e-12, 1e-100, 1e-300, 1e-305, 1e-306, 1e-307):
             lam = lam_pkt_s * 1e-6
@@ -368,24 +368,23 @@ class TestBrentAgainstScipy:
                 want, info.function_calls, info.converged), (n, lam)
             sol = solve_fixed_point(lam, n, params)
             assert (sol.tau, sol.iterations) == (want, info.function_calls)
-            # The bracket capped at tau_sat.
-            want, info = optimize.brentq(g, _BRACKET[0], cap, xtol=_XTOL,
-                                         rtol=_RTOL, full_output=True)
-            sol = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat)
-            assert (sol.tau, sol.iterations) == (
-                want, info.function_calls), (n, lam)
-            # The sweep's solve: the capped bracket split at tau_max, where
-            # the one evaluation of g is Brent's given end value.
-            lo, hi, g_lo, g_hi = oracles.split_bracket(
-                g, _BRACKET[0], cap, report.tau_max, report.tau_sat)
-            want, info = optimize.brentq(g, lo, hi, xtol=_XTOL, rtol=_RTOL,
-                                         full_output=True)
-            assert _brentq(g, lo, hi, g_lo, g_hi) == (
-                want, info.function_calls, info.converged), (n, lam)
-            sol = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat,
-                                    tau_max=report.tau_max)
-            assert (sol.tau, sol.iterations) == (
-                want, info.function_calls), (n, lam)
+            # A solve given tau_sat: the bracket split at tau_max, the
+            # sweep's, or at tau_sat when tau_max is left out. The one
+            # evaluation of g there is Brent's given end value. For N <= 10
+            # the two splits coincide, as tau_max is tau_sat.
+            for tau_max in (report.tau_max, None):
+                split_at = report.tau_sat if tau_max is None else tau_max
+                lo, hi, g_lo, g_hi = oracles.split_bracket(
+                    g, _BRACKET[0], cap, split_at)
+                want, info = optimize.brentq(g, lo, hi, xtol=_XTOL,
+                                             rtol=_RTOL, full_output=True)
+                assert _brentq(g, lo, hi, g_lo, g_hi) == (
+                    want, info.function_calls, info.converged), (n, lam)
+                sol = solve_fixed_point(lam, n, params,
+                                        tau_sat=report.tau_sat,
+                                        tau_max=tau_max)
+                assert (sol.tau, sol.iterations) == (
+                    want, info.function_calls), (n, lam, tau_max)
 
     @pytest.mark.parametrize("f", [
         pytest.param(lambda x: x - 1.0, id="root-at-upper-end"),

@@ -174,6 +174,17 @@ class TestParamValidation:
             get_profile(path)
         assert str(err.value) == "unknown parameter keys: ['retry_limit']"
 
+    @pytest.mark.parametrize("content", [b"{not json", b"", b"\xff{}"])
+    def test_json_unreadable_names_the_file(self, tmp_path, content):
+        # A JSON syntax error and bytes that are not UTF-8 are both refused
+        # as bad input, naming the file.
+        path = tmp_path / "params.json"
+        path.write_bytes(content)
+        with pytest.raises(ParameterError) as err:
+            get_profile(path)
+        assert str(err.value).startswith(
+            f"parameter file '{path}' is not UTF-8 JSON: ")
+
     def test_json_not_an_object(self, params, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps([dataclasses.asdict(params)]))

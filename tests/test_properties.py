@@ -122,12 +122,16 @@ def test_root_lies_below_the_collision_free_attempt_rate(net, lam):
 @given(net=networks(), lam=finite_rates)
 def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
     # No map exceeds the saturated one, so the residual is positive just
-    # above tau_sat and the capped solve finds the uncapped root.
+    # above tau_sat and Brent on the bracket capped there finds the
+    # uncapped root.
     n, params = net
+    times = derive_times(params)
     tau_sat = solve_fixed_point(math.inf, n, params).tau
     cap = min(_BRACKET[1], tau_sat * _SAT_MARGIN)
-    assert cap - _state_at(cap, lam, n, derive_times(params), params) > 0
-    capped = solve_fixed_point(lam, n, params, tau_sat=tau_sat).tau
+    assert cap - _state_at(cap, lam, n, times, params) > 0
+    capped, _, converged = _brentq(
+        lambda t: t - _state_at(t, lam, n, times, params), _BRACKET[0], cap)
+    assert converged
     uncapped = solve_fixed_point(lam, n, params).tau
     assert abs(capped - uncapped) <= 1e-12 * uncapped + _XTOL
 
@@ -148,9 +152,9 @@ def test_chain_helper_reads_the_solved_record(net, lam):
 @given(net=networks(), lam=rates)
 def test_brentq_matches_scipy_on_every_bracket(net, lam):
     # _brentq transliterates scipy's brentq.c, so root, call count and
-    # convergence flag agree exactly on the three brackets a solve uses:
-    # the full one, the one capped at tau_sat, and the sweep's, split at
-    # tau_max, whose given end value counts as a call.
+    # convergence flag agree exactly on the brackets a solve uses: the full
+    # one, and the one given tau_sat, split at tau_max (the sweep's) or at
+    # tau_sat (tau_max's default), whose given end value counts as a call.
     n, params = net
     times = derive_times(params)
 
@@ -160,9 +164,8 @@ def test_brentq_matches_scipy_on_every_bracket(net, lam):
     report = critical_lambda(n, params)
     cap = min(_BRACKET[1], report.tau_sat * _SAT_MARGIN)
     brackets = [(_BRACKET[0], _BRACKET[1], None, None),
-                (_BRACKET[0], cap, None, None),
-                oracles.split_bracket(g, _BRACKET[0], cap, report.tau_max,
-                                      report.tau_sat)]
+                *(oracles.split_bracket(g, _BRACKET[0], cap, split_at)
+                  for split_at in (report.tau_max, report.tau_sat))]
     for lo, hi, g_lo, g_hi in brackets:
         want, info = optimize.brentq(g, lo, hi, xtol=_XTOL, rtol=_RTOL,
                                      full_output=True)
@@ -179,8 +182,9 @@ def robust_sign_changes(g, grid):
 
 @given(net=networks())
 def test_split_bracket_keeps_a_lone_root(net):
-    # Where g changes sign once on the capped bracket, the half that the
-    # sign of g at tau_max picks holds that root, and both solves find it.
+    # Where g changes sign once on the bracket capped at tau_sat, the half
+    # that the sign of g at tau_max picks holds that root, and Brent on the
+    # capped bracket and the split solve both find it.
     # Near lambda_c g can be nearly tangent to 0, and the taus that
     # rounding cannot tell from its root then span tens of ulps, so the
     # bound is 1e-12 of tau rather than Brent's tolerance. On some networks
@@ -197,10 +201,11 @@ def test_split_bracket_keeps_a_lone_root(net):
         def g(t):
             return t - _state_at(t, lam, n, times, params)
 
-        capped = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat)
+        capped, _, converged = _brentq(g, _BRACKET[0], cap)
+        assert converged, share
         split = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat,
-                                  tau_max=report.tau_max)
-        lo, hi = sorted((capped.tau, split.tau))
+                                  tau_max=report.tau_max).tau
+        lo, hi = sorted((capped, split))
         grid = np.union1d(coarse, np.linspace(lo, hi, 64))
         if robust_sign_changes(g, grid) == 1:
             assert hi - lo <= 1e-12 * hi + _XTOL, share

@@ -188,6 +188,18 @@ class TestLinearThroughput:
         assert linear_throughput(1e-5, np.int64(10), params) == (
             linear_throughput(1e-5, 10, params))
 
+    def test_narrow_numpy_station_count_does_not_overflow(self, params):
+        # 200 * 8200 leaves uint8's range; a Python int does not.
+        assert linear_throughput(1e-5, np.uint8(200), params) == (
+            linear_throughput(1e-5, 200, params))
+
+    def test_numpy_station_count_does_not_wrap(self, params):
+        # N * E[PL] wraps to 0 in int64 at N = 2**62, which would give
+        # lambda_c = inf; the count is taken as the Python int.
+        report = critical_lambda(np.int64(2 ** 62), params)
+        assert report == critical_lambda(2 ** 62, params)
+        assert math.isfinite(report.lambda_c)
+
     def test_nan_is_refused_like_the_solver(self, params):
         # Every entry point that takes a rate refuses a bad one through
         # params._check_rate, naming the argument. inf is the model's

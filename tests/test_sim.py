@@ -501,6 +501,14 @@ class TestConfigValidation:
                       seed=np.int64(1))
         assert run_replication(cfg, np.int64(1)) == run_replication(cfg, 1)
 
+    def test_numpy_integer_window_runs_the_int_stream(self, params):
+        # The simulator reads w0.bit_length(), which NumPy integers lack;
+        # PhyMacParams stores the window as a Python int.
+        numpy_w0 = dataclasses.replace(params, w0=np.int64(32))
+        assert type(numpy_w0.w0) is int
+        cfg = cfg_for(params, 5, 50e-6, duration=2e5, warmup=0.0)
+        assert run(dataclasses.replace(cfg, params=numpy_w0)) == run(cfg)
+
     def test_rejects_infinite_rate(self, params):
         with pytest.raises(ParameterError):
             SimConfig(n_stations=2, lambda_per_station=math.inf, params=params)
