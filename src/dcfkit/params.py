@@ -206,6 +206,9 @@ def get_profile(name: str | os.PathLike) -> PhyMacParams:
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ParameterError(f"parameter file {os.fspath(name)!r} is not "
                              f"UTF-8 JSON: {exc}") from None
+    except OSError as exc:  # a directory, or a file it may not read
+        raise ParameterError(f"parameter file {os.fspath(name)!r} cannot be "
+                             f"read: {exc.strerror}") from None
     if not isinstance(data, dict):
         raise ParameterError("parameter file must contain a JSON object")
     keys = set(PhyMacParams.__dataclass_fields__)

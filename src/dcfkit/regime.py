@@ -6,9 +6,15 @@ maximum throughput S_m at the critical rate lam_c = S_m / (N * E[PL]),
 which separates the unsaturated and saturated regimes. S_m is the largest
 throughput an arrival rate produces: the fixed point only reaches tau in
 (0, tau_sat], so S(tau) is maximised on that branch and not beyond it.
+
+S_m and lam_c depend on N and the PHY/MAC constants only, not on the
+arrival rate, so critical_lambda memoises its reports per (N, params) in a
+process-wide LRU cache of 128 entries. A report is frozen and shared by
+every caller that asks for the same network; errors are not cached.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -109,8 +115,18 @@ def critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
 
     lam_c satisfies lam_c * N * E[PL] = S_m exactly. When the maximum sits
     at the end of the branch, tau_max is the saturated tau and lam_c is
-    S_sat / (N * E[PL]).
+    S_sat / (N * E[PL]). Reports are memoised per (N, params) and shared.
     """
+    # The key is the Python int: True and 10.0 would hash like 1 and 10.
+    n = _check_n(n)
+    _check_params(params)  # a dict would raise lru_cache's TypeError
+    return _critical_lambda(n, params)
+
+
+@functools.lru_cache
+def _critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
+    # max_throughput is looked up as a module global on each miss, so a
+    # wrapper put in its place sees every search.
     s_max, tau_max, tau_sat = max_throughput(n, params)
     # The linear law at lam = 1 is its slope N * E[PL].
     return RegimeReport(n=n, s_max=s_max, tau_max=tau_max,

@@ -185,6 +185,13 @@ class TestParamValidation:
         assert str(err.value).startswith(
             f"parameter file '{path}' is not UTF-8 JSON: ")
 
+    def test_directory_is_refused_naming_it(self, tmp_path):
+        # open() raises IsADirectoryError, an OSError, on a directory.
+        with pytest.raises(ParameterError) as err:
+            get_profile(tmp_path)
+        assert str(err.value).startswith(
+            f"parameter file '{tmp_path}' cannot be read: ")
+
     def test_json_not_an_object(self, params, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps([dataclasses.asdict(params)]))

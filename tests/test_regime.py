@@ -1,13 +1,15 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dcfkit import (ParameterError, SimConfig, critical_lambda, derive_times,
+from dcfkit import (ConvergenceError, ParameterError, SimConfig,
+                    critical_lambda, derive_times, get_profile,
                     linear_throughput, solve_fixed_point)
 from dcfkit.model import _s_of_tau
-from dcfkit.regime import max_throughput
+from dcfkit.regime import _critical_lambda, max_throughput
 
 # Reference operating points for the dot11g-54 profile; the model is
 # expected to land within 5 percent of each.
@@ -200,6 +202,11 @@ class TestLinearThroughput:
         assert report == critical_lambda(2 ** 62, params)
         assert math.isfinite(report.lambda_c)
 
+    def test_numpy_station_count_is_reported_as_an_int(self, params):
+        _critical_lambda.cache_clear()  # a warm 10 would hide a cold miss
+        report = critical_lambda(np.int64(10), params)
+        assert type(report.n) is int and report.n == 10
+
     def test_nan_is_refused_like_the_solver(self, params):
         # Every entry point that takes a rate refuses a bad one through
         # params._check_rate, naming the argument. inf is the model's
@@ -228,6 +235,86 @@ class TestLinearThroughput:
             with pytest.raises(ParameterError, match=(
                     f"^lambda_per_station must be {message}$")):
                 SimConfig(n_stations=2, lambda_per_station=lam, params=params)
+
+
+class TestCache:
+    """critical_lambda memoises its reports per (N, params); every case
+    below holds on a warm cache."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        # Counts the misses, as a tracer wrapping regime.max_throughput
+        # sees them.
+        calls = []
+
+        def counted(n, params):
+            calls.append(n)
+            return max_throughput(n, params)
+
+        monkeypatch.setattr("dcfkit.regime.max_throughput", counted)
+        return calls
+
+    def test_bad_station_counts_are_refused_when_warm(self, params):
+        # True and 10.0 hash like 1 and 10, which are cached.
+        critical_lambda(1, params)
+        critical_lambda(10, params)
+        for n, message in ((True, "^n must be an integer, got True$"),
+                           (10.0, "^n must be an integer, got 10.0$")):
+            with pytest.raises(ParameterError, match=message):
+                critical_lambda(n, params)
+
+    def test_unhashable_params_are_refused(self, params):
+        critical_lambda(10, params)
+        with pytest.raises(ParameterError, match="^params must be a Phy"):
+            critical_lambda(10, dataclasses.asdict(params))
+
+    def test_networks_past_the_limit_are_refused_on_every_call(
+            self, params, searches):
+        for _ in range(3):
+            with pytest.raises(ParameterError, match=r"<= 10\*\*300"):
+                critical_lambda(10 ** 300 + 1, params)
+        assert searches == [10 ** 300 + 1] * 3
+
+    def test_convergence_errors_are_not_cached(self, params, monkeypatch):
+        calls = []
+
+        def fail(n, params):
+            calls.append(n)
+            raise ConvergenceError("no sign change")
+
+        _critical_lambda.cache_clear()
+        monkeypatch.setattr("dcfkit.regime.max_throughput", fail)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                critical_lambda(10, params)
+        assert calls == [10, 10]
+        monkeypatch.undo()
+        assert critical_lambda(10, params).n == 10
+
+    def test_warm_report_is_the_cold_one(self, params, searches):
+        _critical_lambda.cache_clear()
+        cold = critical_lambda(20, params)
+        assert critical_lambda(20, params) is cold
+        assert critical_lambda(np.int64(20), params) is cold
+        assert searches == [20]
+        _critical_lambda.cache_clear()
+        fresh = critical_lambda(20, params)
+        assert fresh == cold and fresh is not cold
+        assert searches == [20, 20]
+
+    def test_equal_parameter_file_shares_the_entry(self, params, tmp_path,
+                                                   searches):
+        path = tmp_path / "dot11g-54.json"
+        path.write_text(json.dumps(dataclasses.asdict(params)))
+        copy = get_profile(path)
+        assert copy is not params
+        _critical_lambda.cache_clear()
+        report = critical_lambda(30, params)
+        assert critical_lambda(30, copy) is report
+        assert searches == [30]
+
+    def test_default_size(self):
+        assert _critical_lambda.cache_info().maxsize == 128
 
 
 def linearity_error(lam, n, params):
