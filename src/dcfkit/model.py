@@ -40,8 +40,7 @@ class FixedPointSolution:
     tau: float
     p: float
     t_i: float  # the mean model slot
-    t_service: float  # the queue's service time: one attempt
-    t_packet: float  # one packet's service over its attempts, alpha * t_i
+    t_packet: float  # the queue's service time: one packet, alpha * t_i
     q: float  # the chance the queue is nonempty
     throughput: float
     residual: float
@@ -72,22 +71,20 @@ def _slot_kernel(tau, n, times, params):
     # The backoff chain at tau: the collision probability p, the mean
     # transmission and backoff slot durations seen by one station (a
     # backoff slot is sigma when nobody else transmits), the stage sums
-    # epsilon and alpha, the mean access delay t_a (the backoff countdown
-    # averaged over the stage-visit distribution) and the mean duration t_i
-    # of a slot spent parked in the idle state. tau is a float. p is
-    # 1 - (1 - tau)^(n - 1) in log1p form, which keeps its digits at the
-    # small tau of light load and large n, where the plain form cancels;
-    # at tau = 1, outside log1p's domain, every other station sends.
+    # epsilon and alpha, and the mean duration t_i of a slot spent parked
+    # in the idle state. tau is a float. p is 1 - (1 - tau)^(n - 1) in
+    # log1p form, which keeps its digits at the small tau of light load and
+    # large n, where the plain form cancels; at tau = 1, outside log1p's
+    # domain, every other station sends.
     if tau < 1.0:
         p = -math.expm1((n - 1) * math.log1p(-tau))
     else:
         p = 1.0 if n > 1 else 0.0
     t_tx = (1.0 - p) * times.t_s + p * times.t_c
     t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
-    gamma, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
-    t_a = (params.w0 / (2.0 * epsilon)) * gamma * t_bo
+    _, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
     t_i = (epsilon * t_tx + theta * t_bo) / alpha
-    return p, t_tx, t_bo, epsilon, alpha, t_a, t_i
+    return p, t_tx, t_bo, epsilon, alpha, t_i
 
 
 def _queue_empty_probability(rho, k):
@@ -128,17 +125,18 @@ def _s_of_tau(tau, n, times, params):
 def _state_at(tau, lam, n, times, params, iterations=None):
     """One application of the fixed-point map at tau: map(tau), or, given
     the solve's count of map calls, the FixedPointSolution at tau."""
-    p, t_tx, _, epsilon, alpha, t_a, t_i = _slot_kernel(tau, n, times,
-                                                         params)
-    t_service = t_a + t_tx
+    p, _, _, epsilon, alpha, t_i = _slot_kernel(tau, n, times, params)
+    # The queue serves one packet per t_packet, the chain's slots over all
+    # of a packet's attempts: epsilon * t_tx + theta * t_bo = alpha * t_i.
+    t_packet = alpha * t_i
     # No argument checks: solve_fixed_point refused a NaN or negative lam
-    # and t_service > 0, so rho lies in [0, inf]; PhyMacParams refused a
+    # and t_packet > 0, so rho lies in [0, inf]; PhyMacParams refused a
     # queue_capacity_k that is not an integer >= 1. lam = 0 skips the
     # products: near tau = 1 the largest windows overflow theta * t_bo, so
-    # t_i and t_service can read inf, and 0 * inf is NaN. p_i0 is the
+    # t_i and t_packet can read inf, and 0 * inf is NaN. p_i0 is the
     # chance that a parked station gets a packet within one slot t_i.
     if lam:
-        rho = lam * t_service
+        rho = lam * t_packet
         p_i0 = -math.expm1(-lam * t_i)
     else:
         rho = p_i0 = 0.0
@@ -156,7 +154,7 @@ def _state_at(tau, lam, n, times, params, iterations=None):
     # that the root falls below _XTOL) has no relative residual, so it gets
     # the absolute one.
     return FixedPointSolution(
-        tau=tau, p=p, t_i=t_i, t_service=t_service, t_packet=alpha * t_i, q=q,
+        tau=tau, p=p, t_i=t_i, t_packet=t_packet, q=q,
         throughput=_s_of_slot(tau, n, t_i, params),
         residual=abs(tau_next - tau) / tau if tau else tau_next,
         iterations=iterations)

@@ -59,21 +59,6 @@ def queue_empty_sum(rho, k):
         return 1.0 / math.inf
 
 
-def access_delay_terms(p, w0, m, t_bo):
-    """Mean countdown before transmission, averaged stage by stage.
-
-    Stage i is reached with probability p^i (normalised over 0..m); its
-    window is w0 * 2^i with mean initial counter (w0 * 2^i) / 2 slots of
-    t_bo each.
-    """
-    eps = geom_epsilon(p, m)
-    total = 0.0
-    for i in range(m + 1):
-        weight = p ** i / eps
-        total += weight * (w0 * 2 ** i) / 2.0 * t_bo
-    return total
-
-
 def chain_states(w0, m):
     return [(i, k) for i in range(m + 1) for k in range(w0 << i)]
 
@@ -138,28 +123,26 @@ def wu_saturated_tau(p, w0, m):
 def chain_at(tau, lam, n, params):
     """The model's chain at tau, with what FixedPointSolution leaves out.
 
-    The kernel's slot durations t_tx and t_bo and access delay t_a, the
-    queue's load rho, the chance p_i0 that a parked station gets a packet
-    within one slot t_i, and the stage-0 head b00 and idle share b_idle of
-    the normalised chain, next to the record's t_i, t_service, t_packet
-    and q. The operations are model._state_at's, so at a solution's tau
-    each value is bit for bit the one its solve computed.
+    The kernel's slot durations t_tx and t_bo, the queue's load rho, the
+    chance p_i0 that a parked station gets a packet within one slot t_i,
+    and the stage-0 head b00 and idle share b_idle of the normalised chain,
+    next to the record's t_i, t_packet and q. The operations are
+    model._state_at's, so at a solution's tau each value is bit for bit
+    the one its solve computed.
     """
     times = derive_times(params)
-    p, t_tx, t_bo, epsilon, alpha, t_a, t_i = _slot_kernel(tau, n, times,
-                                                           params)
-    t_service = t_a + t_tx
+    p, t_tx, t_bo, epsilon, alpha, t_i = _slot_kernel(tau, n, times, params)
+    t_packet = alpha * t_i
     if lam:
-        rho = lam * t_service
+        rho = lam * t_packet
         p_i0 = -math.expm1(-lam * t_i)
     else:
         rho = p_i0 = 0.0
     q = 1.0 - _queue_empty_probability(rho, params.queue_capacity_k)
     d = alpha * p_i0 + (1.0 - q)
     return SimpleNamespace(
-        p=p, t_tx=t_tx, t_bo=t_bo, t_a=t_a, t_i=t_i, t_service=t_service,
-        t_packet=alpha * t_i, rho=rho, q=q, p_i0=p_i0, b00=p_i0 / d,
-        b_idle=(1.0 - q) / d)
+        p=p, t_tx=t_tx, t_bo=t_bo, t_i=t_i, t_packet=t_packet, rho=rho, q=q,
+        p_i0=p_i0, b00=p_i0 / d, b_idle=(1.0 - q) / d)
 
 
 def split_bracket(g, lo, hi, tau_max):

@@ -136,7 +136,7 @@ def test_criterion_06_vanishing_contention_limits(p):
     times = derive_times(p)
     tau = 1e-6
     n = 10
-    prob, t_tx, t_bo, epsilon, alpha, _, _ = _slot_kernel(tau, n, times, p)
+    prob, t_tx, t_bo, epsilon, alpha, _ = _slot_kernel(tau, n, times, p)
     theta = _geom_sums(prob, p.w0, p.m)[2]
     checks = {
         "eps": abs(epsilon - 1.0) < 1e-4,

@@ -53,41 +53,41 @@ _PINNED = {
     "sweep-auto": (
         ["sweep", "--n", "1,10,50", "--lambda-grid", "auto"], 0,
         _EMPTY,
-        "62d1308d6cb10464caca783dc9919239"
-        "09eda8af26095624e3eb46e1d7a8c36a"),
+        "d226d4839f5c041715ebfddde56bc7fd"
+        "13c451f7f2d1fb541a4bf38986f9a6c3"),
     # Every N of the curve workload on its auto grid: 2500 solves.
     "sweep-auto-1-100": (
         ["sweep", "--n", ",".join(map(str, range(1, 101))),
          "--lambda-grid", "auto"], 0,
         _EMPTY,
-        "dd584258573446c5e809a7094830599c"
-        "8120a86b72aaceff87f4bda578d308e2"),
+        "3d64ccb306f46931487d242a45de0452"
+        "7a16e10fdb01a57beb21463d860c701f"),
     "sweep-sim-3": (
         ["sweep", *_SWEEP_SIM, "--replications", "3"], 0,
         _EMPTY,
-        "d121fc238e9456a6467bc72360d74b41"
-        "76eb1e37eb18b93c6b93108a82f7ccf9"),
+        "64458e6a2fcf2174a7b8f452aebcef13"
+        "df1cff4fa774d474767304c14f73e031"),
     "sweep-sim-1": (
         ["sweep", *_SWEEP_SIM, "--replications", "1"], 0,
         _EMPTY,
-        "9c6c5c386fb535cf0cae0201f6fca7b0"
-        "cd7c16469b45c380e48d1b1097544f14"),
+        "3069b53f98ba00ffff62007b14698751"
+        "3d2157faafc6777131989ff34d400028"),
     "compare-3": (
         ["compare", "--n", "5,10", "--lambda-grid", "30,70,400",
          "--replications", "3", "--duration-us", "3e5",
          "--warmup-us", "0", "--seed", "7"], 0,
-        "5ceb85deb0720f1ffc863797c7c8305f"
-        "08f5e63d55dfef56c2b9c7ee7b3c4316",
-        "c63454748465e3ad99992c0faf081b19"
-        "8426e02a82d59d3d9acd0a4d2955f5ac"),
+        "0cbd9ad277aeef3f5a387234c828b54a"
+        "a37e1fa817f24a8a73435766b8e88ae1",
+        "fb7ead3428be0bf9ff4545dd4bedc369"
+        "3835f9cb0b76bfd76583e695ff230c28"),
     "compare-1": (
         ["compare", "--n", "2", "--lambda-grid", "40",
          "--replications", "1", "--duration-us", "1e5",
          "--warmup-us", "0"], 3,
-        "c440109b43be56ae963ee86af0f01983"
-        "db8ae7cb5c500a38588f3cad6495ef26",
-        "eb769b297ca16d681bcbe782dd6d8a17"
-        "724015314bf73c908ac693bbf359abd0"),
+        "aee1669fb17c79e904c88edd388cfb42"
+        "5c0b78b14bfd1d9a680833b085e55e0d",
+        "bf5afa11567e1f8a5ffc33c921fc7edc"
+        "b34e8abcaf5875264c466760431faa3d"),
     "sim-3": (
         ["sim", *_SIM, "--replications", "3"], 0,
         "9f1da4d3c1cd8a991b5119c8d14fca3a"
@@ -110,8 +110,8 @@ _PINNED = {
     "sweep-sim-defaults": (
         ["sweep", "--n", "2", "--lambda-grid", "40", "--with-sim"], 0,
         _EMPTY,
-        "88ea3e778e2913bcd4fb4830f6579406"
-        "e4078df6373131da890afe2c1b051dfa"),
+        "2e73bd28df9ae9247b09aa85456eb3eb"
+        "001cbe72485409e49c5f1fa6ff54c79a"),
 }
 
 

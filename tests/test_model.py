@@ -38,59 +38,29 @@ class TestSlotTimes:
         assert t_bo == pytest.approx((1 - p) * 20.0 + p * t_tx, rel=1e-15)
 
 
-def access_and_idle(p, t_tx, t_bo, params):
-    """The kernel's t_a and t_i at a p decoupled from the slot durations.
-
-    With two stations the kernel's p is tau; equal success and collision
-    times give t_tx back, and sigma is chosen so the backoff mix is t_bo.
-    """
-    times = SimpleNamespace(t_s=t_tx, t_c=t_tx)
-    knobs = SimpleNamespace(slot_sigma=(t_bo - p * t_tx) / (1.0 - p),
-                            w0=params.w0, m=params.m)
-    *_, t_a, t_i = _slot_kernel(p, 2, times, knobs)
-    return t_a, t_i
-
-
-class TestAccessAndService:
+class TestQueueService:
     def test_collision_free_window(self, params, times):
-        t_a, _ = access_and_idle(0.0, times.t_s, params.slot_sigma, params)
-        assert t_a == 16.0 * params.slot_sigma
+        # With no contention a packet takes one attempt: a stage-0 backoff
+        # of (w0 - 1) / 2 = 15.5 slots of sigma, then a success.
         idle = solve_fixed_point(0.0, 10, params)
-        assert oracles.chain_at(idle.tau, 0.0, 10, params).t_a == t_a
-        assert idle.t_service == 16.0 * params.slot_sigma + times.t_s
-        assert idle.t_service == 1034.0
+        assert idle.t_packet == 15.5 * params.slot_sigma + times.t_s
+        assert idle.t_packet == 1024.0
 
-    def test_against_stage_sum(self, params):
-        for p in (0.1, 0.25, 0.6):
-            t_a, _ = access_and_idle(p, 700.0, 25.0, params)
-            want = oracles.access_delay_terms(p, params.w0, params.m, 25.0)
-            assert t_a == pytest.approx(want, rel=1e-12)
-
-    def test_frozen_quarter(self, params):
-        t_a, _ = access_and_idle(0.25, 700.0, 25.0, params)
-        assert t_a == pytest.approx(590.769230769231, abs=1e-9)
-
-    @pytest.mark.parametrize("n, ratio", [
-        (1, 1.0098), (2, 0.9595), (10, 0.7213), (50, 0.4559),
-        (100, 0.3526)])
-    def test_queue_service_is_one_attempt_not_one_packet(self, params, n,
-                                                          ratio):
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 100])
+    def test_queue_service_is_one_packet(self, params, n):
         # At saturation a packet leaves the chain every t_packet = alpha *
         # t_i on average, a success with probability 1 - p^(m+1), and the
         # chain's successes per us are tau (1 - p) / t_i. The queue's
-        # rho = lam * t_service serves a packet in one attempt's time, so
-        # it and the chain disagree by t_service / t_packet.
+        # rho = lam * t_packet serves a packet in that same time.
         sat = solve_fixed_point(math.inf, n, params)
         delivered = sat.tau * (1.0 - sat.p) / sat.t_i * sat.t_packet
         assert delivered == pytest.approx(1.0 - sat.p ** (params.m + 1),
                                           rel=0, abs=1e-12)
-        assert sat.t_service / sat.t_packet == pytest.approx(ratio,
-                                                             abs=5e-5)
 
 
 class TestIdleSlotTime:
     def test_no_contention(self, params, times):
-        _, value = access_and_idle(0.0, times.t_s, params.slot_sigma, params)
+        value = _slot_kernel(0.0, 10, times, params)[-1]
         want = (714.0 + 15.5 * 20.0) / 16.5
         assert value == pytest.approx(want, rel=1e-15)
         assert value == pytest.approx(62.0606060606, abs=1e-9)
@@ -101,7 +71,13 @@ class TestIdleSlotTime:
         theta = oracles.geom_theta(0.25, 32, 5)
         alpha = oracles.geom_alpha(0.25, 32, 5)
         want = (eps * 713.9 + theta * 25.0) / alpha
-        _, value = access_and_idle(0.25, 713.9, 25.0, params)
+        # With two stations the kernel's p is tau. Equal success and
+        # collision times make t_tx 713.9 us, and sigma is chosen so the
+        # backoff mix t_bo is 25 us.
+        times = SimpleNamespace(t_s=713.9, t_c=713.9)
+        knobs = SimpleNamespace(slot_sigma=(25.0 - 0.25 * 713.9) / 0.75,
+                                w0=params.w0, m=params.m)
+        value = _slot_kernel(0.25, 2, times, knobs)[-1]
         assert value == pytest.approx(want, rel=1e-12)
         assert value == pytest.approx(53.548613324832644, rel=1e-12)
 
@@ -201,21 +177,36 @@ class TestSolveFixedPoint:
             assert sol.throughput == pytest.approx(sat, rel=0.02)
 
     def test_single_root_and_bounded_calls(self, params, times):
-        # The solver brackets the one root of g(tau) = tau - map(tau); check
-        # on a dense grid that there is exactly one sign change and that the
-        # solved tau lies in the cell where it happens.
+        # The solver brackets a root of g(tau) = tau - map(tau); check on a
+        # dense grid that there is exactly one sign change and that the
+        # solved tau lies in the cell where it happens. At N = 50 and 100,
+        # lambda_c lies in the three-root band (0.89-1.003 and 0.81-1.002
+        # lambda_c), and the sweep's solve, split at tau_max, lands in the
+        # lowest cell.
         grid = np.linspace(1e-15, 1.0 - 1e-12, 2000)
         for n in (1, 2, 10, 50, 100):
-            lam_c = critical_lambda(n, params).lambda_c
+            report = critical_lambda(n, params)
+            lam_c = report.lambda_c
             for lam in (0.01 * lam_c, lam_c, 5.0 * lam_c, math.inf):
                 sol = solve_fixed_point(lam, n, params)
+                split = solve_fixed_point(lam, n, params,
+                                          tau_sat=report.tau_sat,
+                                          tau_max=report.tau_max)
                 assert sol.iterations <= 30
+                assert split.iterations <= 30
                 g = np.array([t - _state_at(t, lam, n, times, params)
                               for t in grid])
                 changes = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
-                assert len(changes) == 1, (n, lam)
                 i = changes[0]
+                if n >= 50 and lam == lam_c:
+                    assert len(changes) == 3
+                    assert grid[i] <= split.tau <= grid[i + 1]
+                    assert any(grid[j] <= sol.tau <= grid[j + 1]
+                               for j in changes)
+                    continue
+                assert len(changes) == 1, (n, lam)
                 assert grid[i] <= sol.tau <= grid[i + 1], (n, lam)
+                assert grid[i] <= split.tau <= grid[i + 1], (n, lam)
 
     def test_bracket_without_sign_change_raises(self, params, monkeypatch):
         # A map that never crosses tau leaves nothing to bracket.
@@ -346,6 +337,70 @@ class TestSolveFixedPoint:
         with pytest.raises(ParameterError, match=message):
             solve_fixed_point(1e-5, 10, params, tau_sat=tau_sat,
                               tau_max=tau_max)
+
+
+class TestKnee:
+    # dot11g-54 near lambda_c, where the residual can have three roots: the
+    # low one (short queues) and the high one (full queues) are both
+    # stable, and the sweep's solve, split at tau_max, keeps the low one.
+
+    @pytest.mark.parametrize("n, share, s_sim", [
+        (10, 0.9, 8.140), (10, 1.0, 9.066), (10, 1.2, 9.074),
+        (50, 0.95, 8.012), (50, 1.05, 7.250), (50, 1.2, 7.251)])
+    def test_split_solve_meets_the_simulator(self, params, n, share, s_sim):
+        # s_sim is the simulator's mean from empty queues: 2 replications
+        # of 60 s after a 10-s warm-up, seed 31.
+        report = critical_lambda(n, params)
+        sol = solve_fixed_point(share * report.lambda_c, n, params,
+                                tau_sat=report.tau_sat,
+                                tau_max=report.tau_max)
+        assert sol.throughput == pytest.approx(s_sim, rel=0.005)
+
+    def test_split_solve_keeps_the_lowest_root_in_the_band(self, params,
+                                                           times):
+        # 78 rates from 0.80 to 1.10 lambda_c; g is scanned on 600 cells
+        # of the capped bracket. 26 of the rates have three roots.
+        seen = 0
+        for n in (10, 25, 40, 50, 80, 100):
+            report = critical_lambda(n, params)
+            cap = min(_BRACKET[1], report.tau_sat * _SAT_MARGIN)
+            grid = np.linspace(0.0, cap, 601)
+            for k in range(13):
+                lam = (0.80 + 0.025 * k) * report.lambda_c
+                g = np.array([t - _state_at(float(t), lam, n, times, params)
+                              for t in grid])
+                changes = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+                assert len(changes) in (1, 3), (n, k)
+                seen += len(changes) == 3
+                tau = solve_fixed_point(lam, n, params,
+                                        tau_sat=report.tau_sat,
+                                        tau_max=report.tau_max).tau
+                i = changes[0]
+                assert grid[i] <= tau <= grid[i + 1], (n, k)
+        assert seen >= 20
+
+    @pytest.mark.parametrize("n, share, full_s, full_q, split_s, split_q", [
+        (80, 0.9750000000000001, 6.444, 1.000, 8.191, 0.072),
+        (25, 1.0, 8.169, 0.994, 8.576, 0.331)])
+    def test_full_bracket_may_keep_the_high_root(self, params, n, share,
+                                                 full_s, full_q, split_s,
+                                                 split_q):
+        # Without tau_sat the solve uses the full bracket, and in the band
+        # Brent's path there may end at the high root while the CLI's
+        # split solve prints the low one. Which root it keeps turns on the
+        # last bit of the rate: N = 80 is pinned at 0.80 + 35 * 0.005 in
+        # floats, and at 0.975 lambda_c it keeps the low one. Over
+        # 0.80-1.10 lambda_c in steps of 0.005 for N = 2..100, 150 and 250,
+        # the two solves differ at 5 of 6161 rates.
+        report = critical_lambda(n, params)
+        lam = share * report.lambda_c
+        full = solve_fixed_point(lam, n, params)
+        split = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat,
+                                  tau_max=report.tau_max)
+        assert (full.throughput, full.q) == pytest.approx((full_s, full_q),
+                                                          abs=5e-4)
+        assert (split.throughput, split.q) == pytest.approx(
+            (split_s, split_q), abs=5e-4)
 
 
 class TestBrentAgainstScipy:
@@ -502,8 +557,8 @@ class TestThroughputTauForm:
     def test_small_tau_limits(self, params, times):
         tau = 1e-6
         n = 10
-        p, t_tx, t_bo, epsilon, alpha, _, _ = _slot_kernel(tau, n, times,
-                                                           params)
+        p, t_tx, t_bo, epsilon, alpha, _ = _slot_kernel(tau, n, times,
+                                                        params)
         theta = _geom_sums(p, params.w0, params.m)[2]
         assert abs(epsilon - 1.0) < 1e-4
         assert abs(theta - 15.5) < 1e-3

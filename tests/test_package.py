@@ -65,8 +65,8 @@ def test_per_solve_records():
     # perfbench traces FixedPointSolution.iterations; the field order is the
     # positional constructor's.
     assert [f.name for f in dataclasses.fields(dcfkit.FixedPointSolution)] == [
-        "tau", "p", "t_i", "t_service", "t_packet", "q", "throughput",
-        "residual", "iterations",
+        "tau", "p", "t_i", "t_packet", "q", "throughput", "residual",
+        "iterations",
     ]
     assert [f.name for f in dataclasses.fields(dcfkit.DerivedTimes)] == [
         "t_s", "t_c"]
