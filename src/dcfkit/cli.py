@@ -187,9 +187,7 @@ def _sweep_points(params, n_list, grid, sim) -> list[CurvePoint]:
             lam = lam_pkt_s * _PKT_S_TO_PKT_US
             fixed_point, error = None, ""
             try:
-                fixed_point = solve_fixed_point(lam, n, params,
-                                                tau_sat=report.tau_sat,
-                                                tau_max=report.tau_max)
+                fixed_point = solve_fixed_point(lam, n, params)
             except ConvergenceError as exc:
                 error = f"no convergence: {exc}"
             result = None if sim is None else run(replace(

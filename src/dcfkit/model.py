@@ -7,9 +7,9 @@ probability p = 1 - (1 - tau)^(N-1) yields one nonlinear equation in the
 per-slot transmission probability tau. Its residual tau - map(tau) is
 negative near 0 and positive near 1, so the root is found by Brent's
 method (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4)
-on the (0, 1) bracket, or, given the saturated tau, on the reachable
-branch up to it, split by the sign of the residual at the throughput
-maximum's tau.
+on the reachable branch up to the saturated tau, split by the sign of the
+residual at the throughput maximum's tau; the saturated solve itself, which
+the split needs, uses the (0, 1) bracket.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, ParameterError
-from .params import (PhyMacParams, _check_n, _check_rate, _check_real,
-                     derive_times)
+from .params import PhyMacParams, _check_n, _check_rate, derive_times
 
 # The full bracket for tau. Brent's tolerance is relative only, so the
 # small tau of light load keeps full precision: rtol is 4 eps, the floor
@@ -29,6 +28,12 @@ _BRACKET = (0.0, 1.0 - 1e-12)
 _RTOL = 4.0 * sys.float_info.epsilon
 _XTOL = 1e-320
 _MAXITER = 100
+# The largest N with an S_m and a lambda_c, and so with a bracket. With the
+# log1p form S_m holds to 1e-5 as far as N is a float (8.3253939 on
+# dot11g-54 from N = 1e8 to 1e308), but lambda_c and the line's slope
+# N * E[PL] leave the float range first: on dot11g-54 lambda_c is subnormal
+# from about N = 4.6e304, and N * E[PL] overflows from about 2.2e304.
+_N_MAX = 10 ** 300
 # A split bracket's upper half ends this factor above tau_sat, past rounding.
 _SAT_MARGIN = 1.0 + 1e-9
 
@@ -230,40 +235,33 @@ def _brentq(f, xa, xb, fa=None, fb=None):
     return xcur, calls, False
 
 
-def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
-                      tau_sat: float | None = None,
-                      tau_max: float | None = None) -> FixedPointSolution:
+def solve_fixed_point(lam: float, n: int,
+                      params: PhyMacParams) -> FixedPointSolution:
     """Solve the coupled tau equation at per-station arrival rate lam.
 
     lam is in packets per microsecond; lam = inf is the saturated operating
     point, where every queue is nonempty (q = 1) and the map reduces to
-    tau = epsilon(p) / alpha(p). The root of g(tau) = tau - map(tau) is
-    found by Brent's method on (0, 1): g is positive near 1 and negative
-    near 0, or 0 at tau = 0 when lam = 0 (the idle solution, 2 map calls).
-    Given tau_sat, the saturated tau of the same n and params, the bracket
-    is split at tau_max, the throughput maximum's tau, which defaults to
-    tau_sat: (0, tau_max] where g is >= 0 there, else [tau_max, tau_sat *
-    (1 + 1e-9)], as no map exceeds the saturated one. Where g has three
-    roots, as near lambda_c on some networks, the bracket picks one.
-    iterations counts the map evaluations, the one at tau_max included.
-    Raises ParameterError for a lam that is a bool, no number, NaN or
-    negative, a bad n or params, a tau_sat that is a bool, no number or
-    outside (0, 1], or a tau_max without tau_sat or outside (0, tau_sat];
+    tau = epsilon(p) / alpha(p). Its root of g(tau) = tau - map(tau) is
+    found by Brent's method on (0, 1), where g is negative near 0 and
+    positive near 1. A finite lam's bracket is the reachable branch split
+    at tau_max, the throughput maximum's tau, read from the network's
+    cached RegimeReport: (0, tau_max] where g is >= 0 there, else [tau_max,
+    tau_sat * (1 + 1e-9)], as no map exceeds the saturated one. Where g has
+    three roots, as near lambda_c on some networks, the split kept the
+    lowest at every dot11g-54 rate checked. At lam = 0, g(0) = 0 ends the
+    solve at tau = 0 (the idle solution, 2 map calls). iterations counts
+    the map evaluations, the one at tau_max included. Raises
+    ParameterError for a lam that is a bool, no number, NaN or negative,
+    a bad n or params, or n above 10**300;
     ConvergenceError when g does not change sign on the bracket, is NaN,
     or the solve does not converge.
     """
     _check_rate(lam)
-    if tau_sat is not None:
-        _check_real(tau_sat, "tau_sat")
-        if not 0 < tau_sat <= 1:  # also rejects nan
-            raise ParameterError(f"tau_sat must be in (0, 1], got {tau_sat!r}")
-    if tau_max is not None:
-        _check_real(tau_max, "tau_max")
-        if tau_sat is None or not 0 < tau_max <= tau_sat:
-            raise ParameterError(
-                f"tau_max must be in (0, tau_sat], got {tau_max!r} "
-                f"with tau_sat {tau_sat!r}")
     n = _check_n(n)
+    if n > _N_MAX:
+        raise ParameterError(
+            f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
+            "lambda_c nears the bottom of the float range")
     times = derive_times(params)
 
     def g(t):
@@ -271,13 +269,14 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
 
     lo, hi = _BRACKET
     g_lo = g_hi = None
-    if tau_sat is not None:
-        tau_max = tau_sat if tau_max is None else tau_max
-        g_max = g(tau_max)
+    if lam != math.inf:
+        report = regime._critical_lambda(n, params)
+        g_max = g(report.tau_max)
         if g_max < 0.0:
-            lo, g_lo, hi = tau_max, g_max, min(hi, tau_sat * _SAT_MARGIN)
+            lo, g_lo = report.tau_max, g_max
+            hi = min(hi, report.tau_sat * _SAT_MARGIN)
         else:  # a NaN too, which _brentq reports at tau_max
-            hi, g_hi = tau_max, g_max
+            hi, g_hi = report.tau_max, g_max
     tau, calls, converged = _brentq(g, lo, hi, g_lo, g_hi)
     sol = _state_at(tau, lam, n, times, params, calls)
     if not converged:
@@ -285,3 +284,11 @@ def solve_fixed_point(lam: float, n: int, params: PhyMacParams,
             f"fixed point not reached in {calls} map calls "
             f"(residual {sol.residual:.3e})", solution=sol)
     return sol
+
+
+# regime takes solve_fixed_point and _s_of_tau from here, and the split
+# above reads regime's cached report. Imported last, as a module looked up
+# at call time, it works whichever of the two is imported first: regime
+# run from here finds both names defined, and regime imported first gets
+# its partly run module here.
+from . import regime  # noqa: E402

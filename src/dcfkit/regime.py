@@ -10,7 +10,8 @@ throughput an arrival rate produces: the fixed point only reaches tau in
 S_m and lam_c depend on N and the PHY/MAC constants only, not on the
 arrival rate, so critical_lambda memoises its reports per (N, params) in a
 process-wide LRU cache of 128 entries. A report is frozen and shared by
-every caller that asks for the same network; errors are not cached.
+every caller that asks for the same network, model.solve_fixed_point's
+bracket included; errors are not cached.
 """
 from __future__ import annotations
 
@@ -26,12 +27,6 @@ from .params import (PhyMacParams, _check_n, _check_params, _check_rate,
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GSS_TOL = 1e-9
-# The largest N with an S_m and a lambda_c. With the model's log1p form
-# S_m holds to 1e-5 as far as N is a float (8.3253939 on dot11g-54 from
-# N = 1e8 to 1e308), but lambda_c and the line's slope N * E[PL] leave the
-# float range first: on dot11g-54 lambda_c is subnormal from about
-# N = 4.6e304, and N * E[PL] overflows from about 2.2e304.
-_N_MAX = 10 ** 300
 
 
 @dataclass(frozen=True)
@@ -80,14 +75,10 @@ def max_throughput(n: int,
     S(tau) is unimodal there, so one golden-section search of the closed
     throughput form finds the interior peak; the saturated operating point
     closes the branch and wins when S still rises at tau_sat (N <= 10 for
-    dot11g-54). Returns (s_max, tau_max, tau_sat). n above _N_MAX,
-    10**300, is refused.
+    dot11g-54). Returns (s_max, tau_max, tau_sat). n above 10**300 is
+    refused by the saturated solve.
     """
     n = _check_n(n)
-    if n > _N_MAX:
-        raise ParameterError(
-            f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
-            "lambda_c nears the bottom of the float range")
     times = derive_times(params)
     sat = solve_fixed_point(math.inf, n, params)
     tau, s = _golden_section(lambda t: _s_of_tau(t, n, times, params),
@@ -129,6 +120,5 @@ def _critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
     # wrapper put in its place sees every search.
     s_max, tau_max, tau_sat = max_throughput(n, params)
     # The linear law at lam = 1 is its slope N * E[PL].
-    return RegimeReport(n=n, s_max=s_max, tau_max=tau_max,
-                        lambda_c=s_max / linear_throughput(1.0, n, params),
-                        tau_sat=tau_sat)
+    lambda_c = s_max / linear_throughput(1.0, n, params)
+    return RegimeReport(n, s_max, tau_max, lambda_c, tau_sat)

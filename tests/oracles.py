@@ -146,7 +146,7 @@ def chain_at(tau, lam, n, params):
 
 
 def split_bracket(g, lo, hi, tau_max):
-    """The bracket of a solve given tau_sat, and the end values Brent is
+    """The bracket of a finite rate's solve, and the end values Brent is
     given, None where Brent evaluates g itself: [lo, hi] split at tau_max
     by the sign of g there."""
     g_max = g(tau_max)

@@ -215,6 +215,23 @@ class TestSweep:
         assert float(row["s_model_mbps"]) == pytest.approx(sat, rel=0.02)
         assert row["regime"] == "saturated"
 
+    @pytest.mark.parametrize("n, share, s_model", [
+        (80, 0.80 + 35 * 0.005, 8.1906), (25, 1.0, 8.5761),
+        (15, 1.0, 8.7708)])
+    def test_api_prints_the_sweeps_root_in_the_band(self, params, tmp_path,
+                                                    n, share, s_model):
+        # Near lambda_c the residual can have three roots, and the API and
+        # the sweep both keep the low one, to the digit the CSV prints.
+        lam_pkt_s = share * critical_lambda(n, params).lambda_c * 1e6
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n", str(n), "--lambda-grid",
+                     f"{lam_pkt_s!r}", "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        api = solve_fixed_point(lam_pkt_s * 1e-6, n, params).throughput
+        assert row["error"] == ""
+        assert row["s_model_mbps"] == format(api, ".10g")
+        assert api == pytest.approx(s_model, abs=5e-4)
+
     def test_auto_grid_covers_both_regimes(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--n", "10", "--out", str(out)]) == 0
@@ -255,7 +272,7 @@ class TestSweep:
 
     def test_negative_rate_exits_1(self, capsys, monkeypatch):
         # A rate that is negative or not finite is refused before any solve.
-        def no_solve(lam, n, params, tau_sat=None, tau_max=None):
+        def no_solve(lam, n, params):
             raise AssertionError("solved a refused grid")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", no_solve)
@@ -265,7 +282,7 @@ class TestSweep:
 
     def test_solver_failure_exits_2_and_records_error(self, tmp_path, capsys,
                                                       monkeypatch):
-        def fail(lam, n, params, tau_sat=None, tau_max=None):
+        def fail(lam, n, params):
             raise ConvergenceError("no sign change")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)
@@ -286,7 +303,7 @@ class TestSweep:
 
     def test_compare_solver_failure_prints_reason(self, tmp_path, capsys,
                                                    monkeypatch):
-        def fail(lam, n, params, tau_sat=None, tau_max=None):
+        def fail(lam, n, params):
             raise ConvergenceError("no sign change")
 
         monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)

@@ -8,7 +8,7 @@ from scipy import optimize
 
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
-                    derive_times, get_profile, linear_throughput,
+                    derive_times, get_profile, linear_throughput, regime,
                     solve_fixed_point)
 from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
                           _geom_sums, _queue_empty_probability, _s_of_tau,
@@ -142,7 +142,11 @@ class TestSolveFixedPoint:
                 assert sol.tau == pytest.approx(epsilon * chain.b00, rel=1e-8)
                 assert alpha * chain.b00 + chain.b_idle == pytest.approx(
                     1.0, abs=1e-12)
-                assert sol.residual <= 1e-13
+                # tau is subnormal at 1e-306 pkt/s, where Brent's absolute
+                # stop _XTOL is the bound: the residual there was 2 to 11
+                # steps of the float grid, 1.6e-13 to 8.8e-13, at these N.
+                assert (sol.residual <= 1e-13
+                        or sol.residual * sol.tau <= _XTOL), (lam_pkt_s, n)
                 assert sol.p == pytest.approx(
                     1.0 - (1.0 - sol.tau) ** (n - 1), rel=1e-12)
 
@@ -181,41 +185,46 @@ class TestSolveFixedPoint:
         # dense grid that there is exactly one sign change and that the
         # solved tau lies in the cell where it happens. At N = 50 and 100,
         # lambda_c lies in the three-root band (0.89-1.003 and 0.81-1.002
-        # lambda_c), and the sweep's solve, split at tau_max, lands in the
-        # lowest cell.
+        # lambda_c), and the solve, split at tau_max, lands in the lowest
+        # cell.
         grid = np.linspace(1e-15, 1.0 - 1e-12, 2000)
         for n in (1, 2, 10, 50, 100):
-            report = critical_lambda(n, params)
-            lam_c = report.lambda_c
+            lam_c = critical_lambda(n, params).lambda_c
             for lam in (0.01 * lam_c, lam_c, 5.0 * lam_c, math.inf):
                 sol = solve_fixed_point(lam, n, params)
-                split = solve_fixed_point(lam, n, params,
-                                          tau_sat=report.tau_sat,
-                                          tau_max=report.tau_max)
                 assert sol.iterations <= 30
-                assert split.iterations <= 30
                 g = np.array([t - _state_at(t, lam, n, times, params)
                               for t in grid])
                 changes = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+                assert len(changes) == (
+                    3 if n >= 50 and lam == lam_c else 1), (n, lam)
                 i = changes[0]
-                if n >= 50 and lam == lam_c:
-                    assert len(changes) == 3
-                    assert grid[i] <= split.tau <= grid[i + 1]
-                    assert any(grid[j] <= sol.tau <= grid[j + 1]
-                               for j in changes)
-                    continue
-                assert len(changes) == 1, (n, lam)
                 assert grid[i] <= sol.tau <= grid[i + 1], (n, lam)
-                assert grid[i] <= split.tau <= grid[i + 1], (n, lam)
 
+    def test_same_solution_from_a_cold_or_a_warm_report(self, params):
+        # A finite rate's solve reads the network's cached report; a cold
+        # cache computes it on the way and gives the same record. N = 80
+        # at 0.975 lambda_c is in the three-root band.
+        lam = (0.80 + 35 * 0.005) * critical_lambda(80, params).lambda_c
+        warm = solve_fixed_point(lam, 80, params)
+        regime._critical_lambda.cache_clear()
+        cold = solve_fixed_point(lam, 80, params)
+        assert cold == warm
+        assert cold.q == pytest.approx(0.072, abs=5e-4)
+
+    # The tests that patch _state_at solve at lam = inf or take the
+    # network's report first: a finite rate's solve reads it, and a cold
+    # cache would compute it through the patched map.
     def test_bracket_without_sign_change_raises(self, params, monkeypatch):
         # A map that never crosses tau leaves nothing to bracket.
+        critical_lambda(10, params)
         monkeypatch.setattr("dcfkit.model._state_at",
                             lambda tau, *args: tau + 1.0)
         with pytest.raises(ConvergenceError):
             solve_fixed_point(90e-6, 10, params)
 
     def test_nan_map_raises_naming_nan(self, params, monkeypatch):
+        critical_lambda(10, params)
         monkeypatch.setattr("dcfkit.model._state_at",
                             lambda tau, *args: math.nan)
         with pytest.raises(ConvergenceError, match="NaN") as info:
@@ -224,12 +233,13 @@ class TestSolveFixedPoint:
 
     def test_nan_inside_the_bracket_raises_naming_it(self, params,
                                                      monkeypatch):
-        # The ends change sign, and Brent's first step lands in the middle.
+        # The saturated solve keeps the full bracket, whose ends change
+        # sign, and Brent's first step lands in the middle.
         monkeypatch.setattr(
             "dcfkit.model._state_at",
             lambda tau, *args: 0.5 if tau in _BRACKET else math.nan)
         with pytest.raises(ConvergenceError, match=r"NaN at tau = 0\.5"):
-            solve_fixed_point(90e-6, 10, params)
+            solve_fixed_point(math.inf, 10, params)
 
     def test_no_convergence_raises_with_last_iterate(self, params,
                                                      monkeypatch):
@@ -237,6 +247,7 @@ class TestSolveFixedPoint:
         # subtraction in tau - map(tau) keeps it, takes Brent about 236
         # map calls: more than the 100 steps the solve allows. The record
         # at the last iterate comes from the real map.
+        critical_lambda(10, params)
         real = _state_at
         monkeypatch.setattr(
             "dcfkit.model._state_at",
@@ -252,32 +263,21 @@ class TestSolveFixedPoint:
         assert sol.tau == pytest.approx(1e-9, rel=0.1)
 
     @pytest.mark.parametrize("n", [1, 10, 100])
-    @pytest.mark.parametrize("lam_pkt_s", [1e-12, 1e-100, 1e-300, 1e-306])
-    def test_tiny_rates_follow_the_linear_law(self, params, n, lam_pkt_s):
+    @pytest.mark.parametrize("lam_pkt_s, rel", [
+        (1e-12, 1e-12), (1e-100, 1e-12), (1e-300, 1e-12), (1e-304, 1e-12),
+        (1e-305, 1e-10), (1e-306, 1e-10), (1e-307, 1e-10)])
+    def test_tiny_rates_follow_the_linear_law(self, params, n, lam_pkt_s,
+                                              rel):
         # tau falls far below 1e-15 here; the bracket starts at 0 and the
-        # absolute tolerance is a subnormal, so the root keeps its digits.
+        # absolute tolerance is a subnormal, so the root keeps its digits
+        # while tau is normal. tau is subnormal below about 3.6e-304
+        # pkt/s, and over N from 1 to 100 the last Brent steps leave up to
+        # 1.0e-12 of the law at 1e-305 pkt/s and 9.1e-11 at 1e-307.
         lam = lam_pkt_s * 1e-6
         sol = solve_fixed_point(lam, n, params)
         assert sol.tau > 0.0
         linear = linear_throughput(lam, n, params)
-        assert abs(sol.throughput - linear) <= 1e-12 * linear
-
-    @pytest.mark.parametrize("n", [1, 10, 100])
-    def test_capped_tiny_rates_follow_the_linear_law(self, params, n):
-        # A solve given tau_sat, split at tau_sat and, the sweep's, at
-        # tau_max. tau is subnormal below about 3.6e-304 pkt/s, and the last
-        # Brent steps leave up to 3.1e-11 (at tau_sat) and 9.1e-11 (at
-        # tau_max) of the law at 1e-307 pkt/s over N from 1 to 100.
-        report = critical_lambda(n, params)
-        for lam_pkt_s in (1e-12, 1e-100, 1e-300, 1e-305, 1e-306, 1e-307):
-            lam = lam_pkt_s * 1e-6
-            linear = linear_throughput(lam, n, params)
-            for tau_max in (None, report.tau_max):
-                sol = solve_fixed_point(lam, n, params,
-                                        tau_sat=report.tau_sat,
-                                        tau_max=tau_max)
-                assert abs(sol.throughput - linear) <= 1e-10 * linear, (
-                    lam_pkt_s, tau_max)
+        assert abs(sol.throughput - linear) <= rel * linear
 
     def test_root_below_xtol_reads_zero_in_a_normalised_chain(self, params):
         # At 1e-317 pkt/s the root lies below _XTOL, so Brent stops at 0;
@@ -314,35 +314,20 @@ class TestSolveFixedPoint:
         with pytest.raises(ParameterError):
             solve_fixed_point(1e-5, 0, params)
 
-    @pytest.mark.parametrize("tau_sat, message", [
-        *((tau_sat, "^tau_sat must be in")
-          for tau_sat in (math.nan, -0.5, 0.0, 1.5, math.inf)),
-        *((tau_sat, "^tau_sat must be a number")
-          for tau_sat in (True, "x")),
-    ])
-    def test_refuses_a_cap_outside_the_unit_interval(self, params, tau_sat,
-                                                    message):
-        with pytest.raises(ParameterError, match=message):
-            solve_fixed_point(1e-5, 10, params, tau_sat=tau_sat)
-
-    @pytest.mark.parametrize("tau_sat, tau_max, message", [
-        *((0.01, tau_max, "^tau_max must be in")
-          for tau_max in (math.nan, -0.5, 0.0, 0.02, math.inf)),
-        (None, 0.005, "^tau_max must be in"),
-        *((0.01, tau_max, "^tau_max must be a number")
-          for tau_max in (True, "x")),
-    ])
-    def test_refuses_a_split_outside_the_branch(self, params, tau_sat,
-                                               tau_max, message):
-        with pytest.raises(ParameterError, match=message):
-            solve_fixed_point(1e-5, 10, params, tau_sat=tau_sat,
-                              tau_max=tau_max)
+    @pytest.mark.parametrize("lam", [0.0, 1e-5, math.inf])
+    @pytest.mark.parametrize("n", [10 ** 300 + 1, 10 ** 400])
+    def test_refuses_networks_past_the_float_limit(self, params, lam, n):
+        # Past 10**300 stations lambda_c, and so the split, nears the
+        # bottom of the float range; 10**400 is past float(n) itself.
+        with pytest.raises(ParameterError,
+                           match=r"<= 10\*\*300 .* bottom of the float range"):
+            solve_fixed_point(lam, n, params)
 
 
 class TestKnee:
     # dot11g-54 near lambda_c, where the residual can have three roots: the
     # low one (short queues) and the high one (full queues) are both
-    # stable, and the sweep's solve, split at tau_max, keeps the low one.
+    # stable, and the solve, split at tau_max, keeps the low one.
 
     @pytest.mark.parametrize("n, share, s_sim", [
         (10, 0.9, 8.140), (10, 1.0, 9.066), (10, 1.2, 9.074),
@@ -350,10 +335,8 @@ class TestKnee:
     def test_split_solve_meets_the_simulator(self, params, n, share, s_sim):
         # s_sim is the simulator's mean from empty queues: 2 replications
         # of 60 s after a 10-s warm-up, seed 31.
-        report = critical_lambda(n, params)
-        sol = solve_fixed_point(share * report.lambda_c, n, params,
-                                tau_sat=report.tau_sat,
-                                tau_max=report.tau_max)
+        lam = share * critical_lambda(n, params).lambda_c
+        sol = solve_fixed_point(lam, n, params)
         assert sol.throughput == pytest.approx(s_sim, rel=0.005)
 
     def test_split_solve_keeps_the_lowest_root_in_the_band(self, params,
@@ -372,9 +355,7 @@ class TestKnee:
                 changes = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
                 assert len(changes) in (1, 3), (n, k)
                 seen += len(changes) == 3
-                tau = solve_fixed_point(lam, n, params,
-                                        tau_sat=report.tau_sat,
-                                        tau_max=report.tau_max).tau
+                tau = solve_fixed_point(lam, n, params).tau
                 i = changes[0]
                 assert grid[i] <= tau <= grid[i + 1], (n, k)
         assert seen >= 20
@@ -382,24 +363,24 @@ class TestKnee:
     @pytest.mark.parametrize("n, share, full_s, full_q, split_s, split_q", [
         (80, 0.9750000000000001, 6.444, 1.000, 8.191, 0.072),
         (25, 1.0, 8.169, 0.994, 8.576, 0.331)])
-    def test_full_bracket_may_keep_the_high_root(self, params, n, share,
-                                                 full_s, full_q, split_s,
-                                                 split_q):
-        # Without tau_sat the solve uses the full bracket, and in the band
-        # Brent's path there may end at the high root while the CLI's
-        # split solve prints the low one. Which root it keeps turns on the
-        # last bit of the rate: N = 80 is pinned at 0.80 + 35 * 0.005 in
-        # floats, and at 0.975 lambda_c it keeps the low one. Over
-        # 0.80-1.10 lambda_c in steps of 0.005 for N = 2..100, 150 and 250,
-        # the two solves differ at 5 of 6161 rates.
-        report = critical_lambda(n, params)
-        lam = share * report.lambda_c
-        full = solve_fixed_point(lam, n, params)
-        split = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat,
-                                  tau_max=report.tau_max)
+    def test_full_bracket_may_keep_the_high_root(self, params, times, n,
+                                                 share, full_s, full_q,
+                                                 split_s, split_q):
+        # Why a finite rate's bracket is split: on the full bracket, in the
+        # band, Brent's path may end at the high root. Which root it keeps
+        # turns on the last bit of the rate: N = 80 is pinned at
+        # 0.80 + 35 * 0.005 in floats, and at 0.975 lambda_c it keeps the
+        # low one. Over 0.80-1.10 lambda_c in steps of 0.005 for
+        # N = 2..100, 150 and 250, the full bracket kept another root than
+        # the split at 5 of 6161 rates. The solve gives the split's root.
+        lam = share * critical_lambda(n, params).lambda_c
+        tau, calls, _ = _brentq(
+            lambda t: t - _state_at(t, lam, n, times, params), *_BRACKET)
+        full = _state_at(tau, lam, n, times, params, calls)
+        sol = solve_fixed_point(lam, n, params)
         assert (full.throughput, full.q) == pytest.approx((full_s, full_q),
                                                           abs=5e-4)
-        assert (split.throughput, split.q) == pytest.approx(
+        assert (sol.throughput, sol.q) == pytest.approx(
             (split_s, split_q), abs=5e-4)
 
 
@@ -421,25 +402,19 @@ class TestBrentAgainstScipy:
             root, calls, converged = _brentq(g, *_BRACKET)
             assert (root, calls, converged) == (
                 want, info.function_calls, info.converged), (n, lam)
-            sol = solve_fixed_point(lam, n, params)
-            assert (sol.tau, sol.iterations) == (want, info.function_calls)
-            # A solve given tau_sat: the bracket split at tau_max, the
-            # sweep's, or at tau_sat when tau_max is left out. The one
-            # evaluation of g there is Brent's given end value. For N <= 10
-            # the two splits coincide, as tau_max is tau_sat.
-            for tau_max in (report.tau_max, None):
-                split_at = report.tau_sat if tau_max is None else tau_max
+            # The solve: the full bracket at lam = inf; a finite rate's
+            # bracket split at tau_max, where the one evaluation of g is
+            # Brent's given end value.
+            if lam != math.inf:
                 lo, hi, g_lo, g_hi = oracles.split_bracket(
-                    g, _BRACKET[0], cap, split_at)
+                    g, _BRACKET[0], cap, report.tau_max)
                 want, info = optimize.brentq(g, lo, hi, xtol=_XTOL,
                                              rtol=_RTOL, full_output=True)
                 assert _brentq(g, lo, hi, g_lo, g_hi) == (
                     want, info.function_calls, info.converged), (n, lam)
-                sol = solve_fixed_point(lam, n, params,
-                                        tau_sat=report.tau_sat,
-                                        tau_max=tau_max)
-                assert (sol.tau, sol.iterations) == (
-                    want, info.function_calls), (n, lam, tau_max)
+            sol = solve_fixed_point(lam, n, params)
+            assert (sol.tau, sol.iterations) == (
+                want, info.function_calls), (n, lam)
 
     @pytest.mark.parametrize("f", [
         pytest.param(lambda x: x - 1.0, id="root-at-upper-end"),
@@ -477,8 +452,7 @@ class TestBrentAgainstScipy:
         for n in (1, 10, 1000):
             report = critical_lambda(n, big)
             for lam in (5e-324, 1e-300, 1e-5, 1.0, math.inf):
-                sol = solve_fixed_point(lam, n, big, tau_sat=report.tau_sat,
-                                        tau_max=report.tau_max)
+                sol = solve_fixed_point(lam, n, big)
                 assert sol.iterations <= 3, (n, lam)
                 if lam >= 1e-5:
                     assert (sol.tau, sol.q) == (report.tau_sat, 1.0)

@@ -107,7 +107,7 @@ def robust_sign_changes(g, grid):
     m=5, queue_capacity_k=2)), lam=3.5355995896975475e-06)  # lambda_c
 def test_residual_changes_sign_an_odd_number_of_times(net, lam):
     # Mostly once. Near lambda_c many networks have three roots, and the
-    # solve on the full bracket then lands in one of their cells. Past the
+    # solve, split at tau_max, then lands in one of their cells. Past the
     # first cell the grid also holds tau (1 +/- 1e-6), as two roots can
     # share one of its cells: in the example the roots 0.00314 and 0.00501
     # share (0.001, 0.00501].
@@ -150,13 +150,16 @@ def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
     # uncapped root.
     n, params = net
     times = derive_times(params)
+
+    def g(t):
+        return t - _state_at(t, lam, n, times, params)
+
     tau_sat = solve_fixed_point(math.inf, n, params).tau
     cap = min(_BRACKET[1], tau_sat * _SAT_MARGIN)
-    assert cap - _state_at(cap, lam, n, times, params) > 0
-    capped, _, converged = _brentq(
-        lambda t: t - _state_at(t, lam, n, times, params), _BRACKET[0], cap)
+    assert g(cap) > 0
+    capped, _, converged = _brentq(g, _BRACKET[0], cap)
     assert converged
-    uncapped = solve_fixed_point(lam, n, params).tau
+    uncapped = _brentq(g, *_BRACKET)[0]
     assert abs(capped - uncapped) <= 1e-12 * uncapped + _XTOL
 
 
@@ -176,9 +179,9 @@ def test_chain_helper_reads_the_solved_record(net, lam):
 @given(net=networks(), lam=rates)
 def test_brentq_matches_scipy_on_every_bracket(net, lam):
     # _brentq transliterates scipy's brentq.c, so root, call count and
-    # convergence flag agree exactly on the brackets a solve uses: the full
-    # one, and the one given tau_sat, split at tau_max (the sweep's) or at
-    # tau_sat (tau_max's default), whose given end value counts as a call.
+    # convergence flag agree exactly on the full bracket (the saturated
+    # solve's) and on the reachable branch split at tau_max (a finite
+    # rate's) or at tau_sat, whose given end value counts as a call.
     n, params = net
     times = derive_times(params)
 
@@ -201,7 +204,7 @@ def test_brentq_matches_scipy_on_every_bracket(net, lam):
 def test_split_bracket_keeps_a_lone_root(net):
     # Where g changes sign once on the bracket capped at tau_sat, the half
     # that the sign of g at tau_max picks holds that root, and Brent on the
-    # capped bracket and the split solve both find it.
+    # capped bracket and the solve, split there, both find it.
     # Near lambda_c g can be nearly tangent to 0, and the taus that
     # rounding cannot tell from its root then span tens of ulps, so the
     # bound is 1e-12 of tau rather than Brent's tolerance. On many networks
@@ -221,8 +224,7 @@ def test_split_bracket_keeps_a_lone_root(net):
 
         capped, _, converged = _brentq(g, _BRACKET[0], cap)
         assert converged, share
-        split = solve_fixed_point(lam, n, params, tau_sat=report.tau_sat,
-                                  tau_max=report.tau_max).tau
+        split = solve_fixed_point(lam, n, params).tau
         lo, hi = sorted((capped, split))
         grid = np.union1d(coarse, np.linspace(lo, hi, 64))
         if robust_sign_changes(g, grid) == 1:
