@@ -76,25 +76,27 @@ def _slot_kernel(tau, n, times, params):
     # The backoff chain at tau: the collision probability p, the mean
     # transmission and backoff slot durations seen by one station (a
     # backoff slot is sigma when nobody else transmits), the stage sums
-    # epsilon and alpha, and the mean duration t_i of a slot spent parked
-    # in the idle state. tau is a float. p is 1 - (1 - tau)^(n - 1) in
-    # log1p form, which keeps its digits at the small tau of light load and
-    # large n, where the plain form cancels; at tau = 1, outside log1p's
-    # domain, every other station sends.
+    # epsilon and alpha, the mean slot t_i of a parked station, and the log
+    # of the chance (1 - tau)^(n - 1) that the others stay silent, which p
+    # and S both read. tau is a float. p's expm1 form keeps its digits at
+    # the small tau of light load and large n, where the plain form
+    # cancels. At tau = 1, outside log1p's domain, the log is -inf, or -0.0
+    # for a lone station, whose p is then +0.0.
     if tau < 1.0:
-        p = -math.expm1((n - 1) * math.log1p(-tau))
+        log_silent = (n - 1) * math.log1p(-tau)
     else:
-        p = 1.0 if n > 1 else 0.0
+        log_silent = -math.inf if n > 1 else -0.0
+    p = -math.expm1(log_silent)
     t_tx = (1.0 - p) * times.t_s + p * times.t_c
     t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
     _, epsilon, theta, alpha = _geom_sums(p, params.w0, params.m)
     t_i = (epsilon * t_tx + theta * t_bo) / alpha
-    return p, t_tx, t_bo, epsilon, alpha, t_i
+    return p, t_tx, t_bo, epsilon, alpha, t_i, log_silent
 
 
 def _queue_empty_probability(rho, k):
-    """Stationary empty probability of a single-server queue with k+1 places,
-    for rho in [0, inf] and an integer k >= 1.
+    """Stationary empty probability of a single-server queue of at most k
+    packets, the one in service included, for rho in [0, inf], integer k >= 1.
 
     Evaluated as (rho - 1) / (rho^(k+1) - 1) through expm1/log1p so the
     removable singularity at rho = 1 and large rho^(k+1) are both handled
@@ -111,26 +113,23 @@ def _queue_empty_probability(rho, k):
     return x / math.expm1(ex)
 
 
-def _s_of_slot(tau, n, t_i, params):
-    # Aggregate throughput: the success share of a slot of mean length t_i.
-    # The chance (1 - tau)^(n - 1) that the others stay silent is in the
-    # kernel's log1p form; at tau = 1 it is 0, or 1 for a lone station.
-    if tau < 1.0:
-        silent = math.exp((n - 1) * math.log1p(-tau))
-    else:
-        silent = 0.0 if n > 1 else 1.0
-    return n * tau * silent * params.payload_bits / t_i
+def _s_of_slot(tau, n, log_silent, t_i, params):
+    # Aggregate throughput: the success share of a slot of mean length t_i,
+    # where the others stay silent with the kernel's exp(log_silent).
+    return n * tau * math.exp(log_silent) * params.payload_bits / t_i
 
 
 def _s_of_tau(tau, n, times, params):
     # Closed throughput form in tau alone, for a float tau.
-    return _s_of_slot(tau, n, _slot_kernel(tau, n, times, params)[-1], params)
+    *_, t_i, log_silent = _slot_kernel(tau, n, times, params)
+    return _s_of_slot(tau, n, log_silent, t_i, params)
 
 
 def _state_at(tau, lam, n, times, params, iterations=None):
     """One application of the fixed-point map at tau: map(tau), or, given
     the solve's count of map calls, the FixedPointSolution at tau."""
-    p, _, _, epsilon, alpha, t_i = _slot_kernel(tau, n, times, params)
+    p, _, _, epsilon, alpha, t_i, log_silent = _slot_kernel(tau, n, times,
+                                                            params)
     # The queue serves one packet per t_packet, the chain's slots over all
     # of a packet's attempts: epsilon * t_tx + theta * t_bo = alpha * t_i.
     t_packet = alpha * t_i
@@ -160,7 +159,7 @@ def _state_at(tau, lam, n, times, params, iterations=None):
     # the absolute one.
     return FixedPointSolution(
         tau=tau, p=p, t_i=t_i, t_packet=t_packet, q=q,
-        throughput=_s_of_slot(tau, n, t_i, params),
+        throughput=_s_of_slot(tau, n, log_silent, t_i, params),
         residual=abs(tau_next - tau) / tau if tau else tau_next,
         iterations=iterations)
 
@@ -274,7 +273,7 @@ def solve_fixed_point(lam: float, n: int,
         g_max = g(report.tau_max)
         if g_max < 0.0:
             lo, g_lo = report.tau_max, g_max
-            hi = min(hi, report.tau_sat * _SAT_MARGIN)
+            hi = report.tau_sat * _SAT_MARGIN
         else:  # a NaN too, which _brentq reports at tau_max
             hi, g_hi = report.tau_max, g_max
     tau, calls, converged = _brentq(g, lo, hi, g_lo, g_hi)

@@ -92,7 +92,7 @@ class PhyMacParams:
     prop_delta: float  # us
     w0: int  # minimum contention window
     m: int  # window-doubling stages; the largest window is w0 * 2**m
-    queue_capacity_k: int
+    queue_capacity_k: int  # packets a station holds, the one being sent too
 
     def __post_init__(self):
         _check_number_fields(self)

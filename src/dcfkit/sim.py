@@ -85,6 +85,15 @@ class SimConfig:
                     finite=True)
         if not 0.0 < self.sim_duration < math.inf:
             raise ParameterError("sim_duration must be finite and positive")
+        # The idle jump counts slots of slot_sigma up to sim_duration.
+        try:
+            slots = self.sim_duration / self.params.slot_sigma
+        except OverflowError:  # an int sim_duration past the float range
+            slots = math.inf
+        if slots == math.inf:
+            raise ParameterError(
+                "sim_duration / params.slot_sigma must be finite, got "
+                f"{self.sim_duration!r} / {self.params.slot_sigma!r}")
         if not 0.0 <= self.warmup < self.sim_duration:
             raise ParameterError("warmup must lie in [0, sim_duration)")
         _check_n(self.replications, "replications")

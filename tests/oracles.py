@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, literal way: explicit
 state enumeration for the backoff chain, plain summations for the series,
 component-by-component sums for the timing. None of it but chain_at
 imports from dcfkit, so agreement is evidence rather than tautology.
-chain_at is no reference: it reads back the model's own chain.
+chain_at is no reference: it reads back the model's own chain, the record
+of model._state_at and the slot durations of model._slot_kernel.
 """
 import math
 import random
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from dcfkit import derive_times
-from dcfkit.model import _queue_empty_probability, _slot_kernel
+from dcfkit.model import _slot_kernel, _state_at
 
 # Timing components of the dot11g-54 profile, summed by hand (us).
 PLCP_US = (144 + 48) / 1.0
@@ -123,26 +124,25 @@ def wu_saturated_tau(p, w0, m):
 def chain_at(tau, lam, n, params):
     """The model's chain at tau, with what FixedPointSolution leaves out.
 
-    The kernel's slot durations t_tx and t_bo, the queue's load rho, the
+    p, t_i, t_packet and q are the record model._state_at builds at tau,
+    so at a solution's tau they are the solve's own. Next to them: the
+    kernel's slot durations t_tx and t_bo, the queue's load rho, the
     chance p_i0 that a parked station gets a packet within one slot t_i,
     and the stage-0 head b00 and idle share b_idle of the normalised chain,
-    next to the record's t_i, t_packet and q. The operations are
-    model._state_at's, so at a solution's tau each value is bit for bit
-    the one its solve computed.
+    in _state_at's operations.
     """
     times = derive_times(params)
-    p, t_tx, t_bo, epsilon, alpha, t_i = _slot_kernel(tau, n, times, params)
-    t_packet = alpha * t_i
+    rec = _state_at(tau, lam, n, times, params, 0)
+    _, t_tx, t_bo, _, alpha, *_ = _slot_kernel(tau, n, times, params)
     if lam:
-        rho = lam * t_packet
-        p_i0 = -math.expm1(-lam * t_i)
+        rho = lam * rec.t_packet
+        p_i0 = -math.expm1(-lam * rec.t_i)
     else:
         rho = p_i0 = 0.0
-    q = 1.0 - _queue_empty_probability(rho, params.queue_capacity_k)
-    d = alpha * p_i0 + (1.0 - q)
+    d = alpha * p_i0 + (1.0 - rec.q)
     return SimpleNamespace(
-        p=p, t_tx=t_tx, t_bo=t_bo, t_i=t_i, t_packet=t_packet, rho=rho, q=q,
-        p_i0=p_i0, b00=p_i0 / d, b_idle=(1.0 - q) / d)
+        p=rec.p, t_tx=t_tx, t_bo=t_bo, t_i=rec.t_i, t_packet=rec.t_packet,
+        rho=rho, q=rec.q, p_i0=p_i0, b00=p_i0 / d, b_idle=(1.0 - rec.q) / d)
 
 
 def split_bracket(g, lo, hi, tau_max):

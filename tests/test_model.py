@@ -60,7 +60,7 @@ class TestQueueService:
 
 class TestIdleSlotTime:
     def test_no_contention(self, params, times):
-        value = _slot_kernel(0.0, 10, times, params)[-1]
+        value = _slot_kernel(0.0, 10, times, params)[5]
         want = (714.0 + 15.5 * 20.0) / 16.5
         assert value == pytest.approx(want, rel=1e-15)
         assert value == pytest.approx(62.0606060606, abs=1e-9)
@@ -77,7 +77,7 @@ class TestIdleSlotTime:
         times = SimpleNamespace(t_s=713.9, t_c=713.9)
         knobs = SimpleNamespace(slot_sigma=(25.0 - 0.25 * 713.9) / 0.75,
                                 w0=params.w0, m=params.m)
-        value = _slot_kernel(0.25, 2, times, knobs)[-1]
+        value = _slot_kernel(0.25, 2, times, knobs)[5]
         assert value == pytest.approx(want, rel=1e-12)
         assert value == pytest.approx(53.548613324832644, rel=1e-12)
 
@@ -346,7 +346,7 @@ class TestKnee:
         seen = 0
         for n in (10, 25, 40, 50, 80, 100):
             report = critical_lambda(n, params)
-            cap = min(_BRACKET[1], report.tau_sat * _SAT_MARGIN)
+            cap = report.tau_sat * _SAT_MARGIN
             grid = np.linspace(0.0, cap, 601)
             for k in range(13):
                 lam = (0.80 + 0.025 * k) * report.lambda_c
@@ -391,7 +391,7 @@ class TestBrentAgainstScipy:
     def test_same_root_and_calls(self, params, times, n):
         report = critical_lambda(n, params)
         lam_c = report.lambda_c
-        cap = min(_BRACKET[1], report.tau_sat * _SAT_MARGIN)
+        cap = report.tau_sat * _SAT_MARGIN
         for lam in (0.01 * lam_c, 0.3 * lam_c, lam_c, 5.0 * lam_c,
                     math.inf):
             def g(t):
@@ -516,6 +516,20 @@ class TestThroughputTauForm:
         assert _s_of_tau(0.0, 10, times, params) == 0.0
         assert _s_of_tau(1.0, 10, times, params) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 50, 10 ** 300])
+    def test_every_other_station_sends_at_tau_one(self, params, times, n):
+        # At tau = 1 the others' silence is exp(-inf) = 0, and for a lone
+        # station exp(-0.0) = 1: no collision, p is +0.0 rather than the
+        # -0.0 of -expm1(0.0), and S is one payload per no-contention slot.
+        p, *_ = _slot_kernel(1.0, n, times, params)
+        s = _s_of_tau(1.0, n, times, params)
+        if n == 1:
+            assert p == 0.0 and math.copysign(1.0, p) == 1.0
+            t_i = (oracles.T_S_US + 15.5 * params.slot_sigma) / 16.5
+            assert s == pytest.approx(oracles.PAYLOAD_BITS / t_i, rel=1e-12)
+        else:
+            assert (p, s) == (1.0, 0.0)
+
     def test_numerator_identity(self, params):
         # N tau (1-tau)^(N-1) equals P_t * P_s by construction; the tau form
         # and the probability form may only differ through rounding.
@@ -531,8 +545,8 @@ class TestThroughputTauForm:
     def test_small_tau_limits(self, params, times):
         tau = 1e-6
         n = 10
-        p, t_tx, t_bo, epsilon, alpha, _ = _slot_kernel(tau, n, times,
-                                                        params)
+        p, t_tx, t_bo, epsilon, alpha, *_ = _slot_kernel(tau, n, times,
+                                                         params)
         theta = _geom_sums(p, params.w0, params.m)[2]
         assert abs(epsilon - 1.0) < 1e-4
         assert abs(theta - 15.5) < 1e-3

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import re
 from statistics import fmean
 
 import numpy as np
@@ -522,6 +523,20 @@ class TestConfigValidation:
     def test_rejects_non_finite_duration(self, params, duration):
         with pytest.raises(ParameterError, match="sim_duration must"):
             SimConfig(n_stations=2, lambda_per_station=1e-5, params=params,
+                      sim_duration=duration, warmup=0.0)
+
+    @pytest.mark.parametrize("duration, sigma", [
+        (1e9, 1e-300), (1e308, 0.1), (10 ** 400, 20.0)],
+        ids=["sigma-1e-300", "duration-1e308", "int-duration-1e400"])
+    def test_rejects_more_idle_slots_than_a_float_holds(self, params,
+                                                        duration, sigma):
+        # The idle jump counts ceil((wake - now) / slot_sigma) slots, which
+        # cannot be an integer once the quotient overflows.
+        slotted = dataclasses.replace(params, slot_sigma=sigma)
+        message = ("sim_duration / params.slot_sigma must be finite, got "
+                   f"{duration!r} / {sigma!r}")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SimConfig(n_stations=2, lambda_per_station=0.0, params=slotted,
                       sim_duration=duration, warmup=0.0)
 
     def test_rejects_zero_stations(self, params):
