@@ -5,9 +5,9 @@ queues, the linear throughput law with its critical arrival rate, and a
 slot-accurate simulator for validation.
 """
 
-from .errors import ConvergenceError, ParameterError
-from .model import FixedPointSolution, solve_fixed_point
-from .params import DerivedTimes, PhyMacParams, derive_times, get_profile
+from .model import ConvergenceError, FixedPointSolution, solve_fixed_point
+from .params import (DerivedTimes, ParameterError, PhyMacParams, derive_times,
+                     get_profile)
 from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import ReplicationResult, SimConfig, SimResult, run as run_simulation
 

@@ -16,9 +16,8 @@ import functools
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import ConvergenceError, ParameterError
-from .model import FixedPointSolution, solve_fixed_point
-from .params import _check_n, _check_rate, get_profile
+from .model import ConvergenceError, FixedPointSolution, solve_fixed_point
+from .params import ParameterError, _check_n, _check_rate, get_profile
 from .regime import RegimeReport, critical_lambda, linear_throughput
 from .sim import SimConfig, SimResult, run
 
@@ -114,29 +113,19 @@ def _resolve_sim(args, params) -> SimConfig:
                      **{k: v for k, v in vars(args).items() if k in fields})
 
 
-def _parse_n_list(text) -> tuple[int, ...]:
+def _parse_list(text, what, convert, check):
+    """The comma-separated values of a --n or --lambda-grid flag, blank
+    parts skipped. Refuses a part convert cannot read, an empty list and a
+    value check refuses; what names the list in the message."""
     try:
-        values = tuple(int(part) for part in str(text).split(",") if part.strip())
+        values = tuple(convert(part) for part in text.split(",")
+                       if part.strip())
     except ValueError as exc:
-        raise ParameterError(f"bad station count list: {text!r}") from exc
+        raise ParameterError(f"bad {what}: {text!r}") from exc
     if not values:
-        raise ParameterError("station count list must not be empty")
-    for v in values:
-        _check_n(v, "station count")
-    return values
-
-
-def _parse_grid(text):
-    if text.strip() == "auto":
-        return None
-    try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ParameterError(f"bad lambda grid: {text!r}") from exc
-    if not values:
-        raise ParameterError("lambda grid must not be empty")
-    for v in values:
-        _check_rate(v, "lambda grid entry", finite=True)
+        raise ParameterError(f"{what} must not be empty")
+    for value in values:
+        check(value)
     return values
 
 
@@ -284,21 +273,24 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         params = get_profile(args.profile)
 
-        if args.command == "table1":
-            return cmd_table1(params, _parse_n_list(args.n), out=args.out)
-
         if args.command == "sim":
             sim = replace(_resolve_sim(args, params),
                           n_stations=args.n,
                           lambda_per_station=args.lam * _PKT_S_TO_PKT_US)
             return cmd_sim(sim, out=args.out, trace=args.trace)
 
+        n_list = _parse_list(args.n, "station count list", int,
+                             lambda n: _check_n(n, "station count"))
+        if args.command == "table1":
+            return cmd_table1(params, n_list, out=args.out)
+
         if args.command == "compare":
             with_sim, cmd = True, cmd_compare
         else:
             with_sim, cmd = args.with_sim, cmd_sweep
-        n_list = _parse_n_list(args.n)
-        grid = _parse_grid(args.lambda_grid)
+        grid = None if args.lambda_grid.strip() == "auto" else _parse_list(
+            args.lambda_grid, "lambda grid", float,
+            lambda lam: _check_rate(lam, "lambda grid entry", finite=True))
         # A bad sim flag exits 1 even when no simulation runs.
         sim = _resolve_sim(args, params)
         if sim.replications > _SEED_STRIDE:

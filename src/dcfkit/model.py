@@ -17,8 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, ParameterError
-from .params import PhyMacParams, _check_n, _check_rate, derive_times
+from .params import (ParameterError, PhyMacParams, _check_n, _check_rate,
+                     derive_times)
 
 # The full bracket for tau. Brent's tolerance is relative only, so the
 # small tau of light load keeps full precision: rtol is 4 eps, the floor
@@ -162,6 +162,20 @@ def _state_at(tau, lam, n, times, params, iterations=None):
         throughput=_s_of_slot(tau, n, log_silent, t_i, params),
         residual=abs(tau_next - tau) / tau if tau else tau_next,
         iterations=iterations)
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when the bracketed solve for tau fails.
+
+    That is, tau - map(tau) does not change sign on the bracket, is NaN,
+    or the root finder stops short of convergence. This error is the only
+    sign of the last case: every solution returned has converged. Then
+    .solution holds the last iterate, and .solution.residual its residual.
+    """
+
+    def __init__(self, message, solution=None):
+        super().__init__(message)
+        self.solution = solution
 
 
 def _brentq(f, xa, xb, fa=None, fb=None):

@@ -14,7 +14,9 @@ import operator
 import os
 from dataclasses import dataclass, fields
 
-from .errors import ParameterError
+
+class ParameterError(ValueError):
+    """Raised when protocol parameters violate their documented constraints."""
 
 
 def _is_number(value, kind):
@@ -54,17 +56,12 @@ def _check_n(n, name="n", least=1):
     return n
 
 
-def _check_real(value, name):
-    """Refuse a value that is a bool or no real number."""
-    # A float skips the ABC isinstance check, as an int does in _check_n.
-    if type(value) is not float and not _is_number(value, numbers.Real):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-
-
 def _check_rate(lam, name="lam", finite=False):
     """Refuse an arrival rate that is a bool, a non-number, NaN, negative
     or, with finite, infinite. inf is the saturated operating point."""
-    _check_real(lam, name)
+    # A float skips the ABC isinstance check, as an int does in _check_n.
+    if type(lam) is not float and not _is_number(lam, numbers.Real):
+        raise ParameterError(f"{name} must be a number, got {lam!r}")
     if not lam >= 0 or finite and lam == math.inf:  # also rejects nan
         limit = "finite and >= 0" if finite else ">= 0"
         raise ParameterError(f"{name} must be {limit}, got {lam!r}")

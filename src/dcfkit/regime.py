@@ -20,10 +20,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ParameterError
 from .model import _s_of_tau, solve_fixed_point
-from .params import (PhyMacParams, _check_n, _check_params, _check_rate,
-                     derive_times)
+from .params import (ParameterError, PhyMacParams, _check_n, _check_params,
+                     _check_rate, derive_times)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GSS_TOL = 1e-9

@@ -59,10 +59,10 @@ from heapq import heapify, heappop, heappush
 from math import log
 from operator import attrgetter
 
-from .errors import ParameterError
 from .model import _brentq
-from .params import (PhyMacParams, _check_n, _check_number_fields,
-                     _check_params, _check_rate, derive_times)
+from .params import (ParameterError, PhyMacParams, _check_n,
+                     _check_number_fields, _check_params, _check_rate,
+                     derive_times)
 
 
 @dataclass(frozen=True)

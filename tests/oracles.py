@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, literal way: explicit
 state enumeration for the backoff chain, plain summations for the series,
-component-by-component sums for the timing. None of it but chain_at
-imports from dcfkit, so agreement is evidence rather than tautology.
+component-by-component sums for the timing. Nothing here imports from
+dcfkit but chain_at and s_infinity, which reads only derive_times' two
+sums, so agreement is evidence rather than tautology.
 chain_at is no reference: it reads back the model's own chain, the record
 of model._state_at and the slot durations of model._slot_kernel.
 """
@@ -119,6 +120,35 @@ def wu_saturated_tau(p, w0, m):
     head = (1.0 - 2.0 * p) * (1.0 - p ** (m + 1))
     return 2.0 * head / (
         w0 * (1.0 - (2.0 * p) ** (m + 1)) * (1.0 - p) + head)
+
+
+def s_infinity(params):
+    """The N -> inf limit of S_m, and the x* = N * tau that reaches it.
+
+    Holding x = N * tau fixed as N grows, p -> 1 - e^-x and the others'
+    silence (1 - tau)^(N-1) -> e^-x, so S tends to x * e^-x * E[PL] /
+    t_i(p), with t_i from the stage sums above and derive_times. Its
+    maximum over x in (0, 20] is found on a grid of 41 points, zoomed in
+    14 times around the best one. Returns (S_inf, x*).
+    """
+    times = derive_times(params)
+    w0, m = params.w0, params.m
+
+    def s(x):
+        p = -math.expm1(-x)
+        t_tx = (1.0 - p) * times.t_s + p * times.t_c
+        t_bo = (1.0 - p) * params.slot_sigma + p * t_tx
+        t_i = ((geom_epsilon(p, m) * t_tx + geom_theta(p, w0, m) * t_bo)
+               / geom_alpha(p, w0, m))
+        return x * math.exp(-x) * params.payload_bits / t_i
+
+    lo, hi = 0.0, 20.0
+    for _ in range(14):
+        xs = np.linspace(lo, hi, 41)
+        best = max(range(41), key=lambda i: s(float(xs[i])))
+        lo, hi = xs[max(best - 1, 0)], xs[min(best + 1, 40)]
+    x_star = float(xs[best])
+    return s(x_star), x_star
 
 
 def chain_at(tau, lam, n, params):

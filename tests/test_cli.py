@@ -3,16 +3,12 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import dcfkit
 from dcfkit import ConvergenceError, critical_lambda, solve_fixed_point
 from dcfkit.cli import _parser, main
+from test_package import _run_python
 
 
 def read_csv(path):
@@ -269,6 +265,13 @@ class TestSweep:
 
     def test_empty_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", ","]) == 1
+        assert assert_one_line_error(capsys) == (
+            "error: lambda grid must not be empty\n")
+
+    def test_unreadable_grid_exits_1(self, capsys):
+        assert main(["sweep", "--n", "10", "--lambda-grid", "fast"]) == 1
+        assert assert_one_line_error(capsys) == (
+            "error: bad lambda grid: 'fast'\n")
 
     def test_negative_rate_exits_1(self, capsys, monkeypatch):
         # A rate that is negative or not finite is refused before any solve.
@@ -631,16 +634,14 @@ class TestEntryPoint:
     def test_module_run_exits_with_main_code(self, n, code):
         # entry() hands main's return code to sys.exit, which the console
         # script and python -m both end with.
-        src = str(Path(dcfkit.__file__).resolve().parents[1])
-        path = os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "dcfkit.cli", "table1", "--n", n],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path})
+        done = _run_python("-m", "dcfkit.cli", "table1", "--n", n,
+                           check=False)
         assert done.returncode == code, done.stderr
         if code == 0:
-            assert "S_m" in done.stdout and done.stderr == ""
+            assert "  10       9.0682           110.5881" in (
+                done.stdout.splitlines())
+            assert done.stderr == ""
         else:
             assert done.stderr.startswith("error: ")
             assert done.stderr.count("\n") == 1, done.stderr
+            assert "Traceback" not in done.stderr

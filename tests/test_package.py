@@ -111,13 +111,14 @@ print(json.dumps(steps))
 """
 
 
-def _run_python(code, *args):
+def _run_python(*args, check=True):
+    """python with args, in a process that imports dcfkit from this tree."""
     src = str(Path(dcfkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, timeout=120,
+                          capture_output=True, text=True, check=check)
 
 
 def test_import_footprint(tmp_path):
@@ -125,7 +126,7 @@ def test_import_footprint(tmp_path):
     # model, a sweep and a run of any size need neither: the confidence
     # interval's Student-t quantile is computed in the package. statistics
     # brings fractions and decimal along for a mean that is fsum / len.
-    proc = _run_python(_FOOTPRINT, str(tmp_path / "sweep.csv"))
+    proc = _run_python("-c", _FOOTPRINT, str(tmp_path / "sweep.csv"))
     steps = json.loads(proc.stdout.splitlines()[-1])
     assert list(steps) == ["import", "sweep", "run-1", "run-2", "run-3"]
     for step, loaded in steps.items():
@@ -147,7 +148,7 @@ print(json.dumps(codes))
 
 def test_cli_runs_without_numpy_or_scipy():
     # An installation without the test extra has neither package.
-    proc = _run_python(_BLOCKED)
+    proc = _run_python("-c", _BLOCKED)
     assert "ImportError" not in proc.stderr
     sim_code, compare_code = json.loads(proc.stdout.splitlines()[-1])
     assert sim_code == 0

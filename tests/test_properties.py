@@ -254,6 +254,38 @@ def test_max_throughput_beats_the_reachable_grid(net):
     assert 0.0 < report.tau_max <= tau_sat
 
 
+# As N grows with x = N * tau held fixed, S_m = S_inf * (1 + c/N), where
+# oracles.s_infinity finds S_inf and its x* without the golden-section
+# search or the log1p silence factor. Over networks()' ranges c measured
+# 0.35 to 0.94 (0.8165 on dot11g-54), so C is 1. The floor covers the
+# search's stopping width of 1e-6 of tau: from N = 1e16, |S_m/S_inf - 1|
+# measured at most 2.1e-14, and |N * tau_max - x*| from N = 1e8 at most
+# 1.7e-7.
+LARGE_N = (10 ** 4, 10 ** 8, 10 ** 16, 10 ** 300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=networks())
+@example(net=(10, PARAMS))
+def test_large_networks_approach_the_limit_as_one_over_n(net):
+    _, params = net
+    s_inf, _ = oracles.s_infinity(params)
+    for n in LARGE_N:
+        gap = critical_lambda(n, params).s_max / s_inf - 1.0
+        assert abs(gap) <= 1.0 / n + 1e-13, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=networks())
+@example(net=(10, PARAMS))
+def test_large_networks_peak_at_the_limits_x(net):
+    _, params = net
+    _, x_star = oracles.s_infinity(params)
+    for n in LARGE_N[1:]:
+        tau_max = critical_lambda(n, params).tau_max
+        assert abs(n * tau_max - x_star) <= 1e-6, n
+
+
 @given(w0=st.integers(min_value=2, max_value=1024),
        m=st.integers(min_value=1, max_value=8),
        n=st.integers(min_value=1, max_value=200))
