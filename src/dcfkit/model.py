@@ -9,10 +9,12 @@ negative near 0 and positive near 1, so the root is found by Brent's
 method (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4)
 on the reachable branch up to the saturated tau, split by the sign of the
 residual at the throughput maximum's tau; the saturated solve itself, which
-the split needs, uses the (0, 1) bracket.
+the split needs, uses the (0, 1) bracket. The root depends on the rate, N
+and the PHY/MAC constants only, so each is memoised per (lam, n, params).
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,6 +38,11 @@ _MAXITER = 100
 _N_MAX = 10 ** 300
 # A split bracket's upper half ends this factor above tau_sat, past rounding.
 _SAT_MARGIN = 1.0 + 1e-9
+# The most roots _root keeps. critical_lambda keeps the reports of 128
+# networks, and an auto sweep of one network solves at 26 rates: its 25
+# grid rates and the saturated rate of the critical-rate search. 128 * 26
+# is 3328, rounded up to a power of two.
+_ROOTS_MAXSIZE = 4096
 
 
 @dataclass(slots=True)
@@ -248,33 +255,12 @@ def _brentq(f, xa, xb, fa=None, fb=None):
     return xcur, calls, False
 
 
-def solve_fixed_point(lam: float, n: int,
-                      params: PhyMacParams) -> FixedPointSolution:
-    """Solve the coupled tau equation at per-station arrival rate lam.
-
-    lam is in packets per microsecond; lam = inf is the saturated operating
-    point, where every queue is nonempty (q = 1) and the map reduces to
-    tau = epsilon(p) / alpha(p). Its root of g(tau) = tau - map(tau) is
-    found by Brent's method on (0, 1), where g is negative near 0 and
-    positive near 1. A finite lam's bracket is the reachable branch split
-    at tau_max, the throughput maximum's tau, read from the network's
-    cached RegimeReport: (0, tau_max] where g is >= 0 there, else [tau_max,
-    tau_sat * (1 + 1e-9)], as no map exceeds the saturated one. Where g has
-    three roots, as near lambda_c on some networks, the split kept the
-    lowest at every dot11g-54 rate checked. At lam = 0, g(0) = 0 ends the
-    solve at tau = 0 (the idle solution, 2 map calls). iterations counts
-    the map evaluations, the one at tau_max included. Raises
-    ParameterError for a lam that is a bool, no number, NaN or negative,
-    a bad n or params, or n above 10**300;
-    ConvergenceError when g does not change sign on the bracket, is NaN,
-    or the solve does not converge.
-    """
-    _check_rate(lam)
-    n = _check_n(n)
-    if n > _N_MAX:
-        raise ParameterError(
-            f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
-            "lambda_c nears the bottom of the float range")
+@functools.lru_cache(maxsize=_ROOTS_MAXSIZE)
+def _root(lam, n, params):
+    # solve_fixed_point's root search, memoised per checked (lam, n,
+    # params): lam a float, n an int, params a PhyMacParams of ints and
+    # floats, so equal keys give bit-equal roots. Returns _brentq's (tau,
+    # calls, converged); lru_cache stores no error raised here.
     times = derive_times(params)
 
     def g(t):
@@ -290,7 +276,44 @@ def solve_fixed_point(lam: float, n: int,
             hi = report.tau_sat * _SAT_MARGIN
         else:  # a NaN too, which _brentq reports at tau_max
             hi, g_hi = report.tau_max, g_max
-    tau, calls, converged = _brentq(g, lo, hi, g_lo, g_hi)
+    return _brentq(g, lo, hi, g_lo, g_hi)
+
+
+def solve_fixed_point(lam: float, n: int,
+                      params: PhyMacParams) -> FixedPointSolution:
+    """Solve the coupled tau equation at per-station arrival rate lam.
+
+    lam is in packets per microsecond; lam = inf is the saturated operating
+    point, where every queue is nonempty (q = 1) and the map reduces to
+    tau = epsilon(p) / alpha(p). Its root of g(tau) = tau - map(tau) is
+    found by Brent's method on (0, 1), where g is negative near 0 and
+    positive near 1. A finite lam's bracket is the reachable branch split
+    at tau_max, the throughput maximum's tau, read from the network's
+    cached RegimeReport: (0, tau_max] where g is >= 0 there, else [tau_max,
+    tau_sat * (1 + 1e-9)], as no map exceeds the saturated one. Where g has
+    three roots, as near lambda_c on some networks, the split kept the
+    lowest at every dot11g-54 rate checked. At lam = 0, g(0) = 0 ends the
+    solve at tau = 0 (the idle solution, 2 map calls).
+
+    The root is memoised per (lam as a float, n, params), up to 4096 roots
+    in a process-wide LRU cache; the record is built afresh on every call,
+    so no caller shares one. iterations counts the map evaluations, the
+    one at tau_max included, of the solve that found the root: a
+    memoised root reports the count of its first solve. Errors are not
+    cached, and a root that did not converge raises on every call.
+    Raises ParameterError for a lam that is a bool, no number, past the
+    float range, NaN or negative, a bad n or params, or n above 10**300;
+    ConvergenceError when g does not change sign on the bracket, is NaN,
+    or the solve does not converge.
+    """
+    lam = _check_rate(lam)
+    n = _check_n(n)
+    if n > _N_MAX:
+        raise ParameterError(
+            f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
+            "lambda_c nears the bottom of the float range")
+    times = derive_times(params)  # refuses params before _root hashes it
+    tau, calls, converged = _root(lam, n, params)
     sol = _state_at(tau, lam, n, times, params, calls)
     if not converged:
         raise ConvergenceError(

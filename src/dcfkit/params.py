@@ -42,6 +42,16 @@ def _check_number_fields(obj):
             raise ParameterError(f"{f.name} must be {what}, got {value!r}")
         if kind is numbers.Integral:  # stored as an int, as _check_n does
             object.__setattr__(obj, f.name, operator.index(value))
+            continue
+        # Stored as a float, as _check_rate returns it: a NumPy float32
+        # would carry single precision into every product, yet equal and
+        # hash like its float, so the two would share cache entries. A
+        # value past the float range stays as given, for the class's own
+        # checks to refuse by name.
+        try:
+            object.__setattr__(obj, f.name, float(value))
+        except OverflowError:
+            pass
 
 
 def _check_n(n, name="n", least=1):
@@ -57,14 +67,26 @@ def _check_n(n, name="n", least=1):
 
 
 def _check_rate(lam, name="lam", finite=False):
-    """Refuse an arrival rate that is a bool, a non-number, NaN, negative
-    or, with finite, infinite. inf is the saturated operating point."""
+    """Refuse an arrival rate that is a bool, a non-number, past the float
+    range, NaN, negative or, with finite, infinite; return it as a float,
+    as _check_n returns the int. inf is the saturated operating point."""
     # A float skips the ABC isinstance check, as an int does in _check_n.
-    if type(lam) is not float and not _is_number(lam, numbers.Real):
-        raise ParameterError(f"{name} must be a number, got {lam!r}")
-    if not lam >= 0 or finite and lam == math.inf:  # also rejects nan
+    value = lam
+    if type(lam) is not float:
+        if not _is_number(lam, numbers.Real):
+            raise ParameterError(f"{name} must be a number, got {lam!r}")
+        # Past the float range an int or a Fraction raises OverflowError,
+        # and a NumPy long double converts to inf.
+        try:
+            value = float(lam)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value) and value != lam:
+            raise ParameterError(f"{name} is too large for a float")
+    if not value >= 0 or finite and value == math.inf:  # also rejects nan
         limit = "finite and >= 0" if finite else ">= 0"
         raise ParameterError(f"{name} must be {limit}, got {lam!r}")
+    return value
 
 
 def _check_params(params):

@@ -90,7 +90,7 @@ def max_throughput(n: int,
 def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
     """Unsaturated aggregate throughput N * E[PL] * lam, in bits/us: inf at
     lam = inf, and a ParameterError for a value past the float range."""
-    _check_rate(lam)
+    lam = _check_rate(lam)
     n = _check_n(n)
     _check_params(params)
     slope = n * params.payload_bits

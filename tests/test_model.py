@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from scipy import optimize
 
 import oracles
-from dcfkit import (ConvergenceError, ParameterError, critical_lambda,
+from dcfkit import (ConvergenceError, ParameterError, cli, critical_lambda,
                     derive_times, get_profile, linear_throughput, regime,
                     solve_fixed_point)
 from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
-                          _geom_sums, _queue_empty_probability, _s_of_tau,
+                          _ROOTS_MAXSIZE, _geom_sums,
+                          _queue_empty_probability, _root, _s_of_tau,
                           _slot_kernel, _state_at)
 
 
@@ -201,21 +203,27 @@ class TestSolveFixedPoint:
                 i = changes[0]
                 assert grid[i] <= sol.tau <= grid[i + 1], (n, lam)
 
-    def test_same_solution_from_a_cold_or_a_warm_report(self, params):
+    def test_same_solution_from_a_cold_or_a_warm_report(self, params,
+                                                        cold_model):
         # A finite rate's solve reads the network's cached report; a cold
-        # cache computes it on the way and gives the same record. N = 80
-        # at 0.975 lambda_c is in the three-root band.
+        # cache computes it on the way and gives the same record. Both
+        # caches are emptied, or the second solve would read the first's
+        # memoised root. N = 80 at 0.975 lambda_c is in the three-root
+        # band.
         lam = (0.80 + 35 * 0.005) * critical_lambda(80, params).lambda_c
         warm = solve_fixed_point(lam, 80, params)
-        regime._critical_lambda.cache_clear()
+        cold_model()
         cold = solve_fixed_point(lam, 80, params)
         assert cold == warm
         assert cold.q == pytest.approx(0.072, abs=5e-4)
 
-    # The tests that patch _state_at solve at lam = inf or take the
-    # network's report first: a finite rate's solve reads it, and a cold
-    # cache would compute it through the patched map.
-    def test_bracket_without_sign_change_raises(self, params, monkeypatch):
+    # The tests that patch _state_at start from a cold model, so the
+    # patched map is the one solved and none of its roots outlives the
+    # test. They solve at lam = inf or take the network's report first: a
+    # finite rate's solve reads it, and a cold cache would compute it
+    # through the patched map.
+    def test_bracket_without_sign_change_raises(self, params, monkeypatch,
+                                                cold_model):
         # A map that never crosses tau leaves nothing to bracket.
         critical_lambda(10, params)
         monkeypatch.setattr("dcfkit.model._state_at",
@@ -223,7 +231,8 @@ class TestSolveFixedPoint:
         with pytest.raises(ConvergenceError):
             solve_fixed_point(90e-6, 10, params)
 
-    def test_nan_map_raises_naming_nan(self, params, monkeypatch):
+    def test_nan_map_raises_naming_nan(self, params, monkeypatch,
+                                       cold_model):
         critical_lambda(10, params)
         monkeypatch.setattr("dcfkit.model._state_at",
                             lambda tau, *args: math.nan)
@@ -232,7 +241,7 @@ class TestSolveFixedPoint:
         assert "change sign" not in str(info.value)
 
     def test_nan_inside_the_bracket_raises_naming_it(self, params,
-                                                     monkeypatch):
+                                                     monkeypatch, cold_model):
         # The saturated solve keeps the full bracket, whose ends change
         # sign, and Brent's first step lands in the middle.
         monkeypatch.setattr(
@@ -242,25 +251,33 @@ class TestSolveFixedPoint:
             solve_fixed_point(math.inf, 10, params)
 
     def test_no_convergence_raises_with_last_iterate(self, params,
-                                                     monkeypatch):
+                                                     monkeypatch, cold_model):
         # A residual that is a flat cubic, (tau - 1e-9)^3 scaled up so the
         # subtraction in tau - map(tau) keeps it, takes Brent about 236
         # map calls: more than the 100 steps the solve allows. The record
-        # at the last iterate comes from the real map.
+        # at the last iterate comes from the real map. The second call
+        # reads the memoised root and raises the same error with a fresh
+        # record.
         critical_lambda(10, params)
         real = _state_at
         monkeypatch.setattr(
             "dcfkit.model._state_at",
             lambda tau, *args: (tau - 1e100 * (tau - 1e-9) ** 3
                                 if len(args) == 4 else real(tau, *args)))
-        with pytest.raises(ConvergenceError,
-                           match="not reached in 102 map calls") as info:
-            solve_fixed_point(90e-6, 10, params)
-        sol = info.value.solution
-        assert sol is not None
-        assert sol.iterations == 102
-        assert sol.residual > 0.0
-        assert sol.tau == pytest.approx(1e-9, rel=0.1)
+        solutions = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceError,
+                               match="not reached in 102 map calls") as info:
+                solve_fixed_point(90e-6, 10, params)
+            sol = info.value.solution
+            assert sol is not None
+            assert sol.iterations == 102
+            assert sol.residual > 0.0
+            assert sol.tau == pytest.approx(1e-9, rel=0.1)
+            solutions.append(sol)
+        assert _root.cache_info().hits == 1
+        assert solutions[1] == solutions[0]
+        assert solutions[1] is not solutions[0]
 
     @pytest.mark.parametrize("n", [1, 10, 100])
     @pytest.mark.parametrize("lam_pkt_s, rel", [
@@ -322,6 +339,86 @@ class TestSolveFixedPoint:
         with pytest.raises(ParameterError,
                            match=r"<= 10\*\*300 .* bottom of the float range"):
             solve_fixed_point(lam, n, params)
+
+    def test_a_float32_rate_is_solved_as_its_float(self, params, cold_model):
+        # In float32 the map's products overflowed near tau = 1 and no root
+        # was reached in 102 map calls; as a float, 0.5 pkt/us solves in 2.
+        sol = solve_fixed_point(np.float32(0.5), 10, params)
+        assert sol == solve_fixed_point(0.5, 10, params)
+        assert sol.iterations == 2
+
+    def test_a_float32_rate_gives_a_record_of_floats(self, params,
+                                                     cold_model):
+        # NumPy 2 keeps float32 through every product with a Python float,
+        # so the whole chain ran in single precision.
+        lam = np.float32(1e-4)
+        sol = solve_fixed_point(lam, 10, params)
+        assert sol == solve_fixed_point(float(lam), 10, params)
+        for field in dataclasses.fields(sol):
+            value = getattr(sol, field.name)
+            assert type(value) is (int if field.name == "iterations"
+                                   else float), field.name
+
+    @pytest.mark.parametrize("lam", [
+        pytest.param(10 ** 400, id="int-1e400"),
+        pytest.param(-10 ** 400, id="negative-int-1e400"),
+        pytest.param(Fraction(10 ** 400), id="fraction-1e400"),
+        pytest.param(np.longdouble(10) ** 400, id="longdouble-1e400",
+                     marks=pytest.mark.skipif(
+                         not np.isfinite(np.longdouble(10) ** 400),
+                         reason="long double is a double here"))])
+    def test_rates_past_the_float_range_are_refused(self, params, lam):
+        # An int past the range made float() raise a bare OverflowError.
+        with pytest.raises(ParameterError,
+                           match="^lam is too large for a float$"):
+            solve_fixed_point(lam, 10, params)
+
+
+class TestRootMemo:
+    """solve_fixed_point memoises the root per (lam, n, params) and builds
+    a fresh record on every call."""
+
+    def test_the_bound_holds_an_auto_sweep_per_cached_network(self):
+        # 128 reports of critical_lambda, 25 grid rates and the saturated
+        # rate each.
+        maxsize = _root.cache_parameters()["maxsize"]
+        assert maxsize == _ROOTS_MAXSIZE
+        per_network = cli._AUTO_GRID_POINTS + 1
+        reports = regime._critical_lambda.cache_parameters()["maxsize"]
+        assert reports * per_network <= maxsize < 2 * reports * per_network
+
+    @pytest.mark.parametrize("first, second", [
+        (1, 1.0), (np.float64(2e-5), 2e-5), (np.float32(0.5), 0.5),
+        (0.5, np.float32(0.5))])
+    def test_equal_rates_of_other_types_share_a_root(self, params,
+                                                     cold_model, first,
+                                                     second):
+        critical_lambda(10, params)
+        before = _root.cache_info()
+        want = solve_fixed_point(first, 10, params)
+        got = solve_fixed_point(second, 10, params)
+        after = _root.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (
+            1, 1)
+        assert got == want and got is not want
+
+    def test_convergence_errors_are_not_cached(self, params, monkeypatch,
+                                               cold_model):
+        # A NaN map raises inside the root search on every call, and the
+        # map runs again each time.
+        critical_lambda(10, params)
+        calls = []
+
+        def nan_map(tau, *args):
+            calls.append(tau)
+            return math.nan
+
+        monkeypatch.setattr("dcfkit.model._state_at", nan_map)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="NaN"):
+                solve_fixed_point(90e-6, 10, params)
+        assert calls and calls[:len(calls) // 2] == calls[len(calls) // 2:]
+        assert _root.cache_info().currsize == 1  # the saturated root only
 
 
 class TestKnee:

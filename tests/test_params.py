@@ -137,6 +137,26 @@ class TestParamValidation:
         with pytest.raises(ParameterError, match=f"^{field} must be a number"):
             PhyMacParams(**{**dataclasses.asdict(params), **overrides})
 
+    def test_real_fields_are_stored_as_floats(self, params, cold_model):
+        # float32 values equal to dot11g-54's make a record that equals it
+        # and hashes alike, so it shares the network's report and roots:
+        # asked first, its float32 fields ran the whole search in single
+        # precision. Int fields stay ints.
+        narrow = dataclasses.replace(params, slot_sigma=np.float32(20.0),
+                                     eifs=np.float32(364.0),
+                                     data_rate=np.float64(54),
+                                     basic_rate=1)
+        assert narrow == params and hash(narrow) == hash(params)
+        for field in dataclasses.fields(narrow):
+            assert type(getattr(narrow, field.name)) is (
+                int if field.type == "int" else float), field.name
+        report = critical_lambda(10, narrow)
+        assert type(report.s_max) is float
+        assert solve_fixed_point(1e-4, 10, narrow) == (
+            solve_fixed_point(1e-4, 10, params))
+        cold_model()
+        assert critical_lambda(10, params) == report
+
     @pytest.mark.parametrize("overrides", [
         {"payload_bits": 10**400},
         {"data_rate": 10**400},  # an int is a number in a float field

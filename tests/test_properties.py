@@ -12,8 +12,8 @@ import oracles
 from dcfkit import (critical_lambda, derive_times, get_profile,
                     solve_fixed_point)
 from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
-                          _geom_sums, _queue_empty_probability, _s_of_tau,
-                          _slot_kernel, _state_at)
+                          _geom_sums, _queue_empty_probability, _root,
+                          _s_of_tau, _slot_kernel, _state_at)
 
 PARAMS = get_profile("dot11g-54")
 TIMES = derive_times(PARAMS)
@@ -161,6 +161,24 @@ def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
     assert converged
     uncapped = _brentq(g, *_BRACKET)[0]
     assert abs(capped - uncapped) <= 1e-12 * uncapped + _XTOL
+
+
+@given(net=networks(), share=st.floats(min_value=0.0, max_value=5.0))
+def test_a_memoised_root_gives_the_cold_record(net, share):
+    # A hit builds its record from the root the cold solve found, so every
+    # field is the cold one's bit for bit, iterations included.
+    n, params = net
+    lam = share * critical_lambda(n, params).lambda_c
+    _root.cache_clear()
+    cold = solve_fixed_point(lam, n, params)
+    hit = solve_fixed_point(lam, n, params)
+
+    def bits(sol):
+        return [v.hex() if type(v) is float else v
+                for v in dataclasses.astuple(sol)]
+
+    assert bits(hit) == bits(cold)
+    assert _root.cache_info().hits == 1
 
 
 @given(net=networks(), lam=rates)

@@ -186,6 +186,12 @@ class TestLinearThroughput:
         assert linear_throughput(1e-5, 10 ** 7, big) == 10 ** 307 * 1e-5
         assert linear_throughput(math.inf, 10, params) == math.inf
 
+    def test_a_rate_past_the_float_range_is_refused(self, params):
+        # An int rate past the range gave a 405-digit int slope * lam.
+        with pytest.raises(ParameterError,
+                           match="^lam is too large for a float$"):
+            linear_throughput(10 ** 400, 10, params)
+
     def test_numpy_station_count_passes(self, params):
         assert linear_throughput(1e-5, np.int64(10), params) == (
             linear_throughput(1e-5, 10, params))

@@ -514,6 +514,22 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             SimConfig(n_stations=2, lambda_per_station=math.inf, params=params)
 
+    def test_rejects_a_rate_past_the_float_range(self, params):
+        # It used to build, and run raised OverflowError drawing arrivals.
+        with pytest.raises(ParameterError,
+                           match="^lambda_per_station is too large for a "
+                                 "float$"):
+            SimConfig(n_stations=2, lambda_per_station=10 ** 400,
+                      params=params)
+
+    def test_stores_real_fields_as_floats(self, params):
+        cfg = SimConfig(n_stations=2, lambda_per_station=np.float32(1e-5),
+                        params=params, sim_duration=np.float32(2e5),
+                        warmup=0)
+        assert cfg.lambda_per_station == float(np.float32(1e-5))
+        for name in ("lambda_per_station", "sim_duration", "warmup"):
+            assert type(getattr(cfg, name)) is float, name
+
     def test_rejects_warmup_beyond_duration(self, params):
         with pytest.raises(ParameterError):
             SimConfig(n_stations=2, lambda_per_station=1e-5, params=params,
