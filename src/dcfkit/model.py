@@ -9,8 +9,9 @@ negative near 0 and positive near 1, so the root is found by Brent's
 method (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4)
 on the reachable branch up to the saturated tau, split by the sign of the
 residual at the throughput maximum's tau; the saturated solve itself, which
-the split needs, uses the (0, 1) bracket. The root depends on the rate, N
-and the PHY/MAC constants only, so each is memoised per (lam, n, params).
+the split needs, uses the (0, 1) bracket. The saturated root and the
+maximum depend on N and the PHY/MAC constants only, so one cached entry per
+network holds them with its channel times and the roots it solved.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .params import (ParameterError, PhyMacParams, _check_n, _check_rate,
-                     derive_times)
+from .params import (ParameterError, PhyMacParams, _check_n, _check_params,
+                     _check_rate, derive_times)
 
 # The full bracket for tau. Brent's tolerance is relative only, so the
 # small tau of light load keeps full precision: rtol is 4 eps, the floor
@@ -38,11 +39,13 @@ _MAXITER = 100
 _N_MAX = 10 ** 300
 # A split bracket's upper half ends this factor above tau_sat, past rounding.
 _SAT_MARGIN = 1.0 + 1e-9
-# The most roots _root keeps. critical_lambda keeps the reports of 128
-# networks, and an auto sweep of one network solves at 26 rates: its 25
-# grid rates and the saturated rate of the critical-rate search. 128 * 26
-# is 3328, rounded up to a power of two.
-_ROOTS_MAXSIZE = 4096
+# The golden-section search's ratio and its absolute stop in tau.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GSS_TOL = 1e-9
+# The most roots a network keeps, the saturated one included. An auto sweep
+# solves 26 rates: its 25 grid rates and the saturated rate of the
+# critical-rate search. _network keeps 128 networks, so 4096 roots in all.
+_ROOTS_PER_NETWORK = 32
 
 
 @dataclass(slots=True)
@@ -255,28 +258,61 @@ def _brentq(f, xa, xb, fa=None, fb=None):
     return xcur, calls, False
 
 
-@functools.lru_cache(maxsize=_ROOTS_MAXSIZE)
-def _root(lam, n, params):
-    # solve_fixed_point's root search, memoised per checked (lam, n,
-    # params): lam a float, n an int, params a PhyMacParams of ints and
-    # floats, so equal keys give bit-equal roots. Returns _brentq's (tau,
-    # calls, converged); lru_cache stores no error raised here.
+def _golden_section(f, a, b, tol):
+    # Maximize a unimodal f on [a, b]. The width stops at tol and at 1e-6
+    # of the interior point, whichever is smaller: tau_max is about 0.37/N,
+    # so at large N an absolute tol alone spans the peak.
+    h = b - a
+    c = b - _GOLDEN * h
+    d = a + _GOLDEN * h
+    fc, fd = f(c), f(d)
+    while h > tol or h > 1e-6 * c:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _GOLDEN * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _GOLDEN * h
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _solution(root, lam, n, times, params):
+    # The record at _brentq's root (tau, calls, converged), refused when
+    # the solve ran out of steps.
+    tau, calls, converged = root
+    sol = _state_at(tau, lam, n, times, params, calls)
+    if not converged:
+        raise ConvergenceError(
+            f"fixed point not reached in {calls} map calls "
+            f"(residual {sol.residual:.3e})", solution=sol)
+    return sol
+
+
+@functools.lru_cache(maxsize=128)
+def _network(n, params):
+    # The entry of n stations with params, n a checked int and params a
+    # checked PhyMacParams of ints and floats, so equal keys give bit-equal
+    # entries; lru_cache stores no error raised here. The entry is (times,
+    # roots, s_max, tau_max, tau_sat): the channel times, _brentq's (tau,
+    # calls, converged) by rate as a float, the saturated root first, under
+    # inf, and the maximum that regime.max_throughput describes.
+    if n > _N_MAX:
+        raise ParameterError(
+            f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
+            "lambda_c nears the bottom of the float range")
     times = derive_times(params)
-
-    def g(t):
-        return t - _state_at(t, lam, n, times, params)
-
-    lo, hi = _BRACKET
-    g_lo = g_hi = None
-    if lam != math.inf:
-        report = regime._critical_lambda(n, params)
-        g_max = g(report.tau_max)
-        if g_max < 0.0:
-            lo, g_lo = report.tau_max, g_max
-            hi = report.tau_sat * _SAT_MARGIN
-        else:  # a NaN too, which _brentq reports at tau_max
-            hi, g_hi = report.tau_max, g_max
-    return _brentq(g, lo, hi, g_lo, g_hi)
+    root = _brentq(lambda t: t - _state_at(t, math.inf, n, times, params),
+                   *_BRACKET)
+    sat = _solution(root, math.inf, n, times, params)
+    tau_max, s_max = _golden_section(
+        lambda t: _s_of_tau(t, n, times, params), 0.0, sat.tau, _GSS_TOL)
+    if sat.throughput >= s_max:
+        tau_max, s_max = sat.tau, sat.throughput
+    return times, {math.inf: root}, s_max, tau_max, sat.tau
 
 
 def solve_fixed_point(lam: float, n: int,
@@ -288,19 +324,20 @@ def solve_fixed_point(lam: float, n: int,
     tau = epsilon(p) / alpha(p). Its root of g(tau) = tau - map(tau) is
     found by Brent's method on (0, 1), where g is negative near 0 and
     positive near 1. A finite lam's bracket is the reachable branch split
-    at tau_max, the throughput maximum's tau, read from the network's
-    cached RegimeReport: (0, tau_max] where g is >= 0 there, else [tau_max,
-    tau_sat * (1 + 1e-9)], as no map exceeds the saturated one. Where g has
-    three roots, as near lambda_c on some networks, the split kept the
-    lowest at every dot11g-54 rate checked. At lam = 0, g(0) = 0 ends the
-    solve at tau = 0 (the idle solution, 2 map calls).
+    at tau_max, the throughput maximum's tau: (0, tau_max] where g is >= 0
+    there, else [tau_max, tau_sat * (1 + 1e-9)], as no map exceeds the
+    saturated one. Where g has three roots, as near lambda_c on some
+    networks, the split kept the lowest at every dot11g-54 rate checked. At
+    lam = 0, g(0) = 0 ends the solve at tau = 0 (the idle solution, 2 map
+    calls).
 
-    The root is memoised per (lam as a float, n, params), up to 4096 roots
-    in a process-wide LRU cache; the record is built afresh on every call,
+    A process-wide LRU cache keeps up to 128 networks (n, params), each
+    with its channel times, saturated root, throughput maximum and up to
+    32 roots by lam as a float. The record is built afresh on every call,
     so no caller shares one. iterations counts the map evaluations, the
-    one at tau_max included, of the solve that found the root: a
-    memoised root reports the count of its first solve. Errors are not
-    cached, and a root that did not converge raises on every call.
+    one at tau_max included, of the solve that found the root: a kept root
+    reports the count of its first solve. Errors are not cached, and a
+    root that did not converge raises on every call.
     Raises ParameterError for a lam that is a bool, no number, past the
     float range, NaN or negative, a bad n or params, or n above 10**300;
     ConvergenceError when g does not change sign on the bracket, is NaN,
@@ -308,23 +345,19 @@ def solve_fixed_point(lam: float, n: int,
     """
     lam = _check_rate(lam)
     n = _check_n(n)
-    if n > _N_MAX:
-        raise ParameterError(
-            f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
-            "lambda_c nears the bottom of the float range")
-    times = derive_times(params)  # refuses params before _root hashes it
-    tau, calls, converged = _root(lam, n, params)
-    sol = _state_at(tau, lam, n, times, params, calls)
-    if not converged:
-        raise ConvergenceError(
-            f"fixed point not reached in {calls} map calls "
-            f"(residual {sol.residual:.3e})", solution=sol)
-    return sol
+    _check_params(params)  # a dict would raise lru_cache's TypeError
+    times, roots, _, tau_max, tau_sat = _network(n, params)
+    root = roots.get(lam)
+    if root is None:
+        def g(t):
+            return t - _state_at(t, lam, n, times, params)
 
-
-# regime takes solve_fixed_point and _s_of_tau from here, and the split
-# above reads regime's cached report. Imported last, as a module looked up
-# at call time, it works whichever of the two is imported first: regime
-# run from here finds both names defined, and regime imported first gets
-# its partly run module here.
-from . import regime  # noqa: E402
+        g_max = g(tau_max)
+        if g_max < 0.0:
+            root = _brentq(g, tau_max, tau_sat * _SAT_MARGIN, g_max)
+        else:  # a NaN too, which _brentq reports at tau_max
+            root = _brentq(g, _BRACKET[0], tau_max, None, g_max)
+        if len(roots) == _ROOTS_PER_NETWORK:
+            roots.popitem()  # the newest, so the saturated root stays
+        roots[lam] = root
+    return _solution(root, lam, n, times, params)

@@ -8,24 +8,21 @@ throughput an arrival rate produces: the fixed point only reaches tau in
 (0, tau_sat], so S(tau) is maximised on that branch and not beyond it.
 
 S_m and lam_c depend on N and the PHY/MAC constants only, not on the
-arrival rate, so critical_lambda memoises its reports per (N, params) in a
-process-wide LRU cache of 128 entries. A report is frozen and shared by
-every caller that asks for the same network, model.solve_fixed_point's
-bracket included; errors are not cached.
+arrival rate. The model keeps each network's maximum and saturated point
+in its cached entry, the one its solves split their bracket by, and
+critical_lambda builds a fresh frozen report from them on every call.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 
-from .model import _s_of_tau, solve_fixed_point
-from .params import (ParameterError, PhyMacParams, _check_n, _check_params,
-                     _check_rate, derive_times)
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GSS_TOL = 1e-9
+from .model import _network
+# derive_times is not called here, but perfbench's tracer wraps
+# regime.derive_times by name, and test_package checks that it is here.
+from .params import (ParameterError, PhyMacParams, _check_n,  # noqa: F401
+                     _check_params, _check_rate, derive_times)
 
 
 @dataclass(frozen=True)
@@ -45,28 +42,6 @@ class RegimeReport:
         return "unsaturated" if lam < self.lambda_c else "saturated"
 
 
-def _golden_section(f, a, b, tol):
-    # Maximize a unimodal f on [a, b]. The width stops at tol and at 1e-6
-    # of the interior point, whichever is smaller: tau_max is about 0.37/N,
-    # so at large N an absolute tol alone spans the peak.
-    h = b - a
-    c = b - _GOLDEN * h
-    d = a + _GOLDEN * h
-    fc, fd = f(c), f(d)
-    while h > tol or h > 1e-6 * c:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _GOLDEN * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _GOLDEN * h
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def max_throughput(n: int,
                    params: PhyMacParams) -> tuple[float, float, float]:
     """Locate the throughput maximum on the reachable branch (0, tau_sat].
@@ -74,17 +49,13 @@ def max_throughput(n: int,
     S(tau) is unimodal there, so one golden-section search of the closed
     throughput form finds the interior peak; the saturated operating point
     closes the branch and wins when S still rises at tau_sat (N <= 10 for
-    dot11g-54). Returns (s_max, tau_max, tau_sat). n above 10**300 is
-    refused by the saturated solve.
+    dot11g-54). Returns (s_max, tau_max, tau_sat), read from the model's
+    cached entry for the network, which the first call for it fills. n
+    above 10**300 is refused.
     """
     n = _check_n(n)
-    times = derive_times(params)
-    sat = solve_fixed_point(math.inf, n, params)
-    tau, s = _golden_section(lambda t: _s_of_tau(t, n, times, params),
-                             0.0, sat.tau, _GSS_TOL)
-    if sat.throughput >= s:
-        s, tau = sat.throughput, sat.tau
-    return s, tau, sat.tau
+    _check_params(params)  # a dict would raise lru_cache's TypeError
+    return _network(n, params)[2:]
 
 
 def linear_throughput(lam: float, n: int, params: PhyMacParams) -> float:
@@ -105,18 +76,12 @@ def critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
 
     lam_c satisfies lam_c * N * E[PL] = S_m exactly. When the maximum sits
     at the end of the branch, tau_max is the saturated tau and lam_c is
-    S_sat / (N * E[PL]). Reports are memoised per (N, params) and shared.
+    S_sat / (N * E[PL]). Every call returns a fresh report, equal for
+    equal (N, params); the search behind it runs once per cached network.
     """
-    # The key is the Python int: True and 10.0 would hash like 1 and 10.
-    n = _check_n(n)
-    _check_params(params)  # a dict would raise lru_cache's TypeError
-    return _critical_lambda(n, params)
-
-
-@functools.lru_cache
-def _critical_lambda(n: int, params: PhyMacParams) -> RegimeReport:
-    # max_throughput is looked up as a module global on each miss, so a
-    # wrapper put in its place sees every search.
+    n = _check_n(n)  # the report holds the Python int
+    # max_throughput is looked up as a module global, so a wrapper put in
+    # its place sees every call.
     s_max, tau_max, tau_sat = max_throughput(n, params)
     # The linear law at lam = 1 is its slope N * E[PL].
     lambda_c = s_max / linear_throughput(1.0, n, params)

@@ -6,8 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dcfkit import derive_times, get_profile
-from dcfkit.model import _root
-from dcfkit.regime import _critical_lambda
+from dcfkit.model import _network
 
 
 @pytest.fixture(scope="session")
@@ -22,14 +21,10 @@ def times(params):
 
 @pytest.fixture
 def cold_model():
-    """Empty the model's two process-wide caches, the network reports and
-    the memoised roots, before the test and again after it, so a test that
-    patches the map neither reads nor leaves a root of another map. Yields
-    the function that empties them, for a test to call midway."""
-    def clear():
-        _critical_lambda.cache_clear()
-        _root.cache_clear()
-
-    clear()
-    yield clear
-    clear()
+    """Empty the model's process-wide cache of networks, with their roots,
+    before the test and again after it, so a test that patches the map
+    neither reads nor leaves a root of another map. Yields the function
+    that empties it, for a test to call midway."""
+    _network.cache_clear()
+    yield _network.cache_clear
+    _network.cache_clear()

@@ -9,11 +9,11 @@ from scipy import optimize
 
 import oracles
 from dcfkit import (ConvergenceError, ParameterError, cli, critical_lambda,
-                    derive_times, get_profile, linear_throughput, regime,
+                    derive_times, get_profile, linear_throughput,
                     solve_fixed_point)
-from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
-                          _ROOTS_MAXSIZE, _geom_sums,
-                          _queue_empty_probability, _root, _s_of_tau,
+from dcfkit.model import (_BRACKET, _ROOTS_PER_NETWORK, _RTOL, _SAT_MARGIN,
+                          _XTOL, _brentq, _geom_sums, _network,
+                          _queue_empty_probability, _s_of_tau,
                           _slot_kernel, _state_at)
 
 
@@ -205,11 +205,10 @@ class TestSolveFixedPoint:
 
     def test_same_solution_from_a_cold_or_a_warm_report(self, params,
                                                         cold_model):
-        # A finite rate's solve reads the network's cached report; a cold
-        # cache computes it on the way and gives the same record. Both
-        # caches are emptied, or the second solve would read the first's
-        # memoised root. N = 80 at 0.975 lambda_c is in the three-root
-        # band.
+        # A finite rate's solve splits at the network's cached maximum; a
+        # cold cache computes it on the way and gives the same record. The
+        # cache is emptied, or the second solve would read the first's
+        # kept root. N = 80 at 0.975 lambda_c is in the three-root band.
         lam = (0.80 + 35 * 0.005) * critical_lambda(80, params).lambda_c
         warm = solve_fixed_point(lam, 80, params)
         cold_model()
@@ -219,9 +218,9 @@ class TestSolveFixedPoint:
 
     # The tests that patch _state_at start from a cold model, so the
     # patched map is the one solved and none of its roots outlives the
-    # test. They solve at lam = inf or take the network's report first: a
-    # finite rate's solve reads it, and a cold cache would compute it
-    # through the patched map.
+    # test. They solve at lam = inf or fill the network's entry first: a
+    # finite rate's solve splits at its maximum, and a cold cache would
+    # compute it through the patched map.
     def test_bracket_without_sign_change_raises(self, params, monkeypatch,
                                                 cold_model):
         # A map that never crosses tau leaves nothing to bracket.
@@ -256,15 +255,16 @@ class TestSolveFixedPoint:
         # subtraction in tau - map(tau) keeps it, takes Brent about 236
         # map calls: more than the 100 steps the solve allows. The record
         # at the last iterate comes from the real map. The second call
-        # reads the memoised root and raises the same error with a fresh
+        # reads the kept root and raises the same error with a fresh
         # record.
         critical_lambda(10, params)
+        roots = _network(10, params)[1]
         real = _state_at
         monkeypatch.setattr(
             "dcfkit.model._state_at",
             lambda tau, *args: (tau - 1e100 * (tau - 1e-9) ** 3
                                 if len(args) == 4 else real(tau, *args)))
-        solutions = []
+        solutions, kept = [], []
         for _ in range(2):
             with pytest.raises(ConvergenceError,
                                match="not reached in 102 map calls") as info:
@@ -275,7 +275,9 @@ class TestSolveFixedPoint:
             assert sol.residual > 0.0
             assert sol.tau == pytest.approx(1e-9, rel=0.1)
             solutions.append(sol)
-        assert _root.cache_info().hits == 1
+            kept.append(roots[90e-6])
+        assert len(roots) == 2  # the saturated root and this one
+        assert kept[1] is kept[0]  # the second call stored no new root
         assert solutions[1] == solutions[0]
         assert solutions[1] is not solutions[0]
 
@@ -375,17 +377,15 @@ class TestSolveFixedPoint:
 
 
 class TestRootMemo:
-    """solve_fixed_point memoises the root per (lam, n, params) and builds
-    a fresh record on every call."""
+    """solve_fixed_point keeps each root in its network's cached entry and
+    builds a fresh record on every call. A miss stores a new root under
+    the rate; a hit leaves the stored one in place."""
 
     def test_the_bound_holds_an_auto_sweep_per_cached_network(self):
-        # 128 reports of critical_lambda, 25 grid rates and the saturated
-        # rate each.
-        maxsize = _root.cache_parameters()["maxsize"]
-        assert maxsize == _ROOTS_MAXSIZE
-        per_network = cli._AUTO_GRID_POINTS + 1
-        reports = regime._critical_lambda.cache_parameters()["maxsize"]
-        assert reports * per_network <= maxsize < 2 * reports * per_network
+        # 25 grid rates and the saturated rate; 128 networks of 32 roots
+        # each are 4096 roots in all.
+        assert _ROOTS_PER_NETWORK >= cli._AUTO_GRID_POINTS + 1
+        assert _network.cache_parameters()["maxsize"] == 128
 
     @pytest.mark.parametrize("first, second", [
         (1, 1.0), (np.float64(2e-5), 2e-5), (np.float32(0.5), 0.5),
@@ -393,20 +393,20 @@ class TestRootMemo:
     def test_equal_rates_of_other_types_share_a_root(self, params,
                                                      cold_model, first,
                                                      second):
-        critical_lambda(10, params)
-        before = _root.cache_info()
+        roots = _network(10, params)[1]
         want = solve_fixed_point(first, 10, params)
+        assert list(roots) == [math.inf, float(first)]  # one miss
+        root = roots[float(first)]
         got = solve_fixed_point(second, 10, params)
-        after = _root.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (
-            1, 1)
+        assert list(roots) == [math.inf, float(first)]  # then a hit
+        assert roots[float(first)] is root
         assert got == want and got is not want
 
     def test_convergence_errors_are_not_cached(self, params, monkeypatch,
                                                cold_model):
         # A NaN map raises inside the root search on every call, and the
         # map runs again each time.
-        critical_lambda(10, params)
+        roots = _network(10, params)[1]
         calls = []
 
         def nan_map(tau, *args):
@@ -418,7 +418,61 @@ class TestRootMemo:
             with pytest.raises(ConvergenceError, match="NaN"):
                 solve_fixed_point(90e-6, 10, params)
         assert calls and calls[:len(calls) // 2] == calls[len(calls) // 2:]
-        assert _root.cache_info().currsize == 1  # the saturated root only
+        assert list(roots) == [math.inf]  # the saturated root only
+
+    def test_a_full_network_keeps_its_first_roots(self, params, cold_model):
+        # 40 distinct rates, twice: at 32 roots a miss drops the newest, so
+        # the saturated root and the first 30 rates stay, the last slot
+        # holds the latest rate, and every later rate is solved again. Each
+        # record is its first solve's, bit for bit.
+        lam_c = critical_lambda(10, params).lambda_c
+        rates = [lam_c * i / 20 for i in range(1, 41)]
+        roots = _network(10, params)[1]
+
+        def bits(sol):
+            return [v.hex() if type(v) is float else v
+                    for v in dataclasses.astuple(sol)]
+
+        first = [bits(solve_fixed_point(lam, 10, params)) for lam in rates]
+        assert len(roots) == _ROOTS_PER_NETWORK
+        assert list(roots) == [math.inf, *rates[:30], rates[-1]]
+        kept = dict(roots)
+        again = [bits(solve_fixed_point(lam, 10, params)) for lam in rates]
+        assert again == first
+        assert len(roots) == _ROOTS_PER_NETWORK
+        assert all(roots[lam] is kept[lam] for lam in [math.inf, *rates[:30]])
+
+    def test_a_cold_network_derives_its_times_once(self, params,
+                                                   monkeypatch, cold_model):
+        # The entry holds the network's channel times, so its search, its
+        # 25 auto-grid solves and its saturated solve derive them once.
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return derive_times(p)
+
+        monkeypatch.setattr("dcfkit.model.derive_times", counted)
+        report = critical_lambda(10, params)
+        for lam in cli._auto_grid(report):
+            solve_fixed_point(lam * cli._PKT_S_TO_PKT_US, 10, params)
+        solve_fixed_point(math.inf, 10, params)
+        assert calls == [params]
+
+    def test_a_finite_rate_needs_no_critical_rate(self, params, cold_model):
+        # 10**9 stations of 10**300 payload bits: the slope N * E[PL] that
+        # lambda_c divides by overflows, so critical_lambda refuses the
+        # network, but a solve splits at the maximum alone. 1e-5 pkt/us
+        # lies far past lambda_c there, so its root is the saturated one,
+        # bit for bit.
+        big = dataclasses.replace(params, payload_bits=10 ** 300)
+        n = 10 ** 9
+        with pytest.raises(ParameterError, match="overflows the float"):
+            critical_lambda(n, big)
+        sat = solve_fixed_point(math.inf, n, big)
+        sol = solve_fixed_point(1e-5, n, big)
+        assert sol.tau.hex() == sat.tau.hex()
+        assert sol.q == 1.0
 
 
 class TestKnee:

@@ -12,7 +12,7 @@ import oracles
 from dcfkit import (critical_lambda, derive_times, get_profile,
                     solve_fixed_point)
 from dcfkit.model import (_BRACKET, _RTOL, _SAT_MARGIN, _XTOL, _brentq,
-                          _geom_sums, _queue_empty_probability, _root,
+                          _geom_sums, _network, _queue_empty_probability,
                           _s_of_tau, _slot_kernel, _state_at)
 
 PARAMS = get_profile("dot11g-54")
@@ -169,8 +169,10 @@ def test_a_memoised_root_gives_the_cold_record(net, share):
     # field is the cold one's bit for bit, iterations included.
     n, params = net
     lam = share * critical_lambda(n, params).lambda_c
-    _root.cache_clear()
+    roots = _network(n, params)[1]
+    roots.pop(lam, None)
     cold = solve_fixed_point(lam, n, params)
+    root = roots[lam]
     hit = solve_fixed_point(lam, n, params)
 
     def bits(sol):
@@ -178,7 +180,7 @@ def test_a_memoised_root_gives_the_cold_record(net, share):
                 for v in dataclasses.astuple(sol)]
 
     assert bits(hit) == bits(cold)
-    assert _root.cache_info().hits == 1
+    assert roots[lam] is root  # the hit stored no new root
 
 
 @given(net=networks(), lam=rates)

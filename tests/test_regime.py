@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from dcfkit import (ConvergenceError, ParameterError, SimConfig,
                     critical_lambda, derive_times, get_profile,
                     linear_throughput, solve_fixed_point)
-from dcfkit.model import _s_of_tau
-from dcfkit.regime import _critical_lambda, max_throughput
+from dcfkit.model import _network, _s_of_tau
+from dcfkit.regime import max_throughput
 
 # Reference operating points for the dot11g-54 profile; the model is
 # expected to land within 5 percent of each.
@@ -208,8 +209,9 @@ class TestLinearThroughput:
         assert report == critical_lambda(2 ** 62, params)
         assert math.isfinite(report.lambda_c)
 
-    def test_numpy_station_count_is_reported_as_an_int(self, params):
-        _critical_lambda.cache_clear()  # a warm 10 would hide a cold miss
+    def test_numpy_station_count_is_reported_as_an_int(self, params,
+                                                        cold_model):
+        # Cold, so the search itself sees the NumPy count first.
         report = critical_lambda(np.int64(10), params)
         assert type(report.n) is int and report.n == 10
 
@@ -244,13 +246,15 @@ class TestLinearThroughput:
 
 
 class TestCache:
-    """critical_lambda memoises its reports per (N, params); every case
-    below holds on a warm cache."""
+    """critical_lambda reads the network's entry in the model's cache of
+    (N, params), and builds a fresh report on every call; every case below
+    holds on a warm cache."""
 
     @pytest.fixture
-    def searches(self, monkeypatch):
-        # Counts the misses, as a tracer wrapping regime.max_throughput
-        # sees them.
+    def searches(self, monkeypatch, cold_model):
+        # Counts the searches as misses of the cache of networks, and the
+        # calls of regime.max_throughput as a tracer wrapping it sees them:
+        # one per critical_lambda call.
         calls = []
 
         def counted(n, params):
@@ -258,7 +262,8 @@ class TestCache:
             return max_throughput(n, params)
 
         monkeypatch.setattr("dcfkit.regime.max_throughput", counted)
-        return calls
+        return SimpleNamespace(calls=calls,
+                               misses=lambda: _network.cache_info().misses)
 
     def test_bad_station_counts_are_refused_when_warm(self, params):
         # True and 10.0 hash like 1 and 10, which are cached.
@@ -279,34 +284,34 @@ class TestCache:
         for _ in range(3):
             with pytest.raises(ParameterError, match=r"<= 10\*\*300"):
                 critical_lambda(10 ** 300 + 1, params)
-        assert searches == [10 ** 300 + 1] * 3
+        assert searches.calls == [10 ** 300 + 1] * 3
+        assert searches.misses() == 3
+        assert _network.cache_info().currsize == 0
 
-    def test_convergence_errors_are_not_cached(self, params, monkeypatch):
+    def test_convergence_errors_are_not_cached(self, params, monkeypatch,
+                                               cold_model):
         calls = []
 
-        def fail(n, params):
-            calls.append(n)
+        def fail(f, a, b, tol):
+            calls.append(b)
             raise ConvergenceError("no sign change")
 
-        _critical_lambda.cache_clear()
-        monkeypatch.setattr("dcfkit.regime.max_throughput", fail)
+        monkeypatch.setattr("dcfkit.model._golden_section", fail)
         for _ in range(2):
             with pytest.raises(ConvergenceError):
                 critical_lambda(10, params)
-        assert calls == [10, 10]
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert _network.cache_info().currsize == 0
         monkeypatch.undo()
         assert critical_lambda(10, params).n == 10
 
     def test_warm_report_is_the_cold_one(self, params, searches):
-        _critical_lambda.cache_clear()
         cold = critical_lambda(20, params)
-        assert critical_lambda(20, params) is cold
-        assert critical_lambda(np.int64(20), params) is cold
-        assert searches == [20]
-        _critical_lambda.cache_clear()
-        fresh = critical_lambda(20, params)
-        assert fresh == cold and fresh is not cold
-        assert searches == [20, 20]
+        warm = critical_lambda(20, params)
+        assert warm == cold and warm is not cold
+        assert critical_lambda(np.int64(20), params) == cold
+        assert searches.calls == [20] * 3
+        assert searches.misses() == 1
 
     def test_equal_parameter_file_shares_the_entry(self, params, tmp_path,
                                                    searches):
@@ -314,13 +319,12 @@ class TestCache:
         path.write_text(json.dumps(dataclasses.asdict(params)))
         copy = get_profile(path)
         assert copy is not params
-        _critical_lambda.cache_clear()
         report = critical_lambda(30, params)
-        assert critical_lambda(30, copy) is report
-        assert searches == [30]
+        assert critical_lambda(30, copy) == report
+        assert searches.misses() == 1
 
     def test_default_size(self):
-        assert _critical_lambda.cache_info().maxsize == 128
+        assert _network.cache_info().maxsize == 128
 
 
 def linearity_error(lam, n, params):
