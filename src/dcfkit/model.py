@@ -11,7 +11,7 @@ on the reachable branch up to the saturated tau, split by the sign of the
 residual at the throughput maximum's tau; the saturated solve itself, which
 the split needs, uses the (0, 1) bracket. The saturated root and the
 maximum depend on N and the PHY/MAC constants only, so one cached entry per
-network holds them with its channel times and the roots it solved.
+network holds them with its channel times and each rate's finished record.
 """
 from __future__ import annotations
 
@@ -42,9 +42,9 @@ _SAT_MARGIN = 1.0 + 1e-9
 # The golden-section search's ratio and its absolute stop in tau.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GSS_TOL = 1e-9
-# The most roots a network keeps, the saturated one included. An auto sweep
-# solves 26 rates: its 25 grid rates and the saturated rate of the
-# critical-rate search. _network keeps 128 networks, so 4096 roots in all.
+# The most records a network keeps, the saturated one included. An auto
+# sweep solves 26 rates: its 25 grid rates and the saturated rate of the
+# critical-rate search. _network keeps 128 networks, so 4096 in all.
 _ROOTS_PER_NETWORK = 32
 
 
@@ -137,7 +137,7 @@ def _s_of_tau(tau, n, times, params):
 
 def _state_at(tau, lam, n, times, params, iterations=None):
     """One application of the fixed-point map at tau: map(tau), or, given
-    the solve's count of map calls, the FixedPointSolution at tau."""
+    the solve's count of map calls, FixedPointSolution's values at tau."""
     p, _, _, epsilon, alpha, t_i, log_silent = _slot_kernel(tau, n, times,
                                                             params)
     # The queue serves one packet per t_packet, the chain's slots over all
@@ -167,11 +167,9 @@ def _state_at(tau, lam, n, times, params, iterations=None):
     # A root of 0 (lam = 0, or a rate so small, from about 1e-317 pkt/s,
     # that the root falls below _XTOL) has no relative residual, so it gets
     # the absolute one.
-    return FixedPointSolution(
-        tau=tau, p=p, t_i=t_i, t_packet=t_packet, q=q,
-        throughput=_s_of_slot(tau, n, log_silent, t_i, params),
-        residual=abs(tau_next - tau) / tau if tau else tau_next,
-        iterations=iterations)
+    return (tau, p, t_i, t_packet, q,
+            _s_of_slot(tau, n, log_silent, t_i, params),
+            abs(tau_next - tau) / tau if tau else tau_next, iterations)
 
 
 class ConvergenceError(RuntimeError):
@@ -280,14 +278,14 @@ def _golden_section(f, a, b, tol):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _solution(root, lam, n, times, params):
-    # The record at _brentq's root (tau, calls, converged), refused when
-    # the solve ran out of steps.
-    tau, calls, converged = root
-    sol = _state_at(tau, lam, n, times, params, calls)
+def _solution(kept):
+    # A fresh record from a network's kept (values, converged), refused
+    # when the solve ran out of steps.
+    values, converged = kept
+    sol = FixedPointSolution(*values)
     if not converged:
         raise ConvergenceError(
-            f"fixed point not reached in {calls} map calls "
+            f"fixed point not reached in {sol.iterations} map calls "
             f"(residual {sol.residual:.3e})", solution=sol)
     return sol
 
@@ -297,22 +295,24 @@ def _network(n, params):
     # The entry of n stations with params, n a checked int and params a
     # checked PhyMacParams of ints and floats, so equal keys give bit-equal
     # entries; lru_cache stores no error raised here. The entry is (times,
-    # roots, s_max, tau_max, tau_sat): the channel times, _brentq's (tau,
-    # calls, converged) by rate as a float, the saturated root first, under
-    # inf, and the maximum that regime.max_throughput describes.
+    # records, s_max, tau_max, tau_sat): the channel times, each solved
+    # rate's record values at its root and converged flag, by rate as a
+    # float, the saturated first, under inf, and the maximum that
+    # regime.max_throughput describes.
     if n > _N_MAX:
         raise ParameterError(
             f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
             "lambda_c nears the bottom of the float range")
     times = derive_times(params)
-    root = _brentq(lambda t: t - _state_at(t, math.inf, n, times, params),
-                   *_BRACKET)
-    sat = _solution(root, math.inf, n, times, params)
+    tau, calls, converged = _brentq(
+        lambda t: t - _state_at(t, math.inf, n, times, params), *_BRACKET)
+    kept = _state_at(tau, math.inf, n, times, params, calls), converged
+    sat = _solution(kept)
     tau_max, s_max = _golden_section(
         lambda t: _s_of_tau(t, n, times, params), 0.0, sat.tau, _GSS_TOL)
     if sat.throughput >= s_max:
         tau_max, s_max = sat.tau, sat.throughput
-    return times, {math.inf: root}, s_max, tau_max, sat.tau
+    return times, {math.inf: kept}, s_max, tau_max, sat.tau
 
 
 def solve_fixed_point(lam: float, n: int,
@@ -332,12 +332,13 @@ def solve_fixed_point(lam: float, n: int,
     calls).
 
     A process-wide LRU cache keeps up to 128 networks (n, params), each
-    with its channel times, saturated root, throughput maximum and up to
-    32 roots by lam as a float. The record is built afresh on every call,
-    so no caller shares one. iterations counts the map evaluations, the
-    one at tau_max included, of the solve that found the root: a kept root
-    reports the count of its first solve. Errors are not cached, and a
-    root that did not converge raises on every call.
+    with its channel times, throughput maximum and the records of up to
+    32 rates by lam as a float, the saturated one included. A repeated
+    rate runs no map: every call builds a fresh record from the kept
+    values of its first solve, so no caller shares one, and iterations
+    counts the map evaluations of that solve, the one at tau_max included.
+    Errors are not cached, and a root that did not converge raises on
+    every call.
     Raises ParameterError for a lam that is a bool, no number, past the
     float range, NaN or negative, a bad n or params, or n above 10**300;
     ConvergenceError when g does not change sign on the bracket, is NaN,
@@ -346,9 +347,9 @@ def solve_fixed_point(lam: float, n: int,
     lam = _check_rate(lam)
     n = _check_n(n)
     _check_params(params)  # a dict would raise lru_cache's TypeError
-    times, roots, _, tau_max, tau_sat = _network(n, params)
-    root = roots.get(lam)
-    if root is None:
+    times, records, _, tau_max, tau_sat = _network(n, params)
+    kept = records.get(lam)
+    if kept is None:
         def g(t):
             return t - _state_at(t, lam, n, times, params)
 
@@ -357,7 +358,9 @@ def solve_fixed_point(lam: float, n: int,
             root = _brentq(g, tau_max, tau_sat * _SAT_MARGIN, g_max)
         else:  # a NaN too, which _brentq reports at tau_max
             root = _brentq(g, _BRACKET[0], tau_max, None, g_max)
-        if len(roots) == _ROOTS_PER_NETWORK:
-            roots.popitem()  # the newest, so the saturated root stays
-        roots[lam] = root
-    return _solution(root, lam, n, times, params)
+        tau, calls, converged = root
+        if len(records) == _ROOTS_PER_NETWORK:
+            records.popitem()  # the newest, so the saturated record stays
+        kept = records[lam] = (_state_at(tau, lam, n, times, params, calls),
+                               converged)
+    return _solution(kept)

@@ -159,6 +159,12 @@ class PhyMacParams:
             finite = False
         if not finite:
             raise ParameterError("t_s or t_c is too large for a float")
+        # Hashed once, of the normalised values: every solve looks it up.
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(slots=True)

@@ -21,10 +21,10 @@ def times(params):
 
 @pytest.fixture
 def cold_model():
-    """Empty the model's process-wide cache of networks, with their roots,
-    before the test and again after it, so a test that patches the map
-    neither reads nor leaves a root of another map. Yields the function
-    that empties it, for a test to call midway."""
+    """Empty the model's process-wide cache of networks, with their kept
+    records, before the test and again after it, so a test that patches
+    the map neither reads nor leaves a record of another map. Yields the
+    function that empties it, for a test to call midway."""
     _network.cache_clear()
     yield _network.cache_clear
     _network.cache_clear()

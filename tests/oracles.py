@@ -6,15 +6,16 @@ component-by-component sums for the timing. Nothing here imports from
 dcfkit but chain_at and s_infinity, which reads only derive_times' two
 sums, so agreement is evidence rather than tautology.
 chain_at is no reference: it reads back the model's own chain, the record
-of model._state_at and the slot durations of model._slot_kernel.
+values of model._state_at and the slot durations of model._slot_kernel.
 """
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
 
 import numpy as np
 
-from dcfkit import derive_times
+from dcfkit import FixedPointSolution, derive_times
 from dcfkit.model import _slot_kernel, _state_at
 
 # Timing components of the dot11g-54 profile, summed by hand (us).
@@ -154,7 +155,7 @@ def s_infinity(params):
 def chain_at(tau, lam, n, params):
     """The model's chain at tau, with what FixedPointSolution leaves out.
 
-    p, t_i, t_packet and q are the record model._state_at builds at tau,
+    p, t_i, t_packet and q are the record model._state_at gives at tau,
     so at a solution's tau they are the solve's own. Next to them: the
     kernel's slot durations t_tx and t_bo, the queue's load rho, the
     chance p_i0 that a parked station gets a packet within one slot t_i,
@@ -162,7 +163,7 @@ def chain_at(tau, lam, n, params):
     in _state_at's operations.
     """
     times = derive_times(params)
-    rec = _state_at(tau, lam, n, times, params, 0)
+    rec = FixedPointSolution(*_state_at(tau, lam, n, times, params, 0))
     _, t_tx, t_bo, _, alpha, *_ = _slot_kernel(tau, n, times, params)
     if lam:
         rho = lam * rec.t_packet
@@ -173,6 +174,13 @@ def chain_at(tau, lam, n, params):
     return SimpleNamespace(
         p=rec.p, t_tx=t_tx, t_bo=t_bo, t_i=rec.t_i, t_packet=rec.t_packet,
         rho=rho, q=rec.q, p_i0=p_i0, b00=p_i0 / d, b_idle=(1.0 - rec.q) / d)
+
+
+def record_bits(sol):
+    """A record's field values, each float as its hex form, so two records
+    compare bit for bit."""
+    return [v.hex() if type(v) is float else v
+            for v in dataclasses.astuple(sol)]
 
 
 def split_bracket(g, lo, hi, tau_max):

@@ -8,9 +8,9 @@ import pytest
 from scipy import optimize
 
 import oracles
-from dcfkit import (ConvergenceError, ParameterError, cli, critical_lambda,
-                    derive_times, get_profile, linear_throughput,
-                    solve_fixed_point)
+from dcfkit import (ConvergenceError, FixedPointSolution, ParameterError,
+                    cli, critical_lambda, derive_times, get_profile,
+                    linear_throughput, solve_fixed_point)
 from dcfkit.model import (_BRACKET, _ROOTS_PER_NETWORK, _RTOL, _SAT_MARGIN,
                           _XTOL, _brentq, _geom_sums, _network,
                           _queue_empty_probability, _s_of_tau,
@@ -208,7 +208,7 @@ class TestSolveFixedPoint:
         # A finite rate's solve splits at the network's cached maximum; a
         # cold cache computes it on the way and gives the same record. The
         # cache is emptied, or the second solve would read the first's
-        # kept root. N = 80 at 0.975 lambda_c is in the three-root band.
+        # kept record. N = 80 at 0.975 lambda_c is in the three-root band.
         lam = (0.80 + 35 * 0.005) * critical_lambda(80, params).lambda_c
         warm = solve_fixed_point(lam, 80, params)
         cold_model()
@@ -217,7 +217,7 @@ class TestSolveFixedPoint:
         assert cold.q == pytest.approx(0.072, abs=5e-4)
 
     # The tests that patch _state_at start from a cold model, so the
-    # patched map is the one solved and none of its roots outlives the
+    # patched map is the one solved and none of its records outlives the
     # test. They solve at lam = inf or fill the network's entry first: a
     # finite rate's solve splits at its maximum, and a cold cache would
     # compute it through the patched map.
@@ -255,17 +255,23 @@ class TestSolveFixedPoint:
         # subtraction in tau - map(tau) keeps it, takes Brent about 236
         # map calls: more than the 100 steps the solve allows. The record
         # at the last iterate comes from the real map. The second call
-        # reads the kept root and raises the same error with a fresh
-        # record.
+        # reads the kept record, runs no map and raises the same error
+        # with a fresh record.
         critical_lambda(10, params)
-        roots = _network(10, params)[1]
+        records = _network(10, params)[1]
         real = _state_at
-        monkeypatch.setattr(
-            "dcfkit.model._state_at",
-            lambda tau, *args: (tau - 1e100 * (tau - 1e-9) ** 3
-                                if len(args) == 4 else real(tau, *args)))
-        solutions, kept = [], []
+        calls = []
+
+        def flat_map(tau, *args):
+            calls.append(tau)
+            if len(args) == 4:
+                return tau - 1e100 * (tau - 1e-9) ** 3
+            return real(tau, *args)
+
+        monkeypatch.setattr("dcfkit.model._state_at", flat_map)
+        solutions, kept, maps = [], [], []
         for _ in range(2):
+            calls.clear()
             with pytest.raises(ConvergenceError,
                                match="not reached in 102 map calls") as info:
                 solve_fixed_point(90e-6, 10, params)
@@ -275,9 +281,11 @@ class TestSolveFixedPoint:
             assert sol.residual > 0.0
             assert sol.tau == pytest.approx(1e-9, rel=0.1)
             solutions.append(sol)
-            kept.append(roots[90e-6])
-        assert len(roots) == 2  # the saturated root and this one
-        assert kept[1] is kept[0]  # the second call stored no new root
+            kept.append(records[90e-6])
+            maps.append(len(calls))
+        assert len(records) == 2  # the saturated record and this one
+        assert kept[1] is kept[0]  # the second call stored no new record
+        assert maps == [103, 0]  # 102 map calls and the record, then none
         assert solutions[1] == solutions[0]
         assert solutions[1] is not solutions[0]
 
@@ -377,13 +385,14 @@ class TestSolveFixedPoint:
 
 
 class TestRootMemo:
-    """solve_fixed_point keeps each root in its network's cached entry and
-    builds a fresh record on every call. A miss stores a new root under
-    the rate; a hit leaves the stored one in place."""
+    """solve_fixed_point keeps each rate's finished record in its network's
+    cached entry and builds a fresh record from it on every call. A miss
+    stores a new kept record under the rate; a hit leaves the stored one
+    in place and runs no map."""
 
     def test_the_bound_holds_an_auto_sweep_per_cached_network(self):
-        # 25 grid rates and the saturated rate; 128 networks of 32 roots
-        # each are 4096 roots in all.
+        # 25 grid rates and the saturated rate; 128 networks of 32 records
+        # each are 4096 records in all.
         assert _ROOTS_PER_NETWORK >= cli._AUTO_GRID_POINTS + 1
         assert _network.cache_parameters()["maxsize"] == 128
 
@@ -393,20 +402,45 @@ class TestRootMemo:
     def test_equal_rates_of_other_types_share_a_root(self, params,
                                                      cold_model, first,
                                                      second):
-        roots = _network(10, params)[1]
+        records = _network(10, params)[1]
         want = solve_fixed_point(first, 10, params)
-        assert list(roots) == [math.inf, float(first)]  # one miss
-        root = roots[float(first)]
+        assert list(records) == [math.inf, float(first)]  # one miss
+        kept = records[float(first)]
         got = solve_fixed_point(second, 10, params)
-        assert list(roots) == [math.inf, float(first)]  # then a hit
-        assert roots[float(first)] is root
+        assert list(records) == [math.inf, float(first)]  # then a hit
+        assert records[float(first)] is kept
         assert got == want and got is not want
+
+    def test_a_hit_runs_no_map_and_shares_no_record(self, params,
+                                                    monkeypatch, cold_model):
+        # The first solve evaluates the map; the second builds its record
+        # from the kept values alone, equal bit for bit but a new object,
+        # and a caller's write to a returned record reaches no later one.
+        lam = 90e-6
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _state_at(*args)
+
+        monkeypatch.setattr("dcfkit.model._state_at", counted)
+        first = solve_fixed_point(lam, 10, params)
+        assert calls
+        calls.clear()
+        second = solve_fixed_point(lam, 10, params)
+        assert calls == []
+        assert oracles.record_bits(second) == oracles.record_bits(first)
+        assert second is not first
+        second.tau = -1.0
+        third = solve_fixed_point(lam, 10, params)
+        assert calls == []
+        assert oracles.record_bits(third) == oracles.record_bits(first)
 
     def test_convergence_errors_are_not_cached(self, params, monkeypatch,
                                                cold_model):
         # A NaN map raises inside the root search on every call, and the
         # map runs again each time.
-        roots = _network(10, params)[1]
+        records = _network(10, params)[1]
         calls = []
 
         def nan_map(tau, *args):
@@ -418,29 +452,27 @@ class TestRootMemo:
             with pytest.raises(ConvergenceError, match="NaN"):
                 solve_fixed_point(90e-6, 10, params)
         assert calls and calls[:len(calls) // 2] == calls[len(calls) // 2:]
-        assert list(roots) == [math.inf]  # the saturated root only
+        assert list(records) == [math.inf]  # the saturated record only
 
     def test_a_full_network_keeps_its_first_roots(self, params, cold_model):
-        # 40 distinct rates, twice: at 32 roots a miss drops the newest, so
-        # the saturated root and the first 30 rates stay, the last slot
-        # holds the latest rate, and every later rate is solved again. Each
-        # record is its first solve's, bit for bit.
+        # 40 distinct rates, twice: at 32 records a miss drops the newest,
+        # so the saturated record and the first 30 rates stay, the last
+        # slot holds the latest rate, and every later rate is solved again.
+        # Each record is its first solve's, bit for bit.
         lam_c = critical_lambda(10, params).lambda_c
         rates = [lam_c * i / 20 for i in range(1, 41)]
-        roots = _network(10, params)[1]
-
-        def bits(sol):
-            return [v.hex() if type(v) is float else v
-                    for v in dataclasses.astuple(sol)]
-
-        first = [bits(solve_fixed_point(lam, 10, params)) for lam in rates]
-        assert len(roots) == _ROOTS_PER_NETWORK
-        assert list(roots) == [math.inf, *rates[:30], rates[-1]]
-        kept = dict(roots)
-        again = [bits(solve_fixed_point(lam, 10, params)) for lam in rates]
+        records = _network(10, params)[1]
+        first = [oracles.record_bits(solve_fixed_point(lam, 10, params))
+                 for lam in rates]
+        assert len(records) == _ROOTS_PER_NETWORK
+        assert list(records) == [math.inf, *rates[:30], rates[-1]]
+        kept = dict(records)
+        again = [oracles.record_bits(solve_fixed_point(lam, 10, params))
+                 for lam in rates]
         assert again == first
-        assert len(roots) == _ROOTS_PER_NETWORK
-        assert all(roots[lam] is kept[lam] for lam in [math.inf, *rates[:30]])
+        assert len(records) == _ROOTS_PER_NETWORK
+        assert all(records[lam] is kept[lam]
+                   for lam in [math.inf, *rates[:30]])
 
     def test_a_cold_network_derives_its_times_once(self, params,
                                                    monkeypatch, cold_model):
@@ -527,7 +559,8 @@ class TestKnee:
         lam = share * critical_lambda(n, params).lambda_c
         tau, calls, _ = _brentq(
             lambda t: t - _state_at(t, lam, n, times, params), *_BRACKET)
-        full = _state_at(tau, lam, n, times, params, calls)
+        full = FixedPointSolution(*_state_at(tau, lam, n, times, params,
+                                             calls))
         sol = solve_fixed_point(lam, n, params)
         assert (full.throughput, full.q) == pytest.approx((full_s, full_q),
                                                           abs=5e-4)

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import oracles
 from dcfkit import (ParameterError, PhyMacParams, critical_lambda,
                     derive_times, get_profile, linear_throughput,
                     solve_fixed_point)
-from dcfkit.model import _geom_sums, _slot_kernel
+from dcfkit.model import _geom_sums, _network, _slot_kernel
 
 
 def collision_probability(tau, n, times, params):
@@ -139,7 +141,7 @@ class TestParamValidation:
 
     def test_real_fields_are_stored_as_floats(self, params, cold_model):
         # float32 values equal to dot11g-54's make a record that equals it
-        # and hashes alike, so it shares the network's report and roots:
+        # and hashes alike, so it shares the network's entry:
         # asked first, its float32 fields ran the whole search in single
         # precision. Int fields stay ints.
         narrow = dataclasses.replace(params, slot_sigma=np.float32(20.0),
@@ -293,6 +295,40 @@ class TestNoDeadParameter:
                     solve_fixed_point(NO_DEAD_LAM, NO_DEAD_N, p).tau)
 
         assert seen(changed) != seen(params)
+
+
+class TestParamsKey:
+    """A PhyMacParams is the model's cache key with n: it hashes once, at
+    construction, as its normalised field values, and compares by them."""
+
+    def test_a_profile_and_its_file_share_one_entry(self, params, tmp_path,
+                                                    cold_model):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dataclasses.asdict(params)))
+        from_file = get_profile(path)
+        assert from_file == params and hash(from_file) == hash(params)
+        want = solve_fixed_point(NO_DEAD_LAM, NO_DEAD_N, params)
+        assert solve_fixed_point(NO_DEAD_LAM, NO_DEAD_N, from_file) == want
+        info = _network.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    @pytest.mark.parametrize("field", FIELD_CHANGES)
+    def test_one_changed_field_is_another_key(self, params, field,
+                                              cold_model):
+        changed = dataclasses.replace(params, **{field: FIELD_CHANGES[field]})
+        assert changed != params and hash(changed) != hash(params)
+        assert _network(NO_DEAD_N, changed) is not _network(NO_DEAD_N, params)
+        assert _network.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_a_copy_equals_and_hashes_alike(self, params, clone):
+        twin = clone(params)
+        assert twin == params and twin is not params
+        assert hash(twin) == hash(params)
+        assert repr(twin) == repr(params)
+        rebuilt = PhyMacParams(**dataclasses.asdict(twin))
+        assert hash(rebuilt) == hash(params)
 
 
 class TestGeomQuantities:

@@ -165,22 +165,18 @@ def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
 
 @given(net=networks(), share=st.floats(min_value=0.0, max_value=5.0))
 def test_a_memoised_root_gives_the_cold_record(net, share):
-    # A hit builds its record from the root the cold solve found, so every
-    # field is the cold one's bit for bit, iterations included.
+    # A hit builds its record from the values the cold solve kept, so
+    # every field is the cold one's bit for bit, iterations included.
     n, params = net
     lam = share * critical_lambda(n, params).lambda_c
-    roots = _network(n, params)[1]
-    roots.pop(lam, None)
+    records = _network(n, params)[1]
+    records.pop(lam, None)
     cold = solve_fixed_point(lam, n, params)
-    root = roots[lam]
+    kept = records[lam]
     hit = solve_fixed_point(lam, n, params)
-
-    def bits(sol):
-        return [v.hex() if type(v) is float else v
-                for v in dataclasses.astuple(sol)]
-
-    assert bits(hit) == bits(cold)
-    assert roots[lam] is root  # the hit stored no new root
+    assert oracles.record_bits(hit) == oracles.record_bits(cold)
+    assert hit is not cold
+    assert records[lam] is kept  # the hit stored no new record
 
 
 @given(net=networks(), lam=rates)
