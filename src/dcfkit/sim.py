@@ -346,7 +346,7 @@ def _write_trace(path, events):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("time_us", "event", "station_id", "queue_len"))
         for t, kind, sid, qlen in events:
-            writer.writerow((format(t, ".10g"), kind, sid, qlen))
+            writer.writerow(("%.10g" % t, kind, sid, qlen))  # as cli._fmt
 
 
 def _t_tail(t, df):

@@ -110,11 +110,44 @@ _PINNED = {
         "001cbe72485409e49c5f1fa6ff54c79a"),
 }
 
+# Every solve fails with a message that carries a comma and a double quote,
+# so these pin the error column and its CSV quoting.
+_FAILED_SOLVE = 'no sign change on (0.0, 1.0), "tau" NaN'
+_PINNED_FAILED = {
+    "sweep-failed": (
+        ["sweep", "--n", "10", "--lambda-grid", "30,50"], 2,
+        _EMPTY,
+        "c875bd2fedf2fe5f2d82f2e659c8cc44"
+        "85d7e4d38c330b7d9d0ae5cf3130525e"),
+    "compare-failed": (
+        ["compare", "--n", "2", "--lambda-grid", "40",
+         "--replications", "1", "--duration-us", "1e5",
+         "--warmup-us", "0"], 2,
+        "1569d1d86c3e953e1bf80894c11dc88c"
+        "ae80bf0c5ebacd98d24c743414e3dc09",
+        "6a666a5e02d6b2c1ed2eb5da8af7c3e8"
+        "040f747a05e114c21da6c2f208809091"),
+}
+
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(_PINNED))
     def test_output_matches_recorded_digest(self, tmp_path, capsys, name):
         argv, code, stdout_sha, csv_sha = _PINNED[name]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == code
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == stdout_sha
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_FAILED))
+    def test_failed_solves_match_recorded_digest(self, tmp_path, capsys,
+                                                 monkeypatch, name):
+        def fail(lam, n, params):
+            raise ConvergenceError(_FAILED_SOLVE)
+
+        monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)
+        argv, code, stdout_sha, csv_sha = _PINNED_FAILED[name]
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == code
         printed = capsys.readouterr().out.encode()

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import enum
 import json
 import math
 import pickle
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dcfkit import (ParameterError, PhyMacParams, critical_lambda,
+from dcfkit import (ParameterError, PhyMacParams, SimConfig, critical_lambda,
                     derive_times, get_profile, linear_throughput,
                     solve_fixed_point)
 from dcfkit.model import _geom_sums, _network, _slot_kernel
@@ -295,6 +296,61 @@ class TestNoDeadParameter:
                     solve_fixed_point(NO_DEAD_LAM, NO_DEAD_N, p).tau)
 
         assert seen(changed) != seen(params)
+
+
+class _Count(enum.IntEnum):
+    SIXTY_FOUR = 64
+
+
+class _Real(float):
+    pass
+
+
+# Each record with one int and one float field, built from dot11g-54.
+_NUMBER_RECORDS = [
+    pytest.param(lambda params, **kw: dataclasses.replace(params, **kw),
+                 "w0", "sifs", 12.5, id="PhyMacParams"),
+    pytest.param(lambda params, **kw: SimConfig(
+        n_stations=2, lambda_per_station=1e-5, params=params, **kw),
+                 "replications", "sim_duration", 2e6 + 0.5, id="SimConfig"),
+]
+
+
+@pytest.mark.parametrize("build, int_field, float_field, real",
+                         _NUMBER_RECORDS)
+class TestNumberFieldStore:
+    def test_exact_values_are_kept_as_given(self, params, build, int_field,
+                                            float_field, real):
+        count = int("1000003")  # built here, so no interned small int
+        real = float(str(real))
+        record = build(params, **{int_field: count, float_field: real})
+        assert getattr(record, int_field) is count
+        assert getattr(record, float_field) is real
+
+    @pytest.mark.parametrize("count", [np.int64(64), _Count.SIXTY_FOUR],
+                             ids=["int64", "IntEnum"])
+    def test_other_integers_are_stored_as_ints(self, params, build, int_field,
+                                               float_field, real, count):
+        record = build(params, **{int_field: count})
+        value = getattr(record, int_field)
+        assert type(value) is int and value == count == 64
+
+    @pytest.mark.parametrize("kind", [np.float64, _Real],
+                             ids=["float64", "subclass"])
+    def test_other_reals_are_stored_as_floats(self, params, build, int_field,
+                                              float_field, real, kind):
+        record = build(params, **{float_field: kind(real)})
+        value = getattr(record, float_field)
+        assert type(value) is float and value == real
+
+    def test_true_is_refused(self, params, build, int_field, float_field,
+                             real):
+        with pytest.raises(ParameterError,
+                           match=f"^{int_field} must be an integer, got True$"):
+            build(params, **{int_field: True})
+        with pytest.raises(ParameterError,
+                           match=f"^{float_field} must be a number, got True$"):
+            build(params, **{float_field: True})
 
 
 class TestParamsKey:

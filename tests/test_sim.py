@@ -442,6 +442,9 @@ class TestTrace:
         assert n_success == rep.successes
         n_collision = sum(1 for r in rows if r["event"] == "collision")
         assert n_collision == rep.collision_participations
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == ("4aab69d4cfe97583dee7318d309051c6"
+                          "9d5cf3b3dab272954b01485af020ddff")
 
     def test_collision_ties_in_station_order(self, params, tmp_path):
         # Rows sharing a timestamp (the stations of one collision) come out
