@@ -7,11 +7,14 @@ comparison failure.
 Arrival rates on the command line and in CSV output are packets per
 second per station; throughput columns are Mbps. Internally everything
 runs in microseconds.
+
+Each CSV table is written as text: one "%"-formatted line per row, in
+which every number is "%.10g" (the row templates and _fmt), and one write
+per file. Only the sweep's error column holds free text; _cell quotes it.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from dataclasses import dataclass, replace
@@ -138,23 +141,33 @@ def _auto_grid(report: RegimeReport) -> tuple[float, ...]:
 
 
 def _fmt(value) -> str:
-    # Every number in a CSV: 10 significant digits, an empty cell for no
-    # value. "%" writes format(value, ".10g")'s bytes at about half the
-    # cost. The rows are read downstream: perfbench/checks.py takes the
-    # sweep's columns by position.
+    # A number that may be absent: an empty cell for no value. Every number
+    # in a CSV has 10 significant digits, "%.10g", here and in the row
+    # templates that format a value always present. "%" writes
+    # format(value, ".10g")'s bytes at about half the cost. The rows are
+    # read downstream: perfbench/checks.py takes the sweep's columns by
+    # position.
     return "" if value is None else "%.10g" % value
 
 
-def _write_csv(path, header, rows):
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8",
-                                               newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if path is not None:
-            out.close()
+def _cell(text: str) -> str:
+    """A free-text CSV cell, quoted as Python 3.13's csv.writer quotes it:
+    in double quotes, each inner one doubled, when it holds a quote, a
+    comma or a line break; else as it is."""
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+def _write_csv(path, header, lines):
+    """header's names, then lines, each a row ending in a newline, in one
+    write to path or, for None, to stdout."""
+    text = ",".join(header) + "\n" + "".join(lines)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            out.write(text)
 
 
 def cmd_table1(params, n_list, out=None) -> int:
@@ -167,7 +180,7 @@ def cmd_table1(params, n_list, out=None) -> int:
         print(f"{n:>4d} {s_max:>12.4f} {lam_c:>18.4f}")
     if out is not None:
         _write_csv(out, ("n", "s_max_mbps", "lambda_c_pkt_s"),
-                   [(r[0], _fmt(r[1]), _fmt(r[2])) for r in rows])
+                   ["%d,%.10g,%.10g\n" % row for row in rows])
     return 0
 
 
@@ -213,33 +226,35 @@ _COMPARE_HEADER = ("n", "lambda_pkt_s", "regime", "s_model_mbps",
                    "s_sim_mbps", "sim_ci95_mbps", "band_mbps", "inside_band")
 
 
-def _sweep_rows(points: list[CurvePoint]) -> list[tuple]:
-    """The sweep's rows in _SWEEP_HEADER's order. New columns go at the end:
-    perfbench/checks.py reads these by position. A network's points share
-    its report, so its n and S_m are formatted once."""
+def _sweep_rows(points: list[CurvePoint]) -> list[str]:
+    """The sweep's lines in _SWEEP_HEADER's order. New columns go at the
+    end: perfbench/checks.py reads these by position. A network's points
+    share its report, so its n and S_m are formatted once; an absent sim
+    is its two empty cells."""
     rows, report = [], None
     for p in points:
         if p.report is not report:
             report = p.report
-            n, s_max = report.n, _fmt(report.s_max)
+            head, s_max = "%d," % report.n, _fmt(report.s_max)
         fp, sim = p.fixed_point, p.sim
-        s_sim, ci = ("", "") if sim is None else (
-            _fmt(sim.mean_throughput), _fmt(sim.ci95_halfwidth))
-        rows.append((n, _fmt(p.lambda_pkt_s),
-                     "" if fp is None else _fmt(fp.throughput),
-                     _fmt(p.s_linear), s_max,
-                     report.regime_of(p.lambda_pkt_s * _PKT_S_TO_PKT_US),
-                     s_sim, ci, p.error))
+        rows.append(head + "%.10g,%s,%.10g,%s,%s,%s,%s\n" % (
+            p.lambda_pkt_s, "" if fp is None else "%.10g" % fp.throughput,
+            p.s_linear, s_max,
+            report.regime_of(p.lambda_pkt_s * _PKT_S_TO_PKT_US),
+            "," if sim is None else "%.10g,%s" % (
+                sim.mean_throughput, _fmt(sim.ci95_halfwidth)),
+            _cell(p.error) if p.error else ""))
     return rows
 
 
-def _compare_rows(points: list[CurvePoint], verdicts) -> list[tuple]:
-    """compare's rows in _COMPARE_HEADER's order; every point has a sim."""
-    return [(p.report.n, _fmt(p.lambda_pkt_s),
-             p.report.regime_of(p.lambda_pkt_s * _PKT_S_TO_PKT_US),
-             "" if p.error else _fmt(p.fixed_point.throughput),
-             _fmt(p.sim.mean_throughput), _fmt(p.sim.ci95_halfwidth),
-             "" if p.error else _fmt(_band(p)), verdict)
+def _compare_rows(points: list[CurvePoint], verdicts) -> list[str]:
+    """compare's lines in _COMPARE_HEADER's order; every point has a sim."""
+    return ["%d,%.10g,%s,%s,%.10g,%s,%s,%s\n" % (
+                p.report.n, p.lambda_pkt_s,
+                p.report.regime_of(p.lambda_pkt_s * _PKT_S_TO_PKT_US),
+                "" if p.error else "%.10g" % p.fixed_point.throughput,
+                p.sim.mean_throughput, _fmt(p.sim.ci95_halfwidth),
+                "" if p.error else "%.10g" % _band(p), verdict)
             for p, verdict in zip(points, verdicts)]
 
 
@@ -276,8 +291,9 @@ def cmd_sim(sim: SimConfig, out=None, trace=None) -> int:
           f"{result.successes} successes, {result.collisions} collisions, "
           f"{result.drops} drops")
     if out is not None:
-        rows = [(i, _fmt(t)) for i, t in enumerate(result.per_replication)]
-        _write_csv(out, ("replication", "throughput_mbps"), rows)
+        _write_csv(out, ("replication", "throughput_mbps"),
+                   ["%d,%.10g\n" % row
+                    for row in enumerate(result.per_replication)])
     return 0
 
 

@@ -50,7 +50,6 @@ collision share a timestamp.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 import random
@@ -342,11 +341,11 @@ def run_replication(cfg: SimConfig, seed: int,
 
 def _write_trace(path, events):
     events.sort(key=lambda e: (e[0], e[2]))
+    # One line per event, written as cli writes its tables; no cell needs
+    # quoting.
+    lines = ["%.10g,%s,%d,%d\n" % e for e in events]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("time_us", "event", "station_id", "queue_len"))
-        for t, kind, sid, qlen in events:
-            writer.writerow(("%.10g" % t, kind, sid, qlen))  # as cli._fmt
+        fh.write("time_us,event,station_id,queue_len\n" + "".join(lines))
 
 
 def _t_tail(t, df):

@@ -1,13 +1,17 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dcfkit import ConvergenceError, critical_lambda, solve_fixed_point
-from dcfkit.cli import _parser, main
+from dcfkit.cli import _cell, _parser, main
 from test_package import _run_python
 
 
@@ -130,6 +134,13 @@ _PINNED_FAILED = {
 }
 
 
+def fail_every_solve(monkeypatch):
+    def fail(lam, n, params):
+        raise ConvergenceError(_FAILED_SOLVE)
+
+    monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(_PINNED))
     def test_output_matches_recorded_digest(self, tmp_path, capsys, name):
@@ -143,16 +154,44 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(_PINNED_FAILED))
     def test_failed_solves_match_recorded_digest(self, tmp_path, capsys,
                                                  monkeypatch, name):
-        def fail(lam, n, params):
-            raise ConvergenceError(_FAILED_SOLVE)
-
-        monkeypatch.setattr("dcfkit.cli.solve_fixed_point", fail)
+        fail_every_solve(monkeypatch)
         argv, code, stdout_sha, csv_sha = _PINNED_FAILED[name]
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == code
         printed = capsys.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == stdout_sha
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
+
+class TestCsvText:
+    # The tables are written as text, not through csv.writer; Python's csv
+    # module must read them back cell for cell.
+    @given(text=st.text())
+    def test_cell_reads_back_as_its_text(self, text):
+        # Python 3.10's csv module refuses a NUL character both ways.
+        assume("\0" not in text or sys.version_info >= (3, 11))
+        line = "x," + _cell(text) + "\n"
+        rows = list(csv.reader(io.StringIO(line, newline="")))
+        assert rows == [["x", text]]
+        if "\r" not in text:  # before 3.13 csv.writer leaves a lone CR bare
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(("x", text))
+            assert buf.getvalue() == line
+
+    @pytest.mark.parametrize("name", ["table1", "sweep-auto", "sweep-sim-1",
+                                      "compare-3", "sim-3", "sweep-failed"])
+    def test_pinned_table_reads_back(self, tmp_path, monkeypatch, name):
+        if name in _PINNED_FAILED:
+            fail_every_solve(monkeypatch)
+        argv, code, _, _ = {**_PINNED, **_PINNED_FAILED}[name]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == code
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows)
+        if name == "sweep-failed":
+            assert {row[-1] for row in rows} == {
+                f"no convergence: {_FAILED_SOLVE}"}
 
 
 class TestTable1:

@@ -95,7 +95,8 @@ from dcfkit.cli import main
 
 def heavy_modules():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("numpy", "scipy", "statistics"))
+                  if m.split(".")[0] in ("numpy", "scipy", "statistics",
+                                         "csv", "_csv"))
 
 steps = {"import": heavy_modules()}
 assert main(["sweep", "--n", "5", "--lambda-grid", "auto",
@@ -125,7 +126,8 @@ def test_import_footprint(tmp_path):
     # scipy costs about a second to import and numpy about a tenth. The
     # model, a sweep and a run of any size need neither: the confidence
     # interval's Student-t quantile is computed in the package. statistics
-    # brings fractions and decimal along for a mean that is fsum / len.
+    # brings fractions and decimal along for a mean that is fsum / len. The
+    # CLI and the trace write their CSV as text, so csv is not loaded either.
     proc = _run_python("-c", _FOOTPRINT, str(tmp_path / "sweep.csv"))
     steps = json.loads(proc.stdout.splitlines()[-1])
     assert list(steps) == ["import", "sweep", "run-1", "run-2", "run-3"]

@@ -205,6 +205,9 @@ def test_brentq_matches_scipy_on_every_bracket(net, lam):
 
 
 @given(net=networks())
+@example(net=(185, dataclasses.replace(
+    PARAMS, payload_bits=64, data_rate=5.0, slot_sigma=5.0, eifs=828.0, w0=49,
+    m=4, queue_capacity_k=3)))  # three roots at lambda_c, two 1e-4 apart
 def test_split_bracket_keeps_a_lone_root(net):
     # Where g changes sign once on the bracket capped at tau_sat, the half
     # that the sign of g at tau_max picks holds that root, and Brent on the
@@ -214,7 +217,10 @@ def test_split_bracket_keeps_a_lone_root(net):
     # bound is 1e-12 of tau rather than Brent's tolerance. On many networks
     # g has three roots near lambda_c (dot11g-54 from about N = 13), and
     # each bracket may keep a different one: there both solves only
-    # converge.
+    # converge. The grid holds each solve's root times (1 +/- 1e-6), since
+    # g is within noise of 0 at the root itself: in the example, at
+    # lambda_c, the roots 0.00096764 and 0.0010824 share one cell of the
+    # linspace, whose first point past the lower root is 0.001086.
     n, params = net
     times = derive_times(params)
     report = critical_lambda(n, params)
@@ -231,6 +237,8 @@ def test_split_bracket_keeps_a_lone_root(net):
         split = solve_fixed_point(lam, n, params).tau
         lo, hi = sorted((capped, split))
         grid = np.union1d(coarse, np.linspace(lo, hi, 64))
+        grid = np.union1d(grid, (lo * (1.0 - 1e-6), lo * (1.0 + 1e-6),
+                                 hi * (1.0 - 1e-6), hi * (1.0 + 1e-6)))
         if robust_sign_changes(g, grid) == 1:
             assert hi - lo <= 1e-12 * hi + _XTOL, share
 
