@@ -118,8 +118,9 @@ def _resolve_sim(args, params) -> SimConfig:
 
 def _parse_list(text, what, convert, check):
     """The comma-separated values of a --n or --lambda-grid flag, blank
-    parts skipped. Refuses a part convert cannot read, an empty list and a
-    value check refuses; what names the list in the message."""
+    parts skipped, each as check returns it. Refuses a part convert cannot
+    read, an empty list and a value check refuses; what names the list in
+    the message."""
     try:
         values = tuple(convert(part) for part in text.split(",")
                        if part.strip())
@@ -127,9 +128,7 @@ def _parse_list(text, what, convert, check):
         raise ParameterError(f"bad {what}: {text!r}") from exc
     if not values:
         raise ParameterError(f"{what} must not be empty")
-    for value in values:
-        check(value)
-    return values
+    return tuple(check(value) for value in values)
 
 
 def _auto_grid(report: RegimeReport) -> tuple[float, ...]:

@@ -11,7 +11,8 @@ on the reachable branch up to the saturated tau, split by the sign of the
 residual at the throughput maximum's tau; the saturated solve itself, which
 the split needs, uses the (0, 1) bracket. The saturated root and the
 maximum depend on N and the PHY/MAC constants only, so one cached entry per
-network holds them with its channel times and each rate's finished record.
+network holds them with its channel times and each rate's frozen record,
+which a repeated rate returns.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ _GSS_TOL = 1e-9
 _ROOTS_PER_NETWORK = 32
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class FixedPointSolution:
     """Converged operating point of the coupled station model."""
 
@@ -137,7 +138,7 @@ def _s_of_tau(tau, n, times, params):
 
 def _state_at(tau, lam, n, times, params, iterations=None):
     """One application of the fixed-point map at tau: map(tau), or, given
-    the solve's count of map calls, FixedPointSolution's values at tau."""
+    the solve's count of map calls, the FixedPointSolution at tau."""
     p, _, _, epsilon, alpha, t_i, log_silent = _slot_kernel(tau, n, times,
                                                             params)
     # The queue serves one packet per t_packet, the chain's slots over all
@@ -167,9 +168,9 @@ def _state_at(tau, lam, n, times, params, iterations=None):
     # A root of 0 (lam = 0, or a rate so small, from about 1e-317 pkt/s,
     # that the root falls below _XTOL) has no relative residual, so it gets
     # the absolute one.
-    return (tau, p, t_i, t_packet, q,
-            _s_of_slot(tau, n, log_silent, t_i, params),
-            abs(tau_next - tau) / tau if tau else tau_next, iterations)
+    return FixedPointSolution(
+        tau, p, t_i, t_packet, q, _s_of_slot(tau, n, log_silent, t_i, params),
+        abs(tau_next - tau) / tau if tau else tau_next, iterations)
 
 
 class ConvergenceError(RuntimeError):
@@ -278,14 +279,14 @@ def _golden_section(f, a, b, tol):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _solution(kept):
-    # A fresh record from a network's kept (values, converged), refused
-    # when the solve ran out of steps.
-    values, converged = kept
-    sol = FixedPointSolution(*values)
+def _record(root, lam, n, times, params):
+    # The record at a _brentq root (tau, calls, converged), refused when
+    # the solve ran out of steps.
+    tau, calls, converged = root
+    sol = _state_at(tau, lam, n, times, params, calls)
     if not converged:
         raise ConvergenceError(
-            f"fixed point not reached in {sol.iterations} map calls "
+            f"fixed point not reached in {calls} map calls "
             f"(residual {sol.residual:.3e})", solution=sol)
     return sol
 
@@ -295,24 +296,22 @@ def _network(n, params):
     # The entry of n stations with params, n a checked int and params a
     # checked PhyMacParams of ints and floats, so equal keys give bit-equal
     # entries; lru_cache stores no error raised here. The entry is (times,
-    # records, s_max, tau_max, tau_sat): the channel times, each solved
-    # rate's record values at its root and converged flag, by rate as a
-    # float, the saturated first, under inf, and the maximum that
-    # regime.max_throughput describes.
+    # records, s_max, tau_max, tau_sat): the channel times, each converged
+    # rate's record by rate as a float, the saturated first, under inf,
+    # and the maximum that regime.max_throughput describes.
     if n > _N_MAX:
         raise ParameterError(
             f"n must be <= 10**300 for S_m and lambda_c, got {n}: past it "
             "lambda_c nears the bottom of the float range")
     times = derive_times(params)
-    tau, calls, converged = _brentq(
-        lambda t: t - _state_at(t, math.inf, n, times, params), *_BRACKET)
-    kept = _state_at(tau, math.inf, n, times, params, calls), converged
-    sat = _solution(kept)
+    sat = _record(_brentq(
+        lambda t: t - _state_at(t, math.inf, n, times, params), *_BRACKET),
+        math.inf, n, times, params)
     tau_max, s_max = _golden_section(
         lambda t: _s_of_tau(t, n, times, params), 0.0, sat.tau, _GSS_TOL)
     if sat.throughput >= s_max:
         tau_max, s_max = sat.tau, sat.throughput
-    return times, {math.inf: kept}, s_max, tau_max, sat.tau
+    return times, {math.inf: sat}, s_max, tau_max, sat.tau
 
 
 def solve_fixed_point(lam: float, n: int,
@@ -334,11 +333,10 @@ def solve_fixed_point(lam: float, n: int,
     A process-wide LRU cache keeps up to 128 networks (n, params), each
     with its channel times, throughput maximum and the records of up to
     32 rates by lam as a float, the saturated one included. A repeated
-    rate runs no map: every call builds a fresh record from the kept
-    values of its first solve, so no caller shares one, and iterations
-    counts the map evaluations of that solve, the one at tau_max included.
-    Errors are not cached, and a root that did not converge raises on
-    every call.
+    rate runs no map and returns the frozen record of its first solve,
+    whose iterations counts that solve's map evaluations, the one at
+    tau_max included. Errors are not cached: a solve that did not
+    converge stores nothing, and the next call solves again.
     Raises ParameterError for a lam that is a bool, no number, past the
     float range, NaN or negative, a bad n or params, or n above 10**300;
     ConvergenceError when g does not change sign on the bracket, is NaN,
@@ -348,8 +346,8 @@ def solve_fixed_point(lam: float, n: int,
     n = _check_n(n)
     _check_params(params)  # a dict would raise lru_cache's TypeError
     times, records, _, tau_max, tau_sat = _network(n, params)
-    kept = records.get(lam)
-    if kept is None:
+    sol = records.get(lam)
+    if sol is None:
         def g(t):
             return t - _state_at(t, lam, n, times, params)
 
@@ -358,9 +356,8 @@ def solve_fixed_point(lam: float, n: int,
             root = _brentq(g, tau_max, tau_sat * _SAT_MARGIN, g_max)
         else:  # a NaN too, which _brentq reports at tau_max
             root = _brentq(g, _BRACKET[0], tau_max, None, g_max)
-        tau, calls, converged = root
+        sol = _record(root, lam, n, times, params)
         if len(records) == _ROOTS_PER_NETWORK:
             records.popitem()  # the newest, so the saturated record stays
-        kept = records[lam] = (_state_at(tau, lam, n, times, params, calls),
-                               converged)
-    return _solution(kept)
+        records[lam] = sol
+    return sol

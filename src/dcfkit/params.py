@@ -73,7 +73,8 @@ def _check_n(n, name="n", least=1):
 def _check_rate(lam, name="lam", finite=False):
     """Refuse an arrival rate that is a bool, a non-number, past the float
     range, NaN, negative or, with finite, infinite; return it as a float,
-    as _check_n returns the int. inf is the saturated operating point."""
+    as _check_n returns the int, and -0 as +0.0. inf is the saturated
+    operating point."""
     # A float skips the ABC isinstance check, as an int does in _check_n.
     value = lam
     if type(lam) is not float:
@@ -90,7 +91,7 @@ def _check_rate(lam, name="lam", finite=False):
     if not value >= 0 or finite and value == math.inf:  # also rejects nan
         limit = "finite and >= 0" if finite else ">= 0"
         raise ParameterError(f"{name} must be {limit}, got {lam!r}")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _check_params(params):
@@ -171,7 +172,7 @@ class PhyMacParams:
         return self._hash
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class DerivedTimes:
     """Channel occupancy times implied by a parameter set."""
 

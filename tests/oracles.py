@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dcfkit import FixedPointSolution, derive_times
+from dcfkit import derive_times
 from dcfkit.model import _slot_kernel, _state_at
 
 # Timing components of the dot11g-54 profile, summed by hand (us).
@@ -163,7 +163,7 @@ def chain_at(tau, lam, n, params):
     in _state_at's operations.
     """
     times = derive_times(params)
-    rec = FixedPointSolution(*_state_at(tau, lam, n, times, params, 0))
+    rec = _state_at(tau, lam, n, times, params, 0)
     _, t_tx, t_bo, _, alpha, *_ = _slot_kernel(tau, n, times, params)
     if lam:
         rho = lam * rec.t_packet

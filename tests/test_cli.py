@@ -316,6 +316,16 @@ class TestSweep:
             assert row["error"] == ""
             assert row["s_model_mbps"] == row["s_linear_mbps"]
 
+    def test_negative_zero_rate_writes_the_zero_row(self, capsys):
+        # --lambda-grid=-0 is the rate 0: its row is byte for byte the row
+        # of 0, with no "-0" in lambda_pkt_s or s_linear_mbps.
+        lines = []
+        for grid in ("-0", "0"):
+            assert main(["sweep", "--n", "10", f"--lambda-grid={grid}"]) == 0
+            lines.append(capsys.readouterr().out.splitlines())
+        assert lines[0] == lines[1]
+        assert lines[0][1].split(",")[1:4] == ["0", "0", "0"]
+
     def test_auto_grid_past_the_station_limit_exits_1(self, capsys):
         # Refused before the search: past 10**300 stations lambda_c nears
         # the bottom of the float range, and the line's slope N * E[PL] its

@@ -8,9 +8,9 @@ import pytest
 from scipy import optimize
 
 import oracles
-from dcfkit import (ConvergenceError, FixedPointSolution, ParameterError,
-                    cli, critical_lambda, derive_times, get_profile,
-                    linear_throughput, solve_fixed_point)
+from dcfkit import (ConvergenceError, ParameterError, cli, critical_lambda,
+                    derive_times, get_profile, linear_throughput,
+                    solve_fixed_point)
 from dcfkit.model import (_BRACKET, _ROOTS_PER_NETWORK, _RTOL, _SAT_MARGIN,
                           _XTOL, _brentq, _geom_sums, _network,
                           _queue_empty_probability, _s_of_tau,
@@ -254,9 +254,9 @@ class TestSolveFixedPoint:
         # A residual that is a flat cubic, (tau - 1e-9)^3 scaled up so the
         # subtraction in tau - map(tau) keeps it, takes Brent about 236
         # map calls: more than the 100 steps the solve allows. The record
-        # at the last iterate comes from the real map. The second call
-        # reads the kept record, runs no map and raises the same error
-        # with a fresh record.
+        # at the last iterate comes from the real map. The failed solve
+        # stores nothing, so the second call solves again and raises an
+        # equal error.
         critical_lambda(10, params)
         records = _network(10, params)[1]
         real = _state_at
@@ -269,7 +269,7 @@ class TestSolveFixedPoint:
             return real(tau, *args)
 
         monkeypatch.setattr("dcfkit.model._state_at", flat_map)
-        solutions, kept, maps = [], [], []
+        solutions, maps = [], []
         for _ in range(2):
             calls.clear()
             with pytest.raises(ConvergenceError,
@@ -281,13 +281,10 @@ class TestSolveFixedPoint:
             assert sol.residual > 0.0
             assert sol.tau == pytest.approx(1e-9, rel=0.1)
             solutions.append(sol)
-            kept.append(records[90e-6])
             maps.append(len(calls))
-        assert len(records) == 2  # the saturated record and this one
-        assert kept[1] is kept[0]  # the second call stored no new record
-        assert maps == [103, 0]  # 102 map calls and the record, then none
+            assert list(records) == [math.inf]  # the saturated record only
+        assert maps == [103, 103]  # 102 map calls and the record, twice
         assert solutions[1] == solutions[0]
-        assert solutions[1] is not solutions[0]
 
     @pytest.mark.parametrize("n", [1, 10, 100])
     @pytest.mark.parametrize("lam_pkt_s, rel", [
@@ -385,10 +382,9 @@ class TestSolveFixedPoint:
 
 
 class TestRootMemo:
-    """solve_fixed_point keeps each rate's finished record in its network's
-    cached entry and builds a fresh record from it on every call. A miss
-    stores a new kept record under the rate; a hit leaves the stored one
-    in place and runs no map."""
+    """solve_fixed_point keeps each rate's frozen record in its network's
+    cached entry. A miss stores its record under the rate; a hit returns
+    the stored one and runs no map."""
 
     def test_the_bound_holds_an_auto_sweep_per_cached_network(self):
         # 25 grid rates and the saturated rate; 128 networks of 32 records
@@ -409,13 +405,13 @@ class TestRootMemo:
         got = solve_fixed_point(second, 10, params)
         assert list(records) == [math.inf, float(first)]  # then a hit
         assert records[float(first)] is kept
-        assert got == want and got is not want
+        assert got is want is kept
 
     def test_a_hit_runs_no_map_and_shares_no_record(self, params,
                                                     monkeypatch, cold_model):
-        # The first solve evaluates the map; the second builds its record
-        # from the kept values alone, equal bit for bit but a new object,
-        # and a caller's write to a returned record reaches no later one.
+        # The first solve evaluates the map; the second returns its kept
+        # record, and a caller's write to a returned record raises, so it
+        # reaches no later one.
         lam = 90e-6
         calls = []
 
@@ -430,8 +426,9 @@ class TestRootMemo:
         second = solve_fixed_point(lam, 10, params)
         assert calls == []
         assert oracles.record_bits(second) == oracles.record_bits(first)
-        assert second is not first
-        second.tau = -1.0
+        assert second is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            second.tau = -1.0
         third = solve_fixed_point(lam, 10, params)
         assert calls == []
         assert oracles.record_bits(third) == oracles.record_bits(first)
@@ -458,18 +455,19 @@ class TestRootMemo:
         # 40 distinct rates, twice: at 32 records a miss drops the newest,
         # so the saturated record and the first 30 rates stay, the last
         # slot holds the latest rate, and every later rate is solved again.
-        # Each record is its first solve's, bit for bit.
+        # Each record is its first solve's, bit for bit, and a kept one is
+        # that very record.
         lam_c = critical_lambda(10, params).lambda_c
         rates = [lam_c * i / 20 for i in range(1, 41)]
         records = _network(10, params)[1]
-        first = [oracles.record_bits(solve_fixed_point(lam, 10, params))
-                 for lam in rates]
+        first = [solve_fixed_point(lam, 10, params) for lam in rates]
         assert len(records) == _ROOTS_PER_NETWORK
         assert list(records) == [math.inf, *rates[:30], rates[-1]]
         kept = dict(records)
-        again = [oracles.record_bits(solve_fixed_point(lam, 10, params))
-                 for lam in rates]
-        assert again == first
+        again = [solve_fixed_point(lam, 10, params) for lam in rates]
+        assert ([oracles.record_bits(sol) for sol in again]
+                == [oracles.record_bits(sol) for sol in first])
+        assert all(a is f for a, f in zip(again[:30], first[:30]))
         assert len(records) == _ROOTS_PER_NETWORK
         assert all(records[lam] is kept[lam]
                    for lam in [math.inf, *rates[:30]])
@@ -559,8 +557,7 @@ class TestKnee:
         lam = share * critical_lambda(n, params).lambda_c
         tau, calls, _ = _brentq(
             lambda t: t - _state_at(t, lam, n, times, params), *_BRACKET)
-        full = FixedPointSolution(*_state_at(tau, lam, n, times, params,
-                                             calls))
+        full = _state_at(tau, lam, n, times, params, calls)
         sol = solve_fixed_point(lam, n, params)
         assert (full.throughput, full.q) == pytest.approx((full_s, full_q),
                                                           abs=5e-4)

@@ -70,14 +70,24 @@ def test_per_solve_records():
     ]
     assert [f.name for f in dataclasses.fields(dcfkit.DerivedTimes)] == [
         "t_s", "t_c"]
-    # The records built per solve and per point are slotted, not frozen: with
-    # no __dict__, a misspelt assignment raises instead of adding a field.
+    # A solve's record and the channel times are frozen, not slotted: an
+    # assignment to a field or to a misspelt name raises AttributeError
+    # (a frozen slotted class raises TypeError for the second on 3.10-3.13).
     params = dcfkit.get_profile("dot11g-54")
     point, = _sweep_points(params, (10,), (30.0,), None)
-    for record in (point.fixed_point, dcfkit.derive_times(params), point):
-        assert not hasattr(record, "__dict__"), type(record)
-        with pytest.raises(AttributeError):
-            record.thruput = 0.0
+    for record, field in ((point.fixed_point, "tau"),
+                          (dcfkit.derive_times(params), "t_s")):
+        for name in (field, "thruput"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+        assert getattr(record, field) != 0.0
+        assert not hasattr(record, "thruput")
+        hash(record)
+    # A sweep's point is built per rate and never returned: it is slotted,
+    # so with no __dict__ a misspelt assignment raises.
+    assert not hasattr(point, "__dict__")
+    with pytest.raises(AttributeError):
+        point.thruput = 0.0
 
 
 def test_readme_api_sketch_runs(capsys):

@@ -165,8 +165,8 @@ def test_bracket_capped_at_tau_sat_keeps_the_root(net, lam):
 
 @given(net=networks(), share=st.floats(min_value=0.0, max_value=5.0))
 def test_a_memoised_root_gives_the_cold_record(net, share):
-    # A hit builds its record from the values the cold solve kept, so
-    # every field is the cold one's bit for bit, iterations included.
+    # A hit returns the record the cold solve kept, so every field is the
+    # cold one's bit for bit, iterations included.
     n, params = net
     lam = share * critical_lambda(n, params).lambda_c
     records = _network(n, params)[1]
@@ -175,7 +175,7 @@ def test_a_memoised_root_gives_the_cold_record(net, share):
     kept = records[lam]
     hit = solve_fixed_point(lam, n, params)
     assert oracles.record_bits(hit) == oracles.record_bits(cold)
-    assert hit is not cold
+    assert hit is cold is kept
     assert records[lam] is kept  # the hit stored no new record
 
 

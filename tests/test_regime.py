@@ -138,6 +138,11 @@ class TestLinearThroughput:
     def test_zero(self, params):
         assert linear_throughput(0.0, 10, params) == 0.0
 
+    def test_negative_zero_gives_positive_zero(self, params):
+        # A rate of -0 is the rate 0, so the line reads +0.0, not -0.0.
+        s_linear = linear_throughput(-0.0, 10, params)
+        assert s_linear == 0.0 and math.copysign(1.0, s_linear) == 1.0
+
     def test_reference_consistency(self, params):
         # slope times the published critical rate reproduces the published
         # maximum throughput for each row of the reference table.
