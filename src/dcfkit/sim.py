@@ -24,13 +24,16 @@ vs, the keys below (vs + 1) * n; a second heap holds the next arrival of
 each idle station. An idle stretch is one jump to the earliest of the next
 expiry, the next idle arrival and the end of the run, so every run, one
 at lambda = 0 too, ends at the first virtual-slot boundary at or past
-sim_duration. A busy slot pops its first key; when no second key lies
-below (vs + 1) * n, its station succeeds alone and is served inline,
-and only a collision builds the list of its transmitters. A success is
-about 99% of channel events at light load. A contending station's
-arrivals only change its backlog and drops, so they are taken just
-before its next backoff draw and, at the end of the run, up to the
-start of the run's last virtual slot.
+sim_duration. A busy slot pops its first key, and it is a success when
+no second key lies below (vs + 1) * n. One loop then serves each
+transmitter in sid order: it takes the station's arrivals, lets its
+packet leave (a success, or a retry drop at stage m) or raises its
+stage, and draws its next backoff. That backoff expires past slot vs,
+so its key does not join the slot; and as each station draws from its
+own stream, serving the transmitters one by one keeps every draw of the
+walk below. A contending station's arrivals only change its backlog and
+drops, so they are taken just before its next backoff draw and, at the
+end of the run, up to the start of the run's last virtual slot.
 
 Each station draws from its own stdlib random.Random, seeded by the text
 "seed/sid" of the replication seed and its station id, with CPython's
@@ -199,7 +202,6 @@ def run_replication(cfg: SimConfig, seed: int,
     n = cfg.n_stations
     # (window, getrandbits width) of each stage's randrange(window)
     windows = [(w0 << i, (w0 << i).bit_length()) for i in range(m_stages + 1)]
-    k0 = windows[0][1]  # stage 0's width; its window is w0
 
     stations = [_Station(i, _station_rng(seed, i)) for i in range(n)]
     idle = []  # (next arrival, sid) of stations with no backlog
@@ -250,54 +252,46 @@ def run_replication(cfg: SimConfig, seed: int,
         top = (vs + 1) * n  # the keys of slot vs lie below it
         if expiry and expiry[0] < top:
             jump = 0  # no idle stretch ends the run here
-            st = stations[heappop(expiry) % n]
-            if not expiry or expiry[0] >= top:  # a lone transmitter succeeds
+            key = heappop(expiry)
+            alone = not expiry or expiry[0] >= top  # a lone one succeeds
+            while True:  # each transmitter, in sid order
+                st = stations[key % n]
                 if st.next_arrival <= now:
                     admit(st, now, vs)
-                st.successes += 1
-                st.backlog -= 1
-                st.stage = 0
+                if alone or st.stage == m_stages:  # the packet leaves
+                    st.backlog -= 1
+                    st.stage = 0
+                    if alone:
+                        st.successes += 1
+                    else:  # a collision at stage m was its last attempt
+                        st.retry_drops += 1
+                        st.drops += 1
+                else:
+                    st.stage += 1
+                if not alone:
+                    participations += 1
                 if events is not None:
-                    events.append((now, "success", st.sid, st.backlog))
+                    event = "success" if alone else "collision"
+                    events.append((now, event, st.sid, st.backlog))
+                    if not (alone or st.stage):
+                        events.append((now, "retry_drop", st.sid, st.backlog))
                 if st.backlog:
-                    r = st.getrandbits(k0)
-                    while r >= w0:
-                        r = st.getrandbits(k0)
+                    w, k = windows[st.stage]
+                    r = st.getrandbits(k)
+                    while r >= w:
+                        r = st.getrandbits(k)
                     heappush(expiry, (vs + 1 + r) * n + st.sid)
                 else:
                     heappush(idle, (st.next_arrival, st.sid))
+                if alone or not expiry or expiry[0] >= top:
+                    break
+                key = heappop(expiry)
+            if alone:
                 if now >= warmup:
                     measured += 1
                 now += t_s
             else:
-                txs = [st]
-                while expiry and expiry[0] < top:
-                    txs.append(stations[heappop(expiry) % n])
-                for st in txs:
-                    if st.next_arrival <= now:
-                        admit(st, now, vs)
-                    if st.stage < m_stages:
-                        st.stage += 1
-                    else:  # the packet's last attempt failed
-                        st.retry_drops += 1
-                        st.drops += 1
-                        st.backlog -= 1
-                        st.stage = 0
-                    if events is not None:
-                        events.append((now, "collision", st.sid, st.backlog))
-                        if not st.stage:
-                            events.append(
-                                (now, "retry_drop", st.sid, st.backlog))
-                    if st.backlog:
-                        w, k = windows[st.stage]
-                        r = st.getrandbits(k)
-                        while r >= w:
-                            r = st.getrandbits(k)
-                        heappush(expiry, (vs + 1 + r) * n + st.sid)
-                    else:
-                        heappush(idle, (st.next_arrival, st.sid))
                 collisions += 1
-                participations += len(txs)
                 now += t_c
             vs += 1
         else:
