@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .model import ConvergenceError, FixedPointSolution, solve_fixed_point
 from .params import ParameterError, _check_n, _check_rate, get_profile
@@ -35,16 +36,6 @@ _SEED_STRIDE = 10_000
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise ParameterError(message)
-
-
-@dataclass(slots=True)
-class CurvePoint:
-    lambda_pkt_s: float
-    report: RegimeReport
-    s_linear: float  # Mbps
-    fixed_point: FixedPointSolution | None  # None: the solve failed, see error
-    sim: SimResult | None  # None: simulation off
-    error: str = ""
 
 
 @functools.cache
@@ -105,15 +96,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_sim(args, params) -> SimConfig:
-    """The sim flags over SimConfig's defaults.
-
-    The point (n 1, lambda 0) is a placeholder each run replaces. SimConfig
-    checks the settings here, before any point runs.
-    """
+def _sim_flags(args) -> dict:
+    """The sim flags given, by SimConfig field; a flag left out is absent,
+    so its field keeps SimConfig's default."""
     fields = SimConfig.__dataclass_fields__
-    return SimConfig(n_stations=1, lambda_per_station=0.0, params=params,
-                     **{k: v for k, v in vars(args).items() if k in fields})
+    return {k: v for k, v in vars(args).items() if k in fields}
 
 
 def _parse_list(text, what, convert, check):
@@ -183,38 +170,44 @@ def cmd_table1(params, n_list, out=None) -> int:
     return 0
 
 
-def _sweep_points(params, n_list, grid, sim) -> list[CurvePoint]:
-    """grid None means each N's auto grid; sim None means no simulation."""
-    points = []
+def _walk(params, n_list, grid, sim):
+    """Each network's report and its points: one (lambda in pkt/s, in
+    packets/us, fixed point or None for a failed solve, error text, sim
+    result) tuple per rate. grid None means each N's auto grid; sim None
+    means no simulation. Point i, counted over all N, runs with seed
+    sim.base_seed + _SEED_STRIDE * i."""
+    networks = []
+    seed = None if sim is None else sim.base_seed
     for n in n_list:
         report = critical_lambda(n, params)
+        points = []
         for lam_pkt_s in grid or _auto_grid(report):
             lam = lam_pkt_s * _PKT_S_TO_PKT_US
-            fixed_point, error = None, ""
             try:
-                fixed_point = solve_fixed_point(lam, n, params)
+                fixed_point, error = solve_fixed_point(lam, n, params), ""
             except ConvergenceError as exc:
-                error = f"no convergence: {exc}"
-            result = None if sim is None else run(replace(
-                sim, n_stations=n, lambda_per_station=lam,
-                base_seed=sim.base_seed + _SEED_STRIDE * len(points)))
-            points.append(CurvePoint(
-                lambda_pkt_s=lam_pkt_s, report=report,
-                s_linear=linear_throughput(lam, n, params),
-                fixed_point=fixed_point, sim=result, error=error))
-    return points
+                fixed_point, error = None, f"no convergence: {exc}"
+            result = None
+            if sim is not None:
+                result = run(replace(sim, n_stations=n,
+                                     lambda_per_station=lam, base_seed=seed))
+                seed += _SEED_STRIDE
+            points.append((lam_pkt_s, lam, fixed_point, error, result))
+        networks.append((report, points))
+    return networks
 
 
-def _band(p: CurvePoint) -> float:
+def _band(sim: SimResult) -> float:
     """compare's tolerance: the sim CI widened by 5 percent of the sim mean."""
-    return (p.sim.ci95_halfwidth or 0.0) + 0.05 * p.sim.mean_throughput
+    return (sim.ci95_halfwidth or 0.0) + 0.05 * sim.mean_throughput
 
 
-def _verdict(p: CurvePoint) -> str:
-    """compare's verdict: the model inside the band (yes/no), or error."""
-    if p.error:
+def _verdict(fixed_point: FixedPointSolution | None, sim: SimResult) -> str:
+    """compare's verdict: the model inside the band (yes/no), or error for
+    a failed solve."""
+    if fixed_point is None:
         return "error"
-    inside = abs(p.fixed_point.throughput - p.sim.mean_throughput) <= _band(p)
+    inside = abs(fixed_point.throughput - sim.mean_throughput) <= _band(sim)
     return "yes" if inside else "no"
 
 
@@ -225,58 +218,59 @@ _COMPARE_HEADER = ("n", "lambda_pkt_s", "regime", "s_model_mbps",
                    "s_sim_mbps", "sim_ci95_mbps", "band_mbps", "inside_band")
 
 
-def _sweep_rows(points: list[CurvePoint]) -> list[str]:
+def _sweep_rows(networks, params) -> list[str]:
     """The sweep's lines in _SWEEP_HEADER's order. New columns go at the
-    end: perfbench/checks.py reads these by position. A network's points
-    share its report, so its n and S_m are formatted once; an absent sim
-    is its two empty cells."""
-    rows, report = [], None
-    for p in points:
-        if p.report is not report:
-            report = p.report
-            head, s_max = "%d," % report.n, _fmt(report.s_max)
-        fp, sim = p.fixed_point, p.sim
-        rows.append(head + "%.10g,%s,%.10g,%s,%s,%s,%s\n" % (
-            p.lambda_pkt_s, "" if fp is None else "%.10g" % fp.throughput,
-            p.s_linear, s_max,
-            report.regime_of(p.lambda_pkt_s * _PKT_S_TO_PKT_US),
-            "," if sim is None else "%.10g,%s" % (
-                sim.mean_throughput, _fmt(sim.ci95_halfwidth)),
-            _cell(p.error) if p.error else ""))
+    end: perfbench/checks.py reads these by position. A network's n, S_m
+    and slope N * E[PL] are found once: slope * lam is linear_throughput's
+    value, which raises for lam only past the float range."""
+    rows = []
+    for report, points in networks:
+        n = report.n
+        head, s_max = "%d," % n, _fmt(report.s_max)
+        slope = linear_throughput(1.0, n, params)
+        for lam_pkt_s, lam, fp, error, sim in points:
+            s_linear = slope * lam
+            if s_linear == math.inf:
+                linear_throughput(lam, n, params)
+            rows.append(head + "%.10g,%s,%.10g,%s,%s,%s,%s\n" % (
+                lam_pkt_s, "" if fp is None else "%.10g" % fp.throughput,
+                s_linear, s_max, report.regime_of(lam),
+                "," if sim is None else "%.10g,%s" % (
+                    sim.mean_throughput, _fmt(sim.ci95_halfwidth)),
+                _cell(error) if error else ""))
     return rows
 
 
-def _compare_rows(points: list[CurvePoint], verdicts) -> list[str]:
-    """compare's lines in _COMPARE_HEADER's order; every point has a sim."""
-    return ["%d,%.10g,%s,%s,%.10g,%s,%s,%s\n" % (
-                p.report.n, p.lambda_pkt_s,
-                p.report.regime_of(p.lambda_pkt_s * _PKT_S_TO_PKT_US),
-                "" if p.error else "%.10g" % p.fixed_point.throughput,
-                p.sim.mean_throughput, _fmt(p.sim.ci95_halfwidth),
-                "" if p.error else "%.10g" % _band(p), verdict)
-            for p, verdict in zip(points, verdicts)]
+def cmd_sweep(networks, params, out=None) -> int:
+    _write_csv(out, _SWEEP_HEADER, _sweep_rows(networks, params))
+    return 2 if any(fp is None for _, points in networks
+                    for _, _, fp, _, _ in points) else 0
 
 
-def cmd_sweep(points: list[CurvePoint], out=None) -> int:
-    _write_csv(out, _SWEEP_HEADER, _sweep_rows(points))
-    return 2 if any(p.error for p in points) else 0
-
-
-def cmd_compare(points: list[CurvePoint], out=None) -> int:
-    """Check each model point against its simulated band (see _band)."""
-    verdicts = [_verdict(p) for p in points]
-    for p, verdict in zip(points, verdicts):
-        if verdict == "error":
-            print(f"ERROR n={p.report.n} lambda={p.lambda_pkt_s:g} pkt/s: "
-                  f"{p.error}")
-            continue
-        print(f"{'PASS' if verdict == 'yes' else 'FAIL'} n={p.report.n} "
-              f"lambda={p.lambda_pkt_s:g} pkt/s "
-              f"model={p.fixed_point.throughput:.4f} "
-              f"sim={p.sim.mean_throughput:.4f} "
-              f"band=+/-{_band(p):.4f} Mbps")
+def cmd_compare(networks, out=None) -> int:
+    """Check each model point against its simulated band (see _band):
+    one printed line and one CSV row (_COMPARE_HEADER's order) a point."""
+    rows, verdicts = [], set()
+    for report, points in networks:
+        n = report.n
+        for lam_pkt_s, lam, fp, error, sim in points:
+            verdict = _verdict(fp, sim)
+            verdicts.add(verdict)
+            if fp is None:
+                print(f"ERROR n={n} lambda={lam_pkt_s:g} pkt/s: {error}")
+            else:
+                print(f"{'PASS' if verdict == 'yes' else 'FAIL'} n={n} "
+                      f"lambda={lam_pkt_s:g} pkt/s "
+                      f"model={fp.throughput:.4f} "
+                      f"sim={sim.mean_throughput:.4f} "
+                      f"band=+/-{_band(sim):.4f} Mbps")
+            rows.append("%d,%.10g,%s,%s,%.10g,%s,%s,%s\n" % (
+                n, lam_pkt_s, report.regime_of(lam),
+                "" if fp is None else "%.10g" % fp.throughput,
+                sim.mean_throughput, _fmt(sim.ci95_halfwidth),
+                "" if fp is None else "%.10g" % _band(sim), verdict))
     if out is not None:
-        _write_csv(out, _COMPARE_HEADER, _compare_rows(points, verdicts))
+        _write_csv(out, _COMPARE_HEADER, rows)
     if "error" in verdicts:
         return 2
     return 3 if "no" in verdicts else 0
@@ -302,9 +296,9 @@ def main(argv=None) -> int:
         params = get_profile(args.profile)
 
         if args.command == "sim":
-            sim = replace(_resolve_sim(args, params),
-                          n_stations=args.n,
-                          lambda_per_station=args.lam * _PKT_S_TO_PKT_US)
+            sim = SimConfig(n_stations=args.n,
+                            lambda_per_station=args.lam * _PKT_S_TO_PKT_US,
+                            params=params, **_sim_flags(args))
             return cmd_sim(sim, out=args.out, trace=args.trace)
 
         n_list = _parse_list(args.n, "station count list", int,
@@ -312,21 +306,25 @@ def main(argv=None) -> int:
         if args.command == "table1":
             return cmd_table1(params, n_list, out=args.out)
 
-        if args.command == "compare":
-            with_sim, cmd = True, cmd_compare
-        else:
-            with_sim, cmd = args.with_sim, cmd_sweep
         grid = None if args.lambda_grid.strip() == "auto" else _parse_list(
             args.lambda_grid, "lambda grid", float,
             lambda lam: _check_rate(lam, "lambda grid entry", finite=True))
-        # A bad sim flag exits 1 even when no simulation runs.
-        sim = _resolve_sim(args, params)
-        if sim.replications > _SEED_STRIDE:
-            raise ParameterError(f"--replications must be <= {_SEED_STRIDE} "
-                                 f"on {args.command}: more would share seeds "
-                                 f"between points")
-        return cmd(_sweep_points(params, n_list, grid,
-                                 sim if with_sim else None), out=args.out)
+        with_sim = args.command == "compare" or args.with_sim
+        flags = _sim_flags(args)
+        sim = None
+        if with_sim or flags:
+            # A given sim flag is checked even when no simulation runs; each
+            # run replaces the placeholder point (n 1, lambda 0).
+            sim = SimConfig(n_stations=1, lambda_per_station=0.0,
+                            params=params, **flags)
+            if sim.replications > _SEED_STRIDE:
+                raise ParameterError(
+                    f"--replications must be <= {_SEED_STRIDE} on "
+                    f"{args.command}: more would share seeds between points")
+        networks = _walk(params, n_list, grid, sim if with_sim else None)
+        if args.command == "compare":
+            return cmd_compare(networks, out=args.out)
+        return cmd_sweep(networks, params, out=args.out)
     # ParameterError is a ValueError; OSError covers the paths the user gave.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dcfkit import ConvergenceError, critical_lambda, solve_fixed_point
-from dcfkit.cli import _cell, _parser, main
+from dcfkit import (ConvergenceError, critical_lambda, linear_throughput,
+                    solve_fixed_point)
+from dcfkit.cli import _auto_grid, _cell, _parser, main
 from test_package import _run_python
 
 
@@ -67,6 +68,14 @@ _PINNED = {
         _EMPTY,
         "64458e6a2fcf2174a7b8f452aebcef13"
         "df1cff4fa774d474767304c14f73e031"),
+    # Point i runs seeds 9 + 10000 * i + r, i counted over both networks.
+    "sweep-sim-multi": (
+        ["sweep", "--n", "2,5", "--lambda-grid", "30,400", "--with-sim",
+         "--replications", "2", "--duration-us", "2e5", "--warmup-us", "0",
+         "--seed", "9"], 0,
+        _EMPTY,
+        "756ee2db85ed0a0f575ba3f85237e59b"
+        "2a800ee8bf73e83c2f779b1cfc385c0d"),
     "sweep-sim-1": (
         ["sweep", *_SWEEP_SIM, "--replications", "1"], 0,
         _EMPTY,
@@ -350,6 +359,42 @@ class TestSweep:
         assert assert_one_line_error(capsys) == (
             "error: lambda grid must not be empty\n")
 
+    def test_linear_law_past_the_float_range_exits_1(self, params, tmp_path,
+                                                     capsys):
+        # 10**300 payload bits at 1e15 pkt/s: the linear law's value passes
+        # the float range, and the message names the first such rate.
+        pfile = write_params(tmp_path / "params.json", params,
+                             {"payload_bits": 10 ** 300})
+        assert main(["sweep", "--n", "1", "--lambda-grid", "30,1e15,1e16",
+                     "--profile", pfile]) == 1
+        assert assert_one_line_error(capsys) == (
+            "error: the linear law's slope N * E[PL], or its value at lam "
+            "1000000000.0, overflows the float range\n")
+
+    @pytest.mark.parametrize("argv, searches, solves", [
+        (["sweep", "--n", "3,7", "--lambda-grid", "auto"], 2, 50),
+        (["compare", "--n", "3,7", "--lambda-grid", "30,70,400",
+          "--replications", "1", "--duration-us", "2e4", "--warmup-us", "0"],
+         2, 6),
+    ])
+    def test_one_search_per_network_and_one_solve_per_rate(
+            self, monkeypatch, capsys, argv, searches, solves):
+        # perfbench's tracer wraps these two names in dcfkit.cli and counts
+        # its spans by them.
+        calls = {}
+
+        def count(name, fn):
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(f"dcfkit.cli.{name}", counted)
+
+        count("critical_lambda", critical_lambda)
+        count("solve_fixed_point", solve_fixed_point)
+        assert main(argv) in (0, 3)
+        assert calls == {"critical_lambda": searches,
+                         "solve_fixed_point": solves}
+
     def test_unreadable_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", "fast"]) == 1
         assert assert_one_line_error(capsys) == (
@@ -596,6 +641,36 @@ class TestParameterFilesAndFlags:
         assert main(["sweep", "--n", "2", "--lambda-grid", "4",
                      "--warmup-us", "6e6"]) == 1
         assert "warmup" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("n_list, grid", [("2", "40"), ("2,10", "auto")])
+    def test_model_only_sweep_builds_no_sim_settings(self, params, tmp_path,
+                                                     capsys, n_list, grid):
+        # With slot_sigma 1e-303 the default 5e6-us run spans more idle
+        # slots than a float holds, so SimConfig refuses it; a sweep that
+        # simulates nothing and is given no sim flag never builds one.
+        tiny = dataclasses.replace(params, slot_sigma=1e-303)
+        pfile = write_params(tmp_path / "params.json", tiny, {})
+        argv = ["sweep", "--n", n_list, "--lambda-grid", grid,
+                "--profile", pfile]
+        out = tmp_path / "sweep.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        points = [(n, lam_pkt_s * 1e-6)
+                  for n in map(int, n_list.split(","))
+                  for lam_pkt_s in (_auto_grid(critical_lambda(n, tiny))
+                                    if grid == "auto" else (float(grid),))]
+        rows = read_csv(out)
+        assert len(rows) == len(points)
+        for row, (n, lam) in zip(rows, points):
+            report = critical_lambda(n, tiny)
+            assert (row["n"], row["error"]) == (str(n), "")
+            assert (row["s_model_mbps"], row["s_linear_mbps"],
+                    row["s_max_mbps"], row["regime"]) == (
+                "%.10g" % solve_fixed_point(lam, n, tiny).throughput,
+                "%.10g" % linear_throughput(lam, n, tiny),
+                "%.10g" % report.s_max, report.regime_of(lam))
+        # A given sim flag is still checked.
+        assert main([*argv, "--seed", "3"]) == 1
+        assert "slot_sigma" in assert_one_line_error(capsys)
 
     def test_grid_flag_replaces_the_auto_grid(self, tmp_path):
         # The flag replaces the default auto grid point for point.

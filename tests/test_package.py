@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import dcfkit
-from dcfkit.cli import _sweep_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
@@ -74,8 +73,8 @@ def test_per_solve_records():
     # assignment to a field or to a misspelt name raises AttributeError
     # (a frozen slotted class raises TypeError for the second on 3.10-3.13).
     params = dcfkit.get_profile("dot11g-54")
-    point, = _sweep_points(params, (10,), (30.0,), None)
-    for record, field in ((point.fixed_point, "tau"),
+    solution = dcfkit.solve_fixed_point(30e-6, 10, params)
+    for record, field in ((solution, "tau"),
                           (dcfkit.derive_times(params), "t_s")):
         for name in (field, "thruput"):
             with pytest.raises(AttributeError):
@@ -83,11 +82,6 @@ def test_per_solve_records():
         assert getattr(record, field) != 0.0
         assert not hasattr(record, "thruput")
         hash(record)
-    # A sweep's point is built per rate and never returned: it is slotted,
-    # so with no __dict__ a misspelt assignment raises.
-    assert not hasattr(point, "__dict__")
-    with pytest.raises(AttributeError):
-        point.thruput = 0.0
 
 
 def test_readme_api_sketch_runs(capsys):
