@@ -11,6 +11,10 @@ runs in microseconds.
 Each CSV table is written as text: one "%"-formatted line per row, in
 which every number is "%.10g" (the row templates and _fmt), and one write
 per file. Only the sweep's error column holds free text; _cell quotes it.
+
+An argv whose first word names a command is read by that command's own
+parser, as the whole tree would hand it every later word; any other argv
+(no words, -h, an unknown word, --) is read by the whole tree.
 """
 from __future__ import annotations
 
@@ -93,6 +97,11 @@ def _parser() -> argparse.ArgumentParser:
                        help="directory for per-replication event CSVs")
     add_sim_flags(p_sim)
 
+    # _parse's map from a command's name to its parser; each sets command,
+    # as the whole tree does.
+    parser.commands = sub.choices
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)
     return parser
 
 
@@ -290,9 +299,21 @@ def cmd_sim(sim: SimConfig, out=None, trace=None) -> int:
     return 0
 
 
+def _parse(argv):
+    """argv's namespace, as _parser().parse_args(argv) reads it. A first
+    word that names a command goes straight to that command's parser: the
+    whole tree's only option is -h, and it hands that parser every later
+    word. Anything else goes through the whole tree, for its error or help."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         params = get_profile(args.profile)
 
         if args.command == "sim":

@@ -66,6 +66,12 @@ from .params import (ParameterError, PhyMacParams, _check_n,
                      _check_number_fields, _check_params, _check_rate,
                      derive_times)
 
+# The most arrivals a station may expect in one run. At or under it the
+# mean inter-arrival draw is at least 1e-9 * sim_duration, millions of ulps
+# of any time in the run; far past it a draw falls below half an ulp of the
+# station's next arrival time, which then stops advancing.
+_MAX_EXPECTED_ARRIVALS = 1e9
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -96,6 +102,13 @@ class SimConfig:
             raise ParameterError(
                 "sim_duration / params.slot_sigma must be finite, got "
                 f"{self.sim_duration!r} / {self.params.slot_sigma!r}")
+        # Two finite floats: a product past the float range is inf.
+        arrivals = self.lambda_per_station * self.sim_duration
+        if arrivals > _MAX_EXPECTED_ARRIVALS:
+            raise ParameterError(
+                "lambda_per_station * sim_duration must be <= "
+                f"{_MAX_EXPECTED_ARRIVALS:g} expected arrivals per station, "
+                f"got {self.lambda_per_station!r} * {self.sim_duration!r}")
         if not 0.0 <= self.warmup < self.sim_duration:
             raise ParameterError("warmup must lie in [0, sim_duration)")
         _check_n(self.replications, "replications")

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from dcfkit import (ConvergenceError, critical_lambda, linear_throughput,
                     solve_fixed_point)
-from dcfkit.cli import _auto_grid, _cell, _parser, main
+from dcfkit.cli import _auto_grid, _cell, _parse, _parser, main
+from dcfkit.params import ParameterError
 from test_package import _run_python
 
 
@@ -483,6 +484,8 @@ class TestSweep:
                      "--out", str(second)]) == 0
         assert read_csv(first)[0]["s_sim_mbps"] != ""
         assert read_csv(second)[0]["s_sim_mbps"] == ""
+        # An unknown command is read by the whole tree, the same parser.
+        assert main(["no-such-command"]) == 1
         assert _parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -524,6 +527,15 @@ class TestCompare:
         assert row["sim_ci95_mbps"] == ""
         assert float(row["band_mbps"]) == pytest.approx(
             0.05 * float(row["s_sim_mbps"]), rel=1e-9)
+
+    def test_rate_past_the_arrival_bound_exits_1(self, capsys):
+        # 1.5e302 packets/us over 1e4 us: the simulator refuses the point
+        # before it runs, which would never end.
+        assert main(["compare", "--n", "100", "--lambda-grid", "1.5e308",
+                     "--replications", "1", "--duration-us", "1e4",
+                     "--warmup-us", "0"]) == 1
+        err = assert_one_line_error(capsys)
+        assert "lambda_per_station * sim_duration" in err
 
 
 class TestSimCommand:
@@ -784,6 +796,70 @@ class TestUserPaths:
         (tmp_path / "existing.csv").write_text("")
         assert main([a.format(dir=tmp_path) for a in argv]) == 1
         assert_one_line_error(capsys)
+
+
+def _outcome(parse, argv, capsys):
+    """What parse makes of argv: the namespace, the error text, or the exit
+    code and the help it printed."""
+    try:
+        return "namespace", vars(parse(argv))
+    except ParameterError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv", [
+        # a valid argv for each command
+        ["table1", "--n", "10,20", "--profile", "dot11g-54", "--out", "t.csv"],
+        ["sweep", "--n", "1,10", "--lambda-grid", "auto", "--with-sim",
+         "--replications", "2", "--seed", "3", "--duration-us", "1e5",
+         "--warmup-us", "0"],
+        ["compare", "--n", "5", "--lambda-grid", "30,70", "--replications",
+         "3"],
+        ["sim", "--n", "2", "--lambda", "40", "--trace", "tr", "--out", "o"],
+        ["sweep"],
+        ["sweep", "--n=5"],
+        ["sweep", "--n"],
+        ["sweep", "--no-such-flag"],
+        ["compare", "--replications", "x"],
+        ["sim", "--n", "2", "--lam", "40"],
+        ["sim", "--n", "2"],
+        ["sweep", "--he"],
+        ["sweep", "-h"],
+        ["compare", "--help"],
+        ["table1", "extra"],
+        ["sweep", "--", "--n"],
+        ["sweep", "--lambda-grid", "-5"],
+        ["sweep", "--lambda-grid=-5,10"],
+        ["sweep", "table1"],
+        # read by the whole tree
+        [],
+        ["-h"],
+        ["--help"],
+        ["--he"],
+        ["no-such-command"],
+        ["--", "sweep"],
+        ["--n", "5", "sweep"],
+    ], ids=lambda argv: " ".join(argv) or "no-words")
+    def test_main_reads_argv_as_the_whole_tree(self, capsys, argv):
+        assert _outcome(_parse, argv, capsys) == _outcome(
+            _parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [[], ["no-such-command"]],
+                             ids=["no-words", "unknown-command"])
+    def test_no_command_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert_one_line_error(capsys)
+
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        printed = capsys.readouterr().out
+        for command in ("table1", "sweep", "compare", "sim"):
+            assert f"    {command} " in printed
 
 
 class TestEntryPoint:

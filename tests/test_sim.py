@@ -582,6 +582,18 @@ class TestConfigValidation:
             SimConfig(n_stations=2, lambda_per_station=0.0, params=slotted,
                       sim_duration=duration, warmup=0.0)
 
+    def test_rejects_more_expected_arrivals_than_the_bound(self, params):
+        # Far past 1e9 arrivals a station's draws fall below half an ulp of
+        # its next arrival time, so that time stops advancing.
+        SimConfig(n_stations=2, lambda_per_station=1e5, params=params,
+                  sim_duration=1e4, warmup=0.0)
+        over = math.nextafter(1e5, math.inf)
+        message = ("lambda_per_station * sim_duration must be <= 1e+09 "
+                   f"expected arrivals per station, got {over!r} * 10000.0")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SimConfig(n_stations=2, lambda_per_station=over, params=params,
+                      sim_duration=1e4, warmup=0.0)
+
     def test_rejects_zero_stations(self, params):
         with pytest.raises(ParameterError):
             SimConfig(n_stations=0, lambda_per_station=1e-5, params=params)
