@@ -9,8 +9,18 @@ second per station; throughput columns are Mbps. Internally everything
 runs in microseconds.
 
 Each CSV table is written as text: one "%"-formatted line per row, in
-which every number is "%.10g" (the row templates and _fmt), and one write
-per file. Only the sweep's error column holds free text; _cell quotes it.
+which every number is "%.10g" (the row templates and _fmt). Only the
+sweep's error column holds free text; _cell quotes it. A file is written
+as its UTF-8 bytes through os.open and os.write, with no buffered text
+layer: created with mode 0o666 under the umask, as open(path, "w") does,
+and truncated if it exists; stdout gets one write of the text.
+
+A sweep row's cells other than the model's S, the sim cells and the error
+depend only on the network and its rates. _auto_rates keeps them for the
+auto grid as row templates, one per rate, in an LRU cache of 128 networks
+keyed by (report, params); an explicit --lambda-grid builds its templates
+the same way on each request, uncached. critical_lambda still runs once
+per network and solve_fixed_point once per rate on every request.
 
 An argv whose first word names a command is read by that command's own
 parser, as the whole tree would hand it every later word; any other argv
@@ -21,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -35,6 +46,8 @@ _AUTO_GRID_SPAN = (0.01, 5.0)  # multiples of lambda_c
 # Point i of a sweep runs seeds base_seed + _SEED_STRIDE * i + r for its
 # replications r, so more replications than this would share seeds.
 _SEED_STRIDE = 10_000
+# os.open's flags for a CSV file: those of open(path, "w"), in binary.
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,14 +168,20 @@ def _cell(text: str) -> str:
 
 
 def _write_csv(path, header, lines):
-    """header's names, then lines, each a row ending in a newline, in one
-    write to path or, for None, to stdout."""
+    """header's names, then lines, each a row ending in a newline: one
+    write to stdout for path None, else path's UTF-8 bytes, os.write
+    called until every byte is out."""
     text = ",".join(header) + "\n" + "".join(lines)
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            out.write(text)
+        return
+    data = text.encode()
+    fd = os.open(path, _CREATE, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def cmd_table1(params, n_list, out=None) -> int:
@@ -179,19 +198,47 @@ def cmd_table1(params, n_list, out=None) -> int:
     return 0
 
 
+def _rates(report, params, grid):
+    """Each rate of grid (pkt/s) as (lambda in pkt/s, in packets/us, the
+    linear law's S, row template): the template is the sweep's row
+    (_SWEEP_HEADER) with every cell filled but three "%s" slots, for the
+    model's S, the two sim cells and the error. The linear law's slope
+    N * E[PL] is found once; slope * lam is linear_throughput's value,
+    inf where that raises, which _sweep_rows does."""
+    n, s_max = report.n, report.s_max
+    slope = linear_throughput(1.0, n, params)
+    rates = []
+    for lam_pkt_s in grid:
+        lam = lam_pkt_s * _PKT_S_TO_PKT_US
+        s_linear = slope * lam
+        rates.append((lam_pkt_s, lam, s_linear,
+                      "%d,%.10g,%%s,%.10g,%.10g,%s,%%s,%%s\n" % (
+                          n, lam_pkt_s, s_linear, s_max,
+                          report.regime_of(lam))))
+    return tuple(rates)
+
+
+@functools.lru_cache(maxsize=128)
+def _auto_rates(report, params):
+    """_rates on report's auto grid, kept for 128 networks."""
+    return _rates(report, params, _auto_grid(report))
+
+
 def _walk(params, n_list, grid, sim):
-    """Each network's report and its points: one (lambda in pkt/s, in
-    packets/us, fixed point or None for a failed solve, error text, sim
-    result) tuple per rate. grid None means each N's auto grid; sim None
-    means no simulation. Point i, counted over all N, runs with seed
+    """Each network's report and its points: one (rate, fixed point or
+    None for a failed solve, error text, sim result) tuple per rate, rate
+    as _rates gives it. grid None means each N's auto grid; sim None means
+    no simulation. Point i, counted over all N, runs with seed
     sim.base_seed + _SEED_STRIDE * i."""
     networks = []
     seed = None if sim is None else sim.base_seed
     for n in n_list:
         report = critical_lambda(n, params)
         points = []
-        for lam_pkt_s in grid or _auto_grid(report):
-            lam = lam_pkt_s * _PKT_S_TO_PKT_US
+        rates = (_auto_rates(report, params) if grid is None
+                 else _rates(report, params, grid))
+        for rate in rates:
+            lam = rate[1]
             try:
                 fixed_point, error = solve_fixed_point(lam, n, params), ""
             except ConvergenceError as exc:
@@ -201,7 +248,7 @@ def _walk(params, n_list, grid, sim):
                 result = run(replace(sim, n_stations=n,
                                      lambda_per_station=lam, base_seed=seed))
                 seed += _SEED_STRIDE
-            points.append((lam_pkt_s, lam, fixed_point, error, result))
+            points.append((rate, fixed_point, error, result))
         networks.append((report, points))
     return networks
 
@@ -228,22 +275,17 @@ _COMPARE_HEADER = ("n", "lambda_pkt_s", "regime", "s_model_mbps",
 
 
 def _sweep_rows(networks, params) -> list[str]:
-    """The sweep's lines in _SWEEP_HEADER's order. New columns go at the
-    end: perfbench/checks.py reads these by position. A network's n, S_m
-    and slope N * E[PL] are found once: slope * lam is linear_throughput's
-    value, which raises for lam only past the float range."""
+    """The sweep's lines in _SWEEP_HEADER's order, each its rate's
+    template filled. New columns go at the end: perfbench/checks.py reads
+    these by position. A linear law past the float range raises here, as
+    linear_throughput does for the first such rate."""
     rows = []
     for report, points in networks:
-        n = report.n
-        head, s_max = "%d," % n, _fmt(report.s_max)
-        slope = linear_throughput(1.0, n, params)
-        for lam_pkt_s, lam, fp, error, sim in points:
-            s_linear = slope * lam
+        for (_, lam, s_linear, template), fp, error, sim in points:
             if s_linear == math.inf:
-                linear_throughput(lam, n, params)
-            rows.append(head + "%.10g,%s,%.10g,%s,%s,%s,%s\n" % (
-                lam_pkt_s, "" if fp is None else "%.10g" % fp.throughput,
-                s_linear, s_max, report.regime_of(lam),
+                linear_throughput(lam, report.n, params)
+            rows.append(template % (
+                "" if fp is None else "%.10g" % fp.throughput,
                 "," if sim is None else "%.10g,%s" % (
                     sim.mean_throughput, _fmt(sim.ci95_halfwidth)),
                 _cell(error) if error else ""))
@@ -253,7 +295,7 @@ def _sweep_rows(networks, params) -> list[str]:
 def cmd_sweep(networks, params, out=None) -> int:
     _write_csv(out, _SWEEP_HEADER, _sweep_rows(networks, params))
     return 2 if any(fp is None for _, points in networks
-                    for _, _, fp, _, _ in points) else 0
+                    for _, fp, _, _ in points) else 0
 
 
 def cmd_compare(networks, out=None) -> int:
@@ -262,7 +304,7 @@ def cmd_compare(networks, out=None) -> int:
     rows, verdicts = [], set()
     for report, points in networks:
         n = report.n
-        for lam_pkt_s, lam, fp, error, sim in points:
+        for (lam_pkt_s, lam, _, _), fp, error, sim in points:
             verdict = _verdict(fp, sim)
             verdicts.add(verdict)
             if fp is None:

@@ -348,8 +348,8 @@ def run_replication(cfg: SimConfig, seed: int,
 
 def _write_trace(path, events):
     events.sort(key=lambda e: (e[0], e[2]))
-    # One line per event, written as cli writes its tables; no cell needs
-    # quoting.
+    # One line per event, each number "%.10g" as in cli's tables, and one
+    # buffered text write; no cell needs quoting.
     lines = ["%.10g,%s,%d,%d\n" % e for e in events]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("time_us,event,station_id,queue_len\n" + "".join(lines))

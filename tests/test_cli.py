@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from dcfkit import (ConvergenceError, critical_lambda, linear_throughput,
                     solve_fixed_point)
-from dcfkit.cli import _auto_grid, _cell, _parse, _parser, main
+from dcfkit.cli import _auto_grid, _auto_rates, _cell, _parse, _parser, main
+from dcfkit.model import _network
 from dcfkit.params import ParameterError
 from test_package import _run_python
 
@@ -202,6 +204,50 @@ class TestCsvText:
         if name == "sweep-failed":
             assert {row[-1] for row in rows} == {
                 f"no convergence: {_FAILED_SOLVE}"}
+
+
+class TestCsvFile:
+    # A file is written through os.open and os.write, not open().
+    _ARGV = ["sweep", "--n", "1,10,50", "--lambda-grid", "auto"]
+
+    def test_short_writes_give_the_same_file(self, tmp_path, monkeypatch):
+        whole = tmp_path / "whole.csv"
+        assert main([*self._ARGV, "--out", str(whole)]) == 0
+        write = os.write
+        calls = []
+
+        def one_byte(fd, data):
+            calls.append(len(data))
+            return write(fd, bytes(data[:1]))
+
+        monkeypatch.setattr(os, "write", one_byte)
+        short = tmp_path / "short.csv"
+        assert main([*self._ARGV, "--out", str(short)]) == 0
+        assert short.read_bytes() == whole.read_bytes()
+        assert len(calls) == len(whole.read_bytes())
+        assert hashlib.sha256(short.read_bytes()).hexdigest() == (
+            _PINNED["sweep-auto"][3])
+
+    def test_overwrite_truncates(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"x" * 100_000)
+        assert main([*self._ARGV, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            _PINNED["sweep-auto"][3])
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_new_file_mode_is_open_w_mode(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "by-open.csv", "w"):
+                pass
+            out = tmp_path / "by-cli.csv"
+            assert main(["table1", "--n", "10", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "by-open.csv").stat().st_mode & 0o777
+        assert out.stat().st_mode & 0o777 == mode == 0o666 & ~umask
 
 
 class TestTable1:
@@ -395,6 +441,43 @@ class TestSweep:
         assert main(argv) in (0, 3)
         assert calls == {"critical_lambda": searches,
                          "solve_fixed_point": solves}
+        # A repeat reads the kept row templates and still calls both names.
+        assert main(argv) in (0, 3)
+        assert calls == {"critical_lambda": 2 * searches,
+                         "solve_fixed_point": 2 * solves}
+
+    def test_auto_grid_rows_are_the_same_cold_and_warm(self, tmp_path):
+        # Cold: neither the model's networks nor the row templates kept;
+        # then the templates kept with the model cold, then both kept.
+        def sweep(n):
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--n", str(n), "--lambda-grid", "auto",
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        try:
+            for n in range(1, 101):
+                _network.cache_clear()
+                _auto_rates.cache_clear()
+                cold = sweep(n)
+                _network.cache_clear()
+                assert sweep(n) == cold, n
+                assert sweep(n) == cold, n
+        finally:
+            _network.cache_clear()
+            _auto_rates.cache_clear()
+
+    def test_explicit_grid_rows_are_the_same_cold_and_warm(
+            self, tmp_path, monkeypatch, cold_model):
+        fail_every_solve(monkeypatch)
+        argv = ["sweep", "--n", "10,3", "--lambda-grid", "30,0,1e4"]
+        written = []
+        for _ in range(2):
+            out = tmp_path / "sweep.csv"
+            assert main([*argv, "--out", str(out)]) == 2
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"no convergence: ") == 6
 
     def test_unreadable_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", "fast"]) == 1
@@ -787,6 +870,8 @@ class TestUserPaths:
                      id="profile-is-a-directory"),
         pytest.param(["table1", "--n", "10", "--out", "{dir}/missing/x.csv"],
                      id="out-in-a-missing-directory"),
+        pytest.param(["sweep", "--n", "10", "--out", "{dir}"],
+                     id="out-is-a-directory"),
         pytest.param(["sim", "--n", "2", "--lambda", "40", "--replications",
                       "1", "--duration-us", "1e5", "--warmup-us", "0",
                       "--trace", "{dir}/existing.csv"],
