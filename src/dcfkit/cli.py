@@ -16,11 +16,11 @@ layer: created with mode 0o666 under the umask, as open(path, "w") does,
 and truncated if it exists; stdout gets one write of the text.
 
 A sweep row's cells other than the model's S, the sim cells and the error
-depend only on the network and its rates. _auto_rates keeps them for the
-auto grid as row templates, one per rate, in an LRU cache of 128 networks
-keyed by (report, params); an explicit --lambda-grid builds its templates
-the same way on each request, uncached. critical_lambda still runs once
-per network and solve_fixed_point once per rate on every request.
+depend only on the network and its rates. _rates keeps them as row
+templates, one per rate, in an LRU cache of 128 entries keyed by (report,
+params, grid), for the auto grid and a typed --lambda-grid alike; an entry
+holds about 260 bytes a rate. critical_lambda still runs once per network
+and solve_fixed_point once per rate on every request.
 
 An argv whose first word names a command is read by that command's own
 parser, as the whole tree would hand it every later word; any other argv
@@ -35,10 +35,10 @@ import os
 import sys
 from dataclasses import replace
 
-from .model import ConvergenceError, FixedPointSolution, solve_fixed_point
+from .model import ConvergenceError, solve_fixed_point
 from .params import ParameterError, _check_n, _check_rate, get_profile
 from .regime import RegimeReport, critical_lambda, linear_throughput
-from .sim import SimConfig, SimResult, run
+from .sim import SimConfig, run
 
 _PKT_S_TO_PKT_US = 1e-6
 _AUTO_GRID_POINTS = 25
@@ -81,6 +81,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--warmup-us", dest="warmup", metavar="WARMUP_US",
                        type=float, default=unset)
 
+    def add_grid_flags(p, n_default):
+        p.add_argument("--n", default=n_default,
+                       help="comma-separated station counts")
+        p.add_argument("--lambda-grid", default="auto",
+                       help="'auto' or comma-separated rates in pkt/s")
+
     p_table = sub.add_parser("table1", help="S_m and lambda_c per network size")
     add_common(p_table)
     p_table.add_argument("--n", default="10,20,30",
@@ -88,17 +94,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="throughput curve over arrival rate")
     add_common(p_sweep)
-    p_sweep.add_argument("--n", default="10,20,30")
-    p_sweep.add_argument("--lambda-grid", default="auto",
-                         help="'auto' or comma-separated rates in pkt/s")
+    add_grid_flags(p_sweep, "10,20,30")
     p_sweep.add_argument("--with-sim", action="store_true")
     add_sim_flags(p_sweep)
 
     p_cmp = sub.add_parser("compare",
                            help="check the model against the simulator")
     add_common(p_cmp)
-    p_cmp.add_argument("--n", default="10")
-    p_cmp.add_argument("--lambda-grid", default="auto")
+    add_grid_flags(p_cmp, "10")
     add_sim_flags(p_cmp)
 
     p_sim = sub.add_parser("sim", help="run the simulator at one point")
@@ -198,9 +201,11 @@ def cmd_table1(params, n_list, out=None) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=128)
 def _rates(report, params, grid):
-    """Each rate of grid (pkt/s) as (lambda in pkt/s, in packets/us, the
-    linear law's S, row template): the template is the sweep's row
+    """Each rate of grid (pkt/s; None for report's auto grid) as (lambda in
+    pkt/s, in packets/us, the linear law's S, row template), kept for 128
+    (report, params, grid) keys: the template is the sweep's row
     (_SWEEP_HEADER) with every cell filled but three "%s" slots, for the
     model's S, the two sim cells and the error. The linear law's slope
     N * E[PL] is found once; slope * lam is linear_throughput's value,
@@ -208,7 +213,7 @@ def _rates(report, params, grid):
     n, s_max = report.n, report.s_max
     slope = linear_throughput(1.0, n, params)
     rates = []
-    for lam_pkt_s in grid:
+    for lam_pkt_s in _auto_grid(report) if grid is None else grid:
         lam = lam_pkt_s * _PKT_S_TO_PKT_US
         s_linear = slope * lam
         rates.append((lam_pkt_s, lam, s_linear,
@@ -218,16 +223,10 @@ def _rates(report, params, grid):
     return tuple(rates)
 
 
-@functools.lru_cache(maxsize=128)
-def _auto_rates(report, params):
-    """_rates on report's auto grid, kept for 128 networks."""
-    return _rates(report, params, _auto_grid(report))
-
-
 def _walk(params, n_list, grid, sim):
     """Each network's report and its points: one (rate, fixed point or
     None for a failed solve, error text, sim result) tuple per rate, rate
-    as _rates gives it. grid None means each N's auto grid; sim None means
+    as _rates gives it for grid (None: each N's auto grid); sim None means
     no simulation. Point i, counted over all N, runs with seed
     sim.base_seed + _SEED_STRIDE * i."""
     networks = []
@@ -235,9 +234,7 @@ def _walk(params, n_list, grid, sim):
     for n in n_list:
         report = critical_lambda(n, params)
         points = []
-        rates = (_auto_rates(report, params) if grid is None
-                 else _rates(report, params, grid))
-        for rate in rates:
+        for rate in _rates(report, params, grid):
             lam = rate[1]
             try:
                 fixed_point, error = solve_fixed_point(lam, n, params), ""
@@ -251,20 +248,6 @@ def _walk(params, n_list, grid, sim):
             points.append((rate, fixed_point, error, result))
         networks.append((report, points))
     return networks
-
-
-def _band(sim: SimResult) -> float:
-    """compare's tolerance: the sim CI widened by 5 percent of the sim mean."""
-    return (sim.ci95_halfwidth or 0.0) + 0.05 * sim.mean_throughput
-
-
-def _verdict(fixed_point: FixedPointSolution | None, sim: SimResult) -> str:
-    """compare's verdict: the model inside the band (yes/no), or error for
-    a failed solve."""
-    if fixed_point is None:
-        return "error"
-    inside = abs(fixed_point.throughput - sim.mean_throughput) <= _band(sim)
-    return "yes" if inside else "no"
 
 
 _SWEEP_HEADER = ("n", "lambda_pkt_s", "s_model_mbps", "s_linear_mbps",
@@ -299,27 +282,31 @@ def cmd_sweep(networks, params, out=None) -> int:
 
 
 def cmd_compare(networks, out=None) -> int:
-    """Check each model point against its simulated band (see _band):
-    one printed line and one CSV row (_COMPARE_HEADER's order) a point."""
+    """Check each model point against its simulated band, the sim CI
+    widened by 5 percent of the sim mean: yes or no for the model inside
+    it, error for a failed solve. One printed line and one CSV row
+    (_COMPARE_HEADER's order) a point."""
     rows, verdicts = [], set()
     for report, points in networks:
         n = report.n
         for (lam_pkt_s, lam, _, _), fp, error, sim in points:
-            verdict = _verdict(fp, sim)
-            verdicts.add(verdict)
+            mean, ci = sim.mean_throughput, sim.ci95_halfwidth
+            band = (ci or 0.0) + 0.05 * mean
             if fp is None:
+                verdict = "error"
                 print(f"ERROR n={n} lambda={lam_pkt_s:g} pkt/s: {error}")
             else:
+                verdict = "yes" if abs(fp.throughput - mean) <= band else "no"
                 print(f"{'PASS' if verdict == 'yes' else 'FAIL'} n={n} "
                       f"lambda={lam_pkt_s:g} pkt/s "
-                      f"model={fp.throughput:.4f} "
-                      f"sim={sim.mean_throughput:.4f} "
-                      f"band=+/-{_band(sim):.4f} Mbps")
+                      f"model={fp.throughput:.4f} sim={mean:.4f} "
+                      f"band=+/-{band:.4f} Mbps")
+            verdicts.add(verdict)
             rows.append("%d,%.10g,%s,%s,%.10g,%s,%s,%s\n" % (
                 n, lam_pkt_s, report.regime_of(lam),
                 "" if fp is None else "%.10g" % fp.throughput,
-                sim.mean_throughput, _fmt(sim.ci95_halfwidth),
-                "" if fp is None else "%.10g" % _band(sim), verdict))
+                mean, _fmt(ci), "" if fp is None else "%.10g" % band,
+                verdict))
     if out is not None:
         _write_csv(out, _COMPARE_HEADER, rows)
     if "error" in verdicts:

@@ -32,16 +32,12 @@ def _check_number_fields(obj):
     """
     for f in fields(obj):
         if f.type in ("int", int):
-            exact, kind, what = int, numbers.Integral, "an integer"
+            kind, what = numbers.Integral, "an integer"
         elif f.type in ("float", float):
-            exact, kind, what = float, numbers.Real, "a number"
+            kind, what = numbers.Real, "a number"
         else:
             continue
         value = getattr(obj, f.name)
-        # An exact int or float is what the store below makes of it, and
-        # the type test is many times cheaper than the ABC isinstance check.
-        if type(value) is exact:
-            continue
         if not _is_number(value, kind):
             raise ParameterError(f"{f.name} must be {what}, got {value!r}")
         if kind is numbers.Integral:  # stored as an int, as _check_n does

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dcfkit import (ConvergenceError, critical_lambda, linear_throughput,
                     solve_fixed_point)
-from dcfkit.cli import _auto_grid, _auto_rates, _cell, _parse, _parser, main
+from dcfkit.cli import _auto_grid, _cell, _parse, _parser, _rates, main
 from dcfkit.model import _network
 from dcfkit.params import ParameterError
 from test_package import _run_python
@@ -458,14 +458,14 @@ class TestSweep:
         try:
             for n in range(1, 101):
                 _network.cache_clear()
-                _auto_rates.cache_clear()
+                _rates.cache_clear()
                 cold = sweep(n)
                 _network.cache_clear()
                 assert sweep(n) == cold, n
                 assert sweep(n) == cold, n
         finally:
             _network.cache_clear()
-            _auto_rates.cache_clear()
+            _rates.cache_clear()
 
     def test_explicit_grid_rows_are_the_same_cold_and_warm(
             self, tmp_path, monkeypatch, cold_model):
@@ -478,6 +478,25 @@ class TestSweep:
             written.append(out.read_bytes())
         assert written[0] == written[1]
         assert written[0].count(b"no convergence: ") == 6
+
+    def test_typed_grids_keep_at_most_128_entries(self, cold_model):
+        for i in range(200):
+            assert main(["sweep", "--n", "5", "--lambda-grid",
+                         f"{i + 1},400"]) == 0
+        info = _rates.cache_info()
+        assert info.currsize == info.maxsize == 128
+
+    def test_auto_grid_pin_holds_after_typed_grids(self, tmp_path, capsys,
+                                                   cold_model):
+        # Typed grids of the pin's networks are kept first; the auto grid
+        # still reads its own templates.
+        for n in ("1", "10", "50"):
+            assert main(["sweep", "--n", n, "--lambda-grid",
+                         "20,60,400"]) == 0
+        argv, code, _, csv_sha = _PINNED["sweep-auto"]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
     def test_unreadable_grid_exits_1(self, capsys):
         assert main(["sweep", "--n", "10", "--lambda-grid", "fast"]) == 1
@@ -937,6 +956,15 @@ class TestParse:
     def test_no_command_exits_1(self, capsys, argv):
         assert main(argv) == 1
         assert_one_line_error(capsys)
+
+    def test_every_grid_flag_has_help(self):
+        flags = [(name, action)
+                 for name in ("table1", "sweep", "compare")
+                 for action in _parser().commands[name]._actions
+                 if {"--n", "--lambda-grid"} & set(action.option_strings)]
+        assert len(flags) == 5
+        for name, action in flags:
+            assert action.help, (name, action.option_strings)
 
     def test_help_lists_the_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
