@@ -18,13 +18,18 @@ and truncated if it exists; stdout gets one write of the text.
 A sweep row's cells other than the model's S, the sim cells and the error
 depend only on the network and its rates. _rates keeps them as row
 templates, one per rate, in an LRU cache of 128 entries keyed by (report,
-params, grid), for the auto grid and a typed --lambda-grid alike; an entry
-holds about 260 bytes a rate. critical_lambda still runs once per network
-and solve_fixed_point once per rate on every request.
+params, grid), for the auto grid and a typed --lambda-grid of at most
+_AUTO_GRID_POINTS rates, at about 260 bytes a rate: under 1 MB in all. A
+longer grid's templates are built per request. critical_lambda still
+runs once per network and solve_fixed_point once per rate on every request.
 
 An argv whose first word names a command is read by that command's own
 parser, as the whole tree would hand it every later word; any other argv
 (no words, -h, an unknown word, --) is read by the whole tree.
+
+A command line is parsed once per process: _parse keeps each argv's
+namespace in an LRU cache of 128 argv tuples. A usage error and help are
+not kept, and the profile is read on every request.
 """
 from __future__ import annotations
 
@@ -231,10 +236,13 @@ def _walk(params, n_list, grid, sim):
     sim.base_seed + _SEED_STRIDE * i."""
     networks = []
     seed = None if sim is None else sim.base_seed
+    # A long typed grid is not kept: its entry grows with its rates.
+    rates = _rates if grid is None or len(grid) <= _AUTO_GRID_POINTS else (
+        _rates.__wrapped__)
     for n in n_list:
         report = critical_lambda(n, params)
         points = []
-        for rate in _rates(report, params, grid):
+        for rate in rates(report, params, grid):
             lam = rate[1]
             try:
                 fixed_point, error = solve_fixed_point(lam, n, params), ""
@@ -328,11 +336,14 @@ def cmd_sim(sim: SimConfig, out=None, trace=None) -> int:
     return 0
 
 
-def _parse(argv):
-    """argv's namespace, as _parser().parse_args(argv) reads it. A first
-    word that names a command goes straight to that command's parser: the
-    whole tree's only option is -h, and it hands that parser every later
-    word. Anything else goes through the whole tree, for its error or help."""
+@functools.lru_cache(maxsize=128)
+def _parse(argv: tuple[str, ...]):
+    """argv's namespace, as _parser().parse_args(argv) reads it, kept for
+    128 argv tuples. A first word that names a command goes straight to
+    that command's parser: the whole tree's only option is -h, and it hands
+    that parser every later word. Anything else goes through the whole
+    tree, for its error or help. The namespace is shared by every call with
+    the same argv, so callers only read it."""
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
@@ -342,7 +353,7 @@ def _parse(argv):
 
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _parse(tuple(sys.argv[1:] if argv is None else argv))
         params = get_profile(args.profile)
 
         if args.command == "sim":

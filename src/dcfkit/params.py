@@ -7,7 +7,6 @@ and arrival rates are packets per microsecond.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import operator
@@ -226,6 +225,7 @@ def get_profile(name: str | os.PathLike) -> PhyMacParams:
     if not os.path.exists(name):
         raise ParameterError(f"unknown profile or missing file: {name!r} "
                              f"(profiles: {sorted(PROFILES)})")
+    import json  # only a parameter file loads it
     try:
         with open(name, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given
@@ -486,6 +487,27 @@ class TestSweep:
         info = _rates.cache_info()
         assert info.currsize == info.maxsize == 128
 
+    def test_long_typed_grids_are_not_kept(self, tmp_path, monkeypatch,
+                                           cold_model):
+        # A typed grid longer than the auto grid's 25 rates keeps no row
+        # templates: 128 distinct grids of 1000 rates held about 33 MB
+        # when they were kept. What stays is each argv's text, kept with
+        # its parsed namespace. The templates are built before any solve,
+        # so failing every solve keeps the test short.
+        fail_every_solve(monkeypatch)
+        out = str(tmp_path / "sweep.csv")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(128):
+                grid = ",".join(f"{i + 1}.{k:03d}" for k in range(1000))
+                assert main(["sweep", "--n", "5", "--lambda-grid", grid,
+                             "--out", out]) == 2
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2e6
+
     def test_auto_grid_pin_holds_after_typed_grids(self, tmp_path, capsys,
                                                    cold_model):
         # Typed grids of the pin's networks are kept first; the auto grid
@@ -576,6 +598,7 @@ class TestSweep:
         # main reuses one parser per process; a second call must see none
         # of the first call's flags and must not rebuild it.
         _parser.cache_clear()
+        _parse.cache_clear()
         first = tmp_path / "first.csv"
         second = tmp_path / "second.csv"
         assert main(["sweep", "--n", "3", "--lambda-grid", "30",
@@ -948,7 +971,7 @@ class TestParse:
         ["--n", "5", "sweep"],
     ], ids=lambda argv: " ".join(argv) or "no-words")
     def test_main_reads_argv_as_the_whole_tree(self, capsys, argv):
-        assert _outcome(_parse, argv, capsys) == _outcome(
+        assert _outcome(_parse, tuple(argv), capsys) == _outcome(
             _parser().parse_args, argv, capsys)
 
     @pytest.mark.parametrize("argv", [[], ["no-such-command"]],
@@ -973,6 +996,95 @@ class TestParse:
         printed = capsys.readouterr().out
         for command in ("table1", "sweep", "compare", "sim"):
             assert f"    {command} " in printed
+
+
+class TestParseCache:
+    """main parses an argv once per process and keeps its namespace; a
+    request only reads it, and an error or help is not kept."""
+
+    def test_a_repeated_argv_is_a_hit_and_writes_the_same_bytes(
+            self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--n", "7,30", "--lambda-grid", "auto",
+                "--out", str(out)]
+        _parse.cache_clear()
+        written = []
+        for _ in range(2):
+            assert main(argv) == 0
+            written.append(out.read_bytes())
+        info = _parse.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert written[0] == written[1]
+
+    def test_an_edited_profile_file_is_read_again(self, params, tmp_path):
+        pfile = tmp_path / "params.json"
+        out = tmp_path / "table.csv"
+        argv = ["table1", "--n", "10", "--profile", str(pfile),
+                "--out", str(out)]
+        for payload in (8000, 4096):
+            write_params(pfile, params, {"payload_bits": payload})
+            assert main(argv) == 0
+            report = critical_lambda(
+                10, dataclasses.replace(params, payload_bits=payload))
+            assert float(read_csv(out)[0]["s_max_mbps"]) == pytest.approx(
+                report.s_max, rel=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--no-such-flag"],
+        ["sim", "--lambda", "4"],
+        ["no-such-command"],
+        ["sweep", "--n", "0"],
+    ], ids=" ".join)
+    def test_a_bad_argv_fails_on_every_call(self, capsys, argv):
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 1
+            errors.append(assert_one_line_error(capsys))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["sweep", "--help"]],
+                             ids=" ".join)
+    def test_help_prints_on_every_call(self, capsys, argv):
+        printed = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0].startswith("usage: ")
+        assert printed[0] == printed[1]
+
+    def test_a_later_edit_of_the_callers_list_changes_nothing(
+            self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--n", "5", "--lambda-grid", "30,70",
+                "--out", str(out)]
+        given = list(argv)
+        assert main(argv) == 0
+        first = out.read_bytes()
+        parsed = dict(vars(_parse(tuple(given))))
+        argv[2] = "50"
+        assert vars(_parse(tuple(given))) == parsed
+        assert main(given) == 0
+        assert out.read_bytes() == first
+        assert main(argv) == 0
+        assert out.read_bytes().count(b"\n50,") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", *_SWEEP_SIM, "--replications", "2"],
+        ["compare", "--n", "2", "--lambda-grid", "40", "--replications",
+         "2", "--duration-us", "1e5", "--warmup-us", "0"],
+        ["sim", *_SIM, "--replications", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_a_request_leaves_its_namespace_as_parsed(self, tmp_path,
+                                                      argv):
+        argv = (*argv, "--out", str(tmp_path / "out.csv"))
+        args = _parse(argv)
+        parsed = dict(vars(args))
+        for _ in range(2):
+            assert main(list(argv)) in (0, 3)
+            assert _parse(argv) is args
+            assert vars(args) == parsed
 
 
 class TestEntryPoint:

@@ -139,6 +139,25 @@ def test_import_footprint(tmp_path):
         assert loaded == [], step
 
 
+_NO_JSON = """
+import sys
+import dcfkit
+from dcfkit.cli import main
+
+assert main(["sweep", "--n", "5", "--lambda-grid", "auto",
+             "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("json", "_json")))
+"""
+
+
+def test_json_is_loaded_only_for_a_parameter_file(tmp_path):
+    # get_profile imports json in its file branch, so a profile name and
+    # an auto sweep leave it unloaded. _FOOTPRINT imports json itself to
+    # print its result, so this check runs in a process of its own.
+    proc = _run_python("-c", _NO_JSON, str(tmp_path / "sweep.csv"))
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 _BLOCKED = """
 import json, sys
 sys.modules["numpy"] = sys.modules["scipy"] = None  # any import fails
