@@ -23,10 +23,6 @@ _AUTO_GRID_POINTS rates, at about 260 bytes a rate: under 1 MB in all. A
 longer grid's templates are built per request. critical_lambda still
 runs once per network and solve_fixed_point once per rate on every request.
 
-An argv whose first word names a command is read by that command's own
-parser, as the whole tree would hand it every later word; any other argv
-(no words, -h, an unknown word, --) is read by the whole tree.
-
 A command line is parsed once per process: _parse keeps each argv's
 namespace in an LRU cache of 128 argv tuples. A usage error and help are
 not kept, and the profile is read on every request.
@@ -117,12 +113,6 @@ def _parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trace", default=None,
                        help="directory for per-replication event CSVs")
     add_sim_flags(p_sim)
-
-    # _parse's map from a command's name to its parser; each sets command,
-    # as the whole tree does.
-    parser.commands = sub.choices
-    for name, command in sub.choices.items():
-        command.set_defaults(command=name)
     return parser
 
 
@@ -312,9 +302,8 @@ def cmd_compare(networks, out=None) -> int:
             verdicts.add(verdict)
             rows.append("%d,%.10g,%s,%s,%.10g,%s,%s,%s\n" % (
                 n, lam_pkt_s, report.regime_of(lam),
-                "" if fp is None else "%.10g" % fp.throughput,
-                mean, _fmt(ci), "" if fp is None else "%.10g" % band,
-                verdict))
+                _fmt(None if fp is None else fp.throughput), mean, _fmt(ci),
+                _fmt(None if fp is None else band), verdict))
     if out is not None:
         _write_csv(out, _COMPARE_HEADER, rows)
     if "error" in verdicts:
@@ -338,17 +327,9 @@ def cmd_sim(sim: SimConfig, out=None, trace=None) -> int:
 
 @functools.lru_cache(maxsize=128)
 def _parse(argv: tuple[str, ...]):
-    """argv's namespace, as _parser().parse_args(argv) reads it, kept for
-    128 argv tuples. A first word that names a command goes straight to
-    that command's parser: the whole tree's only option is -h, and it hands
-    that parser every later word. Anything else goes through the whole
-    tree, for its error or help. The namespace is shared by every call with
-    the same argv, so callers only read it."""
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    return command.parse_args(argv[1:])
+    """argv's namespace, kept for 128 argv tuples. The namespace is shared
+    by every call with the same argv, so callers only read it."""
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
