@@ -23,36 +23,6 @@ def _is_number(value, kind):
     return not isinstance(value, bool) and isinstance(value, kind)
 
 
-def _check_number_fields(obj):
-    """Refuse a value of the wrong kind in an int- or float-annotated field.
-
-    A float window or queue capacity would pass the range checks and then
-    fail or round later; a string would make them raise TypeError.
-    """
-    for f in fields(obj):
-        if f.type in ("int", int):
-            kind, what = numbers.Integral, "an integer"
-        elif f.type in ("float", float):
-            kind, what = numbers.Real, "a number"
-        else:
-            continue
-        value = getattr(obj, f.name)
-        if not _is_number(value, kind):
-            raise ParameterError(f"{f.name} must be {what}, got {value!r}")
-        if kind is numbers.Integral:  # stored as an int, as _check_n does
-            object.__setattr__(obj, f.name, operator.index(value))
-            continue
-        # Stored as a float, as _check_rate returns it: a NumPy float32
-        # would carry single precision into every product, yet equal and
-        # hash like its float, so the two would share cache entries. A
-        # value past the float range stays as given, for the class's own
-        # checks to refuse by name.
-        try:
-            object.__setattr__(obj, f.name, float(value))
-        except OverflowError:
-            pass
-
-
 def _check_n(n, name="n", least=1):
     """Refuse a count that is a bool, a non-integer or below least."""
     # An int skips the ABC isinstance check, many times slower than the
@@ -68,8 +38,8 @@ def _check_n(n, name="n", least=1):
 def _check_rate(lam, name="lam", finite=False):
     """Refuse an arrival rate that is a bool, a non-number, past the float
     range, NaN, negative or, with finite, infinite; return it as a float,
-    as _check_n returns the int, and -0 as +0.0. inf is the saturated
-    operating point."""
+    as _check_n returns the int: a float as the same object, and -0.0 as
+    +0.0. inf is the saturated operating point."""
     # A float skips the ABC isinstance check, as an int does in _check_n.
     value = lam
     if type(lam) is not float:
@@ -86,13 +56,21 @@ def _check_rate(lam, name="lam", finite=False):
     if not value >= 0 or finite and value == math.inf:  # also rejects nan
         limit = "finite and >= 0" if finite else ">= 0"
         raise ParameterError(f"{name} must be {limit}, got {lam!r}")
-    return value + 0.0  # -0.0 + 0.0 is +0.0
+    return value or 0.0  # -0.0 is falsy
 
 
 def _check_params(params):
     """Refuse anything but a PhyMacParams, such as a profile's name."""
     if not isinstance(params, PhyMacParams):
         raise ParameterError(f"params must be a PhyMacParams, got {params!r}")
+
+
+# PhyMacParams' counts with the least value of each (a frame may carry no
+# MAC header), and its rates and durations, which are finite and >= 0.
+_COUNTS = (("mac_header_bits", 0), ("plcp_bits", 1), ("ack_bits", 1),
+           ("payload_bits", 1), ("w0", 2), ("m", 1), ("queue_capacity_k", 1))
+_REALS = ("data_rate", "basic_rate", "slot_sigma", "sifs", "eifs",
+          "prop_delta")
 
 
 @dataclass(frozen=True)
@@ -114,44 +92,33 @@ class PhyMacParams:
     queue_capacity_k: int  # packets a station holds, the one being sent too
 
     def __post_init__(self):
-        _check_number_fields(self)
-        # NaN, an infinite rate and an integer past the float range pass
-        # the range checks below, and a parameter file can carry all three.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                finite = math.isfinite(value)
+        for name, least in _COUNTS:
+            n = _check_n(getattr(self, name), name, least)
+            try:  # every count meets floats in derive_times or the model
+                float(n)
             except OverflowError:
                 raise ParameterError(
-                    f"{f.name} is too large for a float") from None
-            if not finite:
-                raise ParameterError(f"{f.name} must be finite, got {value!r}")
-        if self.mac_header_bits < 0:  # 0: the payload is the whole frame
-            raise ParameterError("mac_header_bits must be >= 0")
-        for name in ("plcp_bits", "ack_bits", "payload_bits"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be a positive bit count")
-        if self.data_rate <= 0 or self.basic_rate <= 0:
+                    f"{name} is too large for a float") from None
+            object.__setattr__(self, name, n)
+        # Stored as floats: a NumPy float32 would carry single precision
+        # into every product, yet equal and hash like its float, so the
+        # two would share cache entries.
+        for name in _REALS:
+            object.__setattr__(self, name, _check_rate(
+                getattr(self, name), name, finite=True))
+        if self.data_rate == 0 or self.basic_rate == 0:
             raise ParameterError("rates must be positive")
         if self.data_rate < self.basic_rate:
             raise ParameterError("data_rate must be >= basic_rate")
         for name in ("slot_sigma", "sifs", "eifs"):
-            if getattr(self, name) <= 0:
+            if getattr(self, name) == 0:
                 raise ParameterError(f"{name} must be a positive duration")
-        if self.prop_delta < 0:
-            raise ParameterError("prop_delta must be >= 0")
-        if self.w0 < 2:
-            raise ParameterError("w0 must be >= 2")
-        if self.m < 1:
-            raise ParameterError("m must be >= 1")
         # The stage sum w0 * (2^(m+1) - 1) overflows a float, and every
         # solve reads NaN, once w0 * 2^m >= 2^1023. Bit lengths decide it
         # without building w0 << m for a huge m.
         if self.w0.bit_length() + self.m > 1023:
             raise ParameterError(f"w0 * 2**m must be below 2**1023, got "
                                  f"w0 {self.w0} and m {self.m}")
-        if self.queue_capacity_k < 1:
-            raise ParameterError("queue_capacity_k must be >= 1")
         try:  # finite fields can sum to an infinite t_s or t_c (S reads 0)
             times = derive_times(self)
             finite = math.isfinite(times.t_s) and math.isfinite(times.t_c)

@@ -56,15 +56,14 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import log
 from operator import attrgetter
 
 from .model import _brentq
-from .params import (ParameterError, PhyMacParams, _check_n,
-                     _check_number_fields, _check_params, _check_rate,
-                     derive_times)
+from .params import (ParameterError, PhyMacParams, _check_n, _check_params,
+                     _check_rate, derive_times)
 
 # The most arrivals a station may expect in one run. At or under it the
 # mean inter-arrival draw is at least 1e-9 * sim_duration, millions of ulps
@@ -86,37 +85,39 @@ class SimConfig:
     base_seed: int = 12345
 
     def __post_init__(self):
-        _check_number_fields(self)
         _check_params(self.params)
-        _check_n(self.n_stations, "n_stations")
-        _check_rate(self.lambda_per_station, "lambda_per_station",
-                    finite=True)
-        if not 0.0 < self.sim_duration < math.inf:
+        store = object.__setattr__
+        store(self, "n_stations", _check_n(self.n_stations, "n_stations"))
+        for name in ("lambda_per_station", "sim_duration", "warmup"):
+            store(self, name, _check_rate(getattr(self, name), name,
+                                          finite=True))
+        store(self, "replications",
+              _check_n(self.replications, "replications"))
+        store(self, "base_seed",
+              _check_n(self.base_seed, "base_seed", least=0))
+        if self.sim_duration == 0:
             raise ParameterError("sim_duration must be finite and positive")
-        # The idle jump counts slots of slot_sigma up to sim_duration.
-        try:
-            slots = self.sim_duration / self.params.slot_sigma
-        except OverflowError:  # an int sim_duration past the float range
-            slots = math.inf
-        if slots == math.inf:
+        # The idle jump counts slots of slot_sigma up to sim_duration. Two
+        # finite floats: a quotient or product past the float range is inf.
+        if self.sim_duration / self.params.slot_sigma == math.inf:
             raise ParameterError(
                 "sim_duration / params.slot_sigma must be finite, got "
                 f"{self.sim_duration!r} / {self.params.slot_sigma!r}")
-        # Two finite floats: a product past the float range is inf.
         arrivals = self.lambda_per_station * self.sim_duration
         if arrivals > _MAX_EXPECTED_ARRIVALS:
             raise ParameterError(
                 "lambda_per_station * sim_duration must be <= "
                 f"{_MAX_EXPECTED_ARRIVALS:g} expected arrivals per station, "
                 f"got {self.lambda_per_station!r} * {self.sim_duration!r}")
-        if not 0.0 <= self.warmup < self.sim_duration:
+        if not self.warmup < self.sim_duration:
             raise ParameterError("warmup must lie in [0, sim_duration)")
-        _check_n(self.replications, "replications")
-        _check_n(self.base_seed, "base_seed", least=0)
 
 
-# The counters each station keeps, one per_station_ tuple each.
+# The counters each station keeps, one per_station_ tuple each, and the
+# integer counters of the whole channel.
 _STATION_COUNTERS = ("arrivals", "successes", "drops", "retry_drops")
+_CHANNEL_COUNTERS = ("measured_successes", "collisions",
+                     "collision_participations", "virtual_slots")
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,7 @@ class SimResult:
 for _name in _STATION_COUNTERS:
     setattr(ReplicationResult, _name, property(
         lambda self, get=attrgetter("per_station_" + _name): sum(get(self))))
-for _name in [f.name for f in fields(ReplicationResult)
-              if f.type in (int, "int")] + list(_STATION_COUNTERS):
+for _name in _CHANNEL_COUNTERS + _STATION_COUNTERS:
     setattr(SimResult, _name, property(
         lambda self, get=attrgetter(_name): sum(map(get, self.replications))))
 

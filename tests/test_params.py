@@ -88,12 +88,12 @@ class TestParamValidation:
         ({"w0": 1}, "w0 must be >= 2"),
         ({"m": 0}, "m must be >= 1"),
         ({"queue_capacity_k": 0}, "queue_capacity_k must be >= 1"),
-        ({"prop_delta": -1.0}, "prop_delta must be >= 0"),
+        ({"prop_delta": -1.0}, "prop_delta must be finite and >= 0, got -1.0"),
         ({"basic_rate": 0.0}, "rates must be positive"),
         # A frame may carry no MAC header, but every other bit count is
         # positive.
         ({"mac_header_bits": -1}, "mac_header_bits must be >= 0"),
-        *(({name: 0}, f"{name} must be a positive bit count")
+        *(({name: 0}, f"{name} must be >= 1")
           for name in ("plcp_bits", "ack_bits", "payload_bits")),
         # From w0 * 2^m = 2^1023 on, the stage sums overflow and every
         # solve reads NaN. m = 10**18 is refused without building w0 << m.
@@ -306,13 +306,16 @@ class _Real(float):
     pass
 
 
+def _build_sim_config(params, **kw):
+    return SimConfig(**{"n_stations": 2, "lambda_per_station": 1e-5,
+                        "params": params, **kw})
+
+
 # Each record with one int and one float field, built from dot11g-54.
 _NUMBER_RECORDS = [
-    pytest.param(lambda params, **kw: dataclasses.replace(params, **kw),
-                 "w0", "sifs", 12.5, id="PhyMacParams"),
-    pytest.param(lambda params, **kw: SimConfig(
-        n_stations=2, lambda_per_station=1e-5, params=params, **kw),
-                 "replications", "sim_duration", 2e6 + 0.5, id="SimConfig"),
+    pytest.param(dataclasses.replace, "w0", "sifs", 12.5, id="PhyMacParams"),
+    pytest.param(_build_sim_config, "replications", "sim_duration",
+                 2e6 + 0.5, id="SimConfig"),
 ]
 
 
@@ -351,6 +354,27 @@ class TestNumberFieldStore:
         with pytest.raises(ParameterError,
                            match=f"^{float_field} must be a number, got True$"):
             build(params, **{float_field: True})
+
+
+# Every number field of both records, read from the records themselves, so
+# a field added later is checked here with no edit. Each PhyMacParams count
+# is also refused past the float range, where derive_times would overflow.
+_EVERY_NUMBER_FIELD = [
+    pytest.param(build, f.name, record is PhyMacParams and f.type == "int",
+                 id=f"{record.__name__}-{f.name}")
+    for record, build in ((PhyMacParams, dataclasses.replace),
+                          (SimConfig, _build_sim_config))
+    for f in dataclasses.fields(record) if f.name != "params"]
+
+
+@pytest.mark.parametrize("build, field, float_count", _EVERY_NUMBER_FIELD)
+def test_every_number_field_is_checked(params, build, field, float_count):
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        build(params, **{field: True})
+    if float_count:
+        with pytest.raises(ParameterError,
+                           match=f"^{field} is too large for a float$"):
+            build(params, **{field: 10 ** 400})
 
 
 class TestParamsKey:

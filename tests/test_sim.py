@@ -574,10 +574,13 @@ class TestConfigValidation:
     def test_rejects_more_idle_slots_than_a_float_holds(self, params,
                                                         duration, sigma):
         # The idle jump counts ceil((wake - now) / slot_sigma) slots, which
-        # cannot be an integer once the quotient overflows.
+        # cannot be an integer once the quotient overflows. An int duration
+        # past the float range is refused before the quotient.
         slotted = dataclasses.replace(params, slot_sigma=sigma)
         message = ("sim_duration / params.slot_sigma must be finite, got "
                    f"{duration!r} / {sigma!r}")
+        if isinstance(duration, int):
+            message = "sim_duration is too large for a float"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             SimConfig(n_stations=2, lambda_per_station=0.0, params=slotted,
                       sim_duration=duration, warmup=0.0)
