@@ -19,9 +19,14 @@ A sweep row's cells other than the model's S, the sim cells and the error
 depend only on the network and its rates. _rates keeps them as row
 templates, one per rate, in an LRU cache of 128 entries keyed by (report,
 params, grid), for the auto grid and a typed --lambda-grid of at most
-_AUTO_GRID_POINTS rates, at about 260 bytes a rate: under 1 MB in all. A
-longer grid's templates are built per request. critical_lambda still
-runs once per network and solve_fixed_point once per rate on every request.
+_AUTO_GRID_POINTS rates. Beside each template it keeps the last finished
+row without sim cells and the model's record it was filled from; the
+model returns that same frozen record on a hit, so a repeated rate copies
+its row. A different record, a sim point or a failed solve fills the
+template again. An entry holds about 390 bytes a rate: under 1.5 MB in
+all. A longer grid's templates are built per request. critical_lambda
+still runs once per network and solve_fixed_point once per rate on every
+request.
 
 A command line is parsed once per process: _parse keeps each argv's
 namespace in an LRU cache of 128 argv tuples. A usage error and help are
@@ -199,12 +204,15 @@ def cmd_table1(params, n_list, out=None) -> int:
 @functools.lru_cache(maxsize=128)
 def _rates(report, params, grid):
     """Each rate of grid (pkt/s; None for report's auto grid) as (lambda in
-    pkt/s, in packets/us, the linear law's S, row template), kept for 128
-    (report, params, grid) keys: the template is the sweep's row
+    pkt/s, in packets/us, the linear law's S, row template, kept), kept for
+    128 (report, params, grid) keys: the template is the sweep's row
     (_SWEEP_HEADER) with every cell filled but three "%s" slots, for the
-    model's S, the two sim cells and the error. The linear law's slope
-    N * E[PL] is found once; slope * lam is linear_throughput's value,
-    inf where that raises, which _sweep_rows does."""
+    model's S, the two sim cells and the error. kept is a two-slot list,
+    [record, row], that _sweep_rows fills with the last row it wrote
+    without sim cells and the model's record it came from; it starts as
+    [None, None]. The linear law's slope N * E[PL] is found once; slope *
+    lam is linear_throughput's value, inf where that raises, which
+    _sweep_rows does."""
     n, s_max = report.n, report.s_max
     slope = linear_throughput(1.0, n, params)
     rates = []
@@ -214,7 +222,7 @@ def _rates(report, params, grid):
         rates.append((lam_pkt_s, lam, s_linear,
                       "%d,%.10g,%%s,%.10g,%.10g,%s,%%s,%%s\n" % (
                           n, lam_pkt_s, s_linear, s_max,
-                          report.regime_of(lam))))
+                          report.regime_of(lam)), [None, None]))
     return tuple(rates)
 
 
@@ -255,28 +263,40 @@ _COMPARE_HEADER = ("n", "lambda_pkt_s", "regime", "s_model_mbps",
                    "s_sim_mbps", "sim_ci95_mbps", "band_mbps", "inside_band")
 
 
-def _sweep_rows(networks, params) -> list[str]:
+def _sweep_rows(networks, params) -> tuple[list[str], bool]:
     """The sweep's lines in _SWEEP_HEADER's order, each its rate's
-    template filled. New columns go at the end: perfbench/checks.py reads
-    these by position. A linear law past the float range raises here, as
-    linear_throughput does for the first such rate."""
-    rows = []
+    template filled, and whether any solve failed. New columns go at the
+    end: perfbench/checks.py reads these by position. A point with no sim
+    whose record is the one its rate's kept row came from copies that
+    row: the record is frozen, so the row's bytes are the same. A linear
+    law past the float range raises here, as linear_throughput does for
+    the first such rate."""
+    rows, failed = [], False
     for report, points in networks:
-        for (_, lam, s_linear, template), fp, error, sim in points:
+        for (_, lam, s_linear, template, kept), fp, error, sim in points:
             if s_linear == math.inf:
                 linear_throughput(lam, report.n, params)
-            rows.append(template % (
+            # kept[0] starts as None, so a failed solve must not match it.
+            if sim is None and fp is not None and kept[0] is fp:
+                rows.append(kept[1])
+                continue
+            row = template % (
                 "" if fp is None else "%.10g" % fp.throughput,
                 "," if sim is None else "%.10g,%s" % (
                     sim.mean_throughput, _fmt(sim.ci95_halfwidth)),
-                _cell(error) if error else ""))
-    return rows
+                _cell(error) if error else "")
+            if fp is None:
+                failed = True
+            elif sim is None:
+                kept[:] = fp, row
+            rows.append(row)
+    return rows, failed
 
 
 def cmd_sweep(networks, params, out=None) -> int:
-    _write_csv(out, _SWEEP_HEADER, _sweep_rows(networks, params))
-    return 2 if any(fp is None for _, points in networks
-                    for _, fp, _, _ in points) else 0
+    rows, failed = _sweep_rows(networks, params)
+    _write_csv(out, _SWEEP_HEADER, rows)
+    return 2 if failed else 0
 
 
 def cmd_compare(networks, out=None) -> int:
@@ -287,7 +307,7 @@ def cmd_compare(networks, out=None) -> int:
     rows, verdicts = [], set()
     for report, points in networks:
         n = report.n
-        for (lam_pkt_s, lam, _, _), fp, error, sim in points:
+        for (lam_pkt_s, lam, _, _, _), fp, error, sim in points:
             mean, ci = sim.mean_throughput, sim.ci95_halfwidth
             band = (ci or 0.0) + 0.05 * mean
             if fp is None:

@@ -469,6 +469,68 @@ class TestSweep:
             _network.cache_clear()
             _rates.cache_clear()
 
+    def test_failed_solves_do_not_read_kept_rows(self, tmp_path, monkeypatch,
+                                                 cold_model):
+        # A failed solve has no record: it must not match a rate's empty
+        # slot (None) before any row is kept, nor copy a row kept by a
+        # clean call, and it must still exit 2 when repeated.
+        argv, code, _, failed_sha = _PINNED_FAILED["sweep-failed"]
+        out = tmp_path / "sweep.csv"
+
+        def sweep(code, fail):
+            with monkeypatch.context() as patch:
+                if fail:
+                    fail_every_solve(patch)
+                assert main([*argv, "--out", str(out)]) == code
+            return out.read_bytes()
+
+        assert hashlib.sha256(sweep(code, True)).hexdigest() == failed_sha
+        clean = sweep(0, False)
+        assert b"no convergence" not in clean
+        assert sweep(0, False) == clean
+        for _ in range(2):
+            assert hashlib.sha256(sweep(code, True)).hexdigest() == failed_sha
+        assert sweep(0, False) == clean
+
+    @pytest.mark.parametrize("name", ["sweep-sim-1", "compare-3"])
+    def test_sim_points_do_not_read_kept_rows(self, tmp_path, capsys, name,
+                                              cold_model):
+        # The pin's networks and rates are swept without sim twice first,
+        # so each rate has a kept row when the pinned command runs.
+        argv, code, stdout_sha, csv_sha = _PINNED[name]
+        grid = argv[argv.index("--n"):argv.index("--lambda-grid") + 2]
+        for _ in range(2):
+            assert main(["sweep", *grid]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == code
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == stdout_sha
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
+    def test_new_records_rebuild_kept_rows(self, tmp_path, monkeypatch,
+                                           params, cold_model):
+        out = tmp_path / "sweep.csv"
+
+        def sweep():
+            assert main(["sweep", "--n", "37", "--lambda-grid", "auto",
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        cold = sweep()
+        cold_model()  # the model's records go; the row templates stay
+        assert sweep() == cold
+        rates = _rates(critical_lambda(37, params), params, None)
+        for _, lam, _, _, (record, _) in rates:
+            assert record is solve_fixed_point(lam, 37, params)
+        # A record of another value writes its own S, not the kept row's.
+        monkeypatch.setattr(
+            "dcfkit.cli.solve_fixed_point",
+            lambda lam, n, p: dataclasses.replace(
+                solve_fixed_point(lam, n, p), throughput=0.5))
+        sweep()
+        assert {row["s_model_mbps"] for row in read_csv(out)} == {"0.5"}
+
     def test_explicit_grid_rows_are_the_same_cold_and_warm(
             self, tmp_path, monkeypatch, cold_model):
         fail_every_solve(monkeypatch)
@@ -508,6 +570,25 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert held < 2e6
+
+    def test_kept_rows_weigh_under_1_5_mb(self, tmp_path, cold_model):
+        # 128 auto-grid networks, each swept twice, fill _rates: a template
+        # and a kept row for each of their 3200 rates, about 390 bytes a
+        # rate. The model's records stay in its own cache when _rates is
+        # emptied, so the drop is what _rates alone holds.
+        out = str(tmp_path / "sweep.csv")
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                for n in range(1, 129):
+                    assert main(["sweep", "--n", str(n), "--lambda-grid",
+                                 "auto", "--out", out]) == 0
+            full = tracemalloc.get_traced_memory()[0]
+            _rates.cache_clear()
+            held = full - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5e6
 
     def test_auto_grid_pin_holds_after_typed_grids(self, tmp_path, capsys,
                                                    cold_model):
