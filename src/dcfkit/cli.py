@@ -16,17 +16,17 @@ layer: created with mode 0o666 under the umask, as open(path, "w") does,
 and truncated if it exists; stdout gets one write of the text.
 
 A sweep row's cells other than the model's S, the sim cells and the error
-depend only on the network and its rates. _rates keeps them as row
-templates, one per rate, in an LRU cache of 128 entries keyed by (report,
-params, grid), for the auto grid and a typed --lambda-grid of at most
-_AUTO_GRID_POINTS rates. Beside each template it keeps the last finished
-row without sim cells and the model's record it was filled from; the
-model returns that same frozen record on a hit, so a repeated rate copies
-its row. A different record, a sim point or a failed solve fills the
-template again. An entry holds about 390 bytes a rate: under 1.5 MB in
-all. A longer grid's templates are built per request. critical_lambda
-still runs once per network and solve_fixed_point once per rate on every
-request.
+depend only on the network and its rates. _rates builds them as row
+templates, one per rate, and keeps the auto grid's in an LRU cache of 128
+entries keyed by (report, params, None); a typed --lambda-grid's are built
+on each request. Beside each template it keeps the last finished row
+without sim cells and the model's record it was filled from; the model
+returns that same frozen record on a hit, so a repeated rate copies its
+row. A different record, a sim point or a failed solve fills the template
+again. An entry holds about 390 bytes a rate: under 1.5 MB in all. A rate
+whose linear law passes the float range is refused while the templates
+are built, before any solve or simulation. critical_lambda still runs
+once per network and solve_fixed_point once per rate on every request.
 
 A command line is parsed once per process: _parse keeps each argv's
 namespace in an LRU cache of 128 argv tuples. A usage error and help are
@@ -204,43 +204,42 @@ def cmd_table1(params, n_list, out=None) -> int:
 @functools.lru_cache(maxsize=128)
 def _rates(report, params, grid):
     """Each rate of grid (pkt/s; None for report's auto grid) as (lambda in
-    pkt/s, in packets/us, the linear law's S, row template, kept), kept for
-    128 (report, params, grid) keys: the template is the sweep's row
-    (_SWEEP_HEADER) with every cell filled but three "%s" slots, for the
-    model's S, the two sim cells and the error. kept is a two-slot list,
-    [record, row], that _sweep_rows fills with the last row it wrote
-    without sim cells and the model's record it came from; it starts as
-    [None, None]. The linear law's slope N * E[PL] is found once; slope *
-    lam is linear_throughput's value, inf where that raises, which
-    _sweep_rows does."""
+    pkt/s, in packets/us, row template, kept), kept for 128 (report,
+    params, grid) keys; _walk keeps only the auto grid's. The template is
+    the sweep's row (_SWEEP_HEADER) with every cell filled but three "%s"
+    slots, for the model's S, the two sim cells and the error. kept is a
+    two-slot list, [record, row], that cmd_sweep fills with the last row
+    it wrote without sim cells and the model's record it came from; it
+    starts as [None, None]. The linear law's slope N * E[PL] is found
+    once; slope * lam is linear_throughput's value, and where it is inf,
+    linear_throughput raises for that rate, before any solve."""
     n, s_max = report.n, report.s_max
     slope = linear_throughput(1.0, n, params)
     rates = []
     for lam_pkt_s in _auto_grid(report) if grid is None else grid:
         lam = lam_pkt_s * _PKT_S_TO_PKT_US
-        s_linear = slope * lam
-        rates.append((lam_pkt_s, lam, s_linear,
+        if slope * lam == math.inf:
+            linear_throughput(lam, n, params)
+        rates.append((lam_pkt_s, lam,
                       "%d,%.10g,%%s,%.10g,%.10g,%s,%%s,%%s\n" % (
-                          n, lam_pkt_s, s_linear, s_max,
+                          n, lam_pkt_s, slope * lam, s_max,
                           report.regime_of(lam)), [None, None]))
     return tuple(rates)
 
 
 def _walk(params, n_list, grid, sim):
-    """Each network's report and its points: one (rate, fixed point or
-    None for a failed solve, error text, sim result) tuple per rate, rate
-    as _rates gives it for grid (None: each N's auto grid); sim None means
-    no simulation. Point i, counted over all N, runs with seed
-    sim.base_seed + _SEED_STRIDE * i."""
-    networks = []
+    """One point per rate of each N, in order: (report, rate, fixed point
+    or None for a failed solve, error text, sim result), rate as _rates
+    gives it for grid (None: each N's auto grid, the only one kept); sim
+    None means no simulation. Point i runs with seed sim.base_seed +
+    _SEED_STRIDE * i. Every rate's templates are built before its
+    network's first solve."""
+    points = []
     seed = None if sim is None else sim.base_seed
-    # A long typed grid is not kept: its entry grows with its rates.
-    rates = _rates if grid is None or len(grid) <= _AUTO_GRID_POINTS else (
-        _rates.__wrapped__)
     for n in n_list:
         report = critical_lambda(n, params)
-        points = []
-        for rate in rates(report, params, grid):
+        for rate in (_rates(report, params, None) if grid is None else
+                     _rates.__wrapped__(report, params, grid)):
             lam = rate[1]
             try:
                 fixed_point, error = solve_fixed_point(lam, n, params), ""
@@ -251,9 +250,8 @@ def _walk(params, n_list, grid, sim):
                 result = run(replace(sim, n_stations=n,
                                      lambda_per_station=lam, base_seed=seed))
                 seed += _SEED_STRIDE
-            points.append((rate, fixed_point, error, result))
-        networks.append((report, points))
-    return networks
+            points.append((report, rate, fixed_point, error, result))
+    return points
 
 
 _SWEEP_HEADER = ("n", "lambda_pkt_s", "s_model_mbps", "s_linear_mbps",
@@ -263,67 +261,56 @@ _COMPARE_HEADER = ("n", "lambda_pkt_s", "regime", "s_model_mbps",
                    "s_sim_mbps", "sim_ci95_mbps", "band_mbps", "inside_band")
 
 
-def _sweep_rows(networks, params) -> tuple[list[str], bool]:
-    """The sweep's lines in _SWEEP_HEADER's order, each its rate's
-    template filled, and whether any solve failed. New columns go at the
-    end: perfbench/checks.py reads these by position. A point with no sim
+def cmd_sweep(points, out=None) -> int:
+    """Write the sweep's rows in _SWEEP_HEADER's order, each its rate's
+    template filled; 2 if any solve failed. New columns go at the end:
+    perfbench/checks.py reads these by position. A point with no sim
     whose record is the one its rate's kept row came from copies that
-    row: the record is frozen, so the row's bytes are the same. A linear
-    law past the float range raises here, as linear_throughput does for
-    the first such rate."""
+    row: the record is frozen, so the row's bytes are the same."""
     rows, failed = [], False
-    for report, points in networks:
-        for (_, lam, s_linear, template, kept), fp, error, sim in points:
-            if s_linear == math.inf:
-                linear_throughput(lam, report.n, params)
-            # kept[0] starts as None, so a failed solve must not match it.
-            if sim is None and fp is not None and kept[0] is fp:
-                rows.append(kept[1])
-                continue
-            row = template % (
-                "" if fp is None else "%.10g" % fp.throughput,
-                "," if sim is None else "%.10g,%s" % (
-                    sim.mean_throughput, _fmt(sim.ci95_halfwidth)),
-                _cell(error) if error else "")
-            if fp is None:
-                failed = True
-            elif sim is None:
-                kept[:] = fp, row
-            rows.append(row)
-    return rows, failed
-
-
-def cmd_sweep(networks, params, out=None) -> int:
-    rows, failed = _sweep_rows(networks, params)
+    for _, (_, _, template, kept), fp, error, sim in points:
+        # kept[0] starts as None, so a failed solve must not match it.
+        if sim is None and fp is not None and kept[0] is fp:
+            rows.append(kept[1])
+            continue
+        row = template % (
+            "" if fp is None else "%.10g" % fp.throughput,
+            "," if sim is None else "%.10g,%s" % (
+                sim.mean_throughput, _fmt(sim.ci95_halfwidth)),
+            _cell(error) if error else "")
+        if fp is None:
+            failed = True
+        elif sim is None:
+            kept[:] = fp, row
+        rows.append(row)
     _write_csv(out, _SWEEP_HEADER, rows)
     return 2 if failed else 0
 
 
-def cmd_compare(networks, out=None) -> int:
+def cmd_compare(points, out=None) -> int:
     """Check each model point against its simulated band, the sim CI
     widened by 5 percent of the sim mean: yes or no for the model inside
     it, error for a failed solve. One printed line and one CSV row
     (_COMPARE_HEADER's order) a point."""
     rows, verdicts = [], set()
-    for report, points in networks:
+    for report, (lam_pkt_s, lam, _, _), fp, error, sim in points:
         n = report.n
-        for (lam_pkt_s, lam, _, _, _), fp, error, sim in points:
-            mean, ci = sim.mean_throughput, sim.ci95_halfwidth
-            band = (ci or 0.0) + 0.05 * mean
-            if fp is None:
-                verdict = "error"
-                print(f"ERROR n={n} lambda={lam_pkt_s:g} pkt/s: {error}")
-            else:
-                verdict = "yes" if abs(fp.throughput - mean) <= band else "no"
-                print(f"{'PASS' if verdict == 'yes' else 'FAIL'} n={n} "
-                      f"lambda={lam_pkt_s:g} pkt/s "
-                      f"model={fp.throughput:.4f} sim={mean:.4f} "
-                      f"band=+/-{band:.4f} Mbps")
-            verdicts.add(verdict)
-            rows.append("%d,%.10g,%s,%s,%.10g,%s,%s,%s\n" % (
-                n, lam_pkt_s, report.regime_of(lam),
-                _fmt(None if fp is None else fp.throughput), mean, _fmt(ci),
-                _fmt(None if fp is None else band), verdict))
+        mean, ci = sim.mean_throughput, sim.ci95_halfwidth
+        band = (ci or 0.0) + 0.05 * mean
+        if fp is None:
+            verdict = "error"
+            print(f"ERROR n={n} lambda={lam_pkt_s:g} pkt/s: {error}")
+        else:
+            verdict = "yes" if abs(fp.throughput - mean) <= band else "no"
+            print(f"{'PASS' if verdict == 'yes' else 'FAIL'} n={n} "
+                  f"lambda={lam_pkt_s:g} pkt/s "
+                  f"model={fp.throughput:.4f} sim={mean:.4f} "
+                  f"band=+/-{band:.4f} Mbps")
+        verdicts.add(verdict)
+        rows.append("%d,%.10g,%s,%s,%.10g,%s,%s,%s\n" % (
+            n, lam_pkt_s, report.regime_of(lam),
+            _fmt(None if fp is None else fp.throughput), mean, _fmt(ci),
+            _fmt(None if fp is None else band), verdict))
     if out is not None:
         _write_csv(out, _COMPARE_HEADER, rows)
     if "error" in verdicts:
@@ -383,10 +370,10 @@ def main(argv=None) -> int:
                 raise ParameterError(
                     f"--replications must be <= {_SEED_STRIDE} on "
                     f"{args.command}: more would share seeds between points")
-        networks = _walk(params, n_list, grid, sim if with_sim else None)
+        points = _walk(params, n_list, grid, sim if with_sim else None)
         if args.command == "compare":
-            return cmd_compare(networks, out=args.out)
-        return cmd_sweep(networks, params, out=args.out)
+            return cmd_compare(points, out=args.out)
+        return cmd_sweep(points, out=args.out)
     # ParameterError is a ValueError; OSError covers the paths the user gave.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -420,6 +420,25 @@ class TestSweep:
             "error: the linear law's slope N * E[PL], or its value at lam "
             "1000000000.0, overflows the float range\n")
 
+    @pytest.mark.parametrize("command", [["compare"],
+                                         ["sweep", "--with-sim"]])
+    def test_linear_law_is_refused_before_any_solve_or_sim(
+            self, monkeypatch, capsys, command):
+        # 1.5e302 packets/us times 200 stations' N * E[PL] passes the float
+        # range: the rate is refused while its row templates are built, so
+        # neither the model nor the simulator is reached.
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached a solve or a simulation")
+
+        monkeypatch.setattr("dcfkit.cli.solve_fixed_point", refuse)
+        monkeypatch.setattr("dcfkit.cli.run", refuse)
+        assert main([*command, "--n", "200", "--lambda-grid", "30,1.5e308",
+                     "--replications", "1", "--duration-us", "1e-294",
+                     "--warmup-us", "0"]) == 1
+        assert assert_one_line_error(capsys) == (
+            "error: the linear law's slope N * E[PL], or its value at lam "
+            "1.5e+302, overflows the float range\n")
+
     @pytest.mark.parametrize("argv, searches, solves", [
         (["sweep", "--n", "3,7", "--lambda-grid", "auto"], 2, 50),
         (["compare", "--n", "3,7", "--lambda-grid", "30,70,400",
@@ -521,7 +540,7 @@ class TestSweep:
         cold_model()  # the model's records go; the row templates stay
         assert sweep() == cold
         rates = _rates(critical_lambda(37, params), params, None)
-        for _, lam, _, _, (record, _) in rates:
+        for _, lam, _, (record, _) in rates:
             assert record is solve_fixed_point(lam, 37, params)
         # A record of another value writes its own S, not the kept row's.
         monkeypatch.setattr(
@@ -543,20 +562,23 @@ class TestSweep:
         assert written[0] == written[1]
         assert written[0].count(b"no convergence: ") == 6
 
-    def test_typed_grids_keep_at_most_128_entries(self, cold_model):
+    def test_typed_grids_keep_no_entry(self, cold_model):
+        # A typed grid's row templates are built on each request; only the
+        # auto grid's are kept.
         for i in range(200):
             assert main(["sweep", "--n", "5", "--lambda-grid",
                          f"{i + 1},400"]) == 0
-        info = _rates.cache_info()
-        assert info.currsize == info.maxsize == 128
+        assert _rates.cache_info().currsize == 0
+        assert main(["sweep", "--n", "5", "--lambda-grid", "auto"]) == 0
+        assert _rates.cache_info().currsize == 1
 
     def test_long_typed_grids_are_not_kept(self, tmp_path, monkeypatch,
                                            cold_model):
-        # A typed grid longer than the auto grid's 25 rates keeps no row
-        # templates: 128 distinct grids of 1000 rates held about 33 MB
-        # when they were kept. What stays is each argv's text, kept with
-        # its parsed namespace. The templates are built before any solve,
-        # so failing every solve keeps the test short.
+        # A typed grid keeps no row templates, however long: 128 distinct
+        # grids of 1000 rates would hold about 33 MB if they were kept.
+        # What stays is each argv's text, kept with its parsed namespace.
+        # The templates are built before any solve, so failing every solve
+        # keeps the test short.
         fail_every_solve(monkeypatch)
         out = str(tmp_path / "sweep.csv")
         tracemalloc.start()
@@ -592,7 +614,7 @@ class TestSweep:
 
     def test_auto_grid_pin_holds_after_typed_grids(self, tmp_path, capsys,
                                                    cold_model):
-        # Typed grids of the pin's networks are kept first; the auto grid
+        # Typed grids of the pin's networks are swept first; the auto grid
         # still reads its own templates.
         for n in ("1", "10", "50"):
             assert main(["sweep", "--n", n, "--lambda-grid",
